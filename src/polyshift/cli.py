@@ -15,6 +15,7 @@ verification failure, 2 input error (with a machine-readable
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Union
@@ -82,10 +83,7 @@ def _as_polytope(body) -> Polytope:
 
 
 def _distribution_payload(dist: CountDistribution) -> dict:
-    if dist.kind == "exact":
-        entries = {str(m): str(dist.probability(m)) for m in dist.support()}
-    else:
-        entries = {str(m): str(dist.probability(m)) for m in dist.support()}
+    entries = {str(m): str(dist.probability(m)) for m in dist.support()}
     out = {"kind": dist.kind, "entries": entries}
     if dist.kind == "empirical":
         out["samples"] = dist.samples
@@ -130,6 +128,8 @@ def _run_volume(args) -> int:
 
 
 def _run_count(args) -> int:
+    if args.shifts < 1:
+        raise InputError(f"--shifts must be a positive integer, got {args.shifts}")
     body = parse_polytope_input(args.input)
     poly = _as_polytope(body)
     stream = ShiftStream(poly.dim, args.seed)
@@ -301,9 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: a parser is a web of reference cycles, and one
+    # left behind per call lingers until a full garbage collection
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GeometryError as exc:

@@ -28,6 +28,8 @@ from .geometry import (
     as_vec,
     determinant,
     minkowski_sum,
+    parse_json_rows,
+    parse_rational,
     segment,
     zero_vec,
 )
@@ -105,12 +107,15 @@ def _count_polytope(p: Polytope, coords: Vec) -> CountResult:
     eqs, ineqs = p.integer_description()
     flat = not p.is_full_dim
     den = math.lcm(*(c.denominator for c in coords))
-    m = [int(c * den) for c in coords]
-    lo_box, hi_box = p.bounding_box()
+    m = [c.numerator * (den // c.denominator) for c in coords]
+    # box corner + shift = (corner * den + m * pden) / (pden * den)
+    pden = p.denominator
+    lo_box, hi_box = p.integer_box()
+    scale = pden * den
     ranges = []
     for i in range(d):
-        lo = math.ceil(lo_box[i] + coords[i])
-        hi = math.floor(hi_box[i] + coords[i])
+        lo = -((-lo_box[i] * den - m[i] * pden) // scale)
+        hi = (hi_box[i] * den + m[i] * pden) // scale
         if lo > hi:
             return CountResult(0)
         ranges.append((lo, hi))
@@ -294,22 +299,14 @@ def zonotope_polytope(spec: ZonotopeSpec) -> Polytope:
 
 
 def zonotope_spec_from_json(data: dict) -> ZonotopeSpec:
-    try:
-        dim = data["dim"]
-        gens = data["generators"]
-    except (KeyError, TypeError) as exc:
-        raise DegenerateInput(f"zonotope JSON needs dim and generators: {exc}") from exc
-    if not isinstance(dim, int) or dim < 1:
-        raise DegenerateInput("zonotope dim must be a positive integer")
+    dim, raw = parse_json_rows(data, "generators", "zonotope")
     rows = []
-    for g in gens:
-        row = tuple(int(x) for x in g)
-        if len(row) != dim:
-            raise DegenerateInput("generator length does not match dim")
+    for g in raw:
+        row = tuple(parse_rational(x) for x in g)
+        if any(c.denominator != 1 for c in row):
+            raise DegenerateInput(f"zonotope generators must be integral, got {g!r}")
         rows.append(row)
-    if not rows:
-        raise DegenerateInput("zonotope JSON has no generators")
-    return ZonotopeSpec(dim, tuple(as_vec(r) for r in rows))
+    return ZonotopeSpec(dim, tuple(rows))
 
 
 def zonotope_spec_to_json(spec: ZonotopeSpec) -> dict:

@@ -21,16 +21,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
-from .counting import (
-    DYADIC_BITS,
-    _DYADIC_DEN,
-    CountResult,
-    Shift,
-    ShiftStream,
-    count_at,
-)
+from .counting import ShiftStream, count_at
 from .errors import (
     CellBudgetExceeded,
     DegenerateInput,
@@ -41,15 +35,11 @@ from .geometry import (
     HalfSpace,
     Polytope,
     PolytopeUnion,
-    Vec,
     ZERO,
-    ONE,
     clip_both,
     intersect,
+    sides,
     unit_cube,
-    vdot,
-    vneg,
-    vsub,
     volume,
 )
 
@@ -165,25 +155,20 @@ def exact_covariance(p: Polytope, q: Polytope) -> Fraction:
     _require_full_dim(p, "exact_covariance")
     _require_full_dim(q, "exact_covariance")
     symmetric = p == q
-    # per-facet linear filters: cheap certificates of empty intersection
-    p_filters = [
-        (h.normal, h.offset, min(vdot(h.normal, w) for w in q.vertices))
-        for h in p.facets()
-    ]
-    q_filters = [
-        (h.normal, h.offset, min(vdot(h.normal, v) for v in p.vertices))
-        for h in q.facets()
-    ]
+    # per-facet linear filters, cheap certificates of empty intersection in
+    # integers: for a facet a . x <= b of p, a . t > floor(b - min_q a . w)
+    # rules t out; for a facet of q, a . t < ceil(min_p a . v - b) does
+    p_filters = [(h.coeffs, -min(sides(q, h)) // q.denominator) for h in p.facets()]
+    q_filters = [(h.coeffs, -(-min(sides(p, h)) // p.denominator)) for h in q.facets()]
     second = ZERO
     for t in itertools.product(*_translate_range(p, q)):
         if symmetric and t < tuple(-c for c in t):
             continue
-        tv = tuple(Fraction(c) for c in t)
-        if any(mq + vdot(a, tv) > b for a, b, mq in p_filters):
+        if any(sum(map(mul, a, t)) > c for a, c in p_filters):
             continue
-        if any(mp - vdot(a, tv) > b for a, b, mp in q_filters):
+        if any(sum(map(mul, a, t)) < c for a, c in q_filters):
             continue
-        cap = intersect(p, q.translated(tv))
+        cap = intersect(p, q.translated(t))
         if not cap.is_empty and cap.is_full_dim:
             vol = cap.volume()
             second += vol if (not symmetric or t == tuple(-c for c in t)) else 2 * vol
@@ -203,23 +188,18 @@ def _cutting_planes(parts: tuple[Polytope, ...], cube: Polytope) -> list[HalfSpa
     """Facet hyperplanes of every integer translate z - P whose bounding box
     meets the open unit cube, filtered to planes that actually cut it,
     deduplicated and sorted for determinism."""
-    d = cube.dim
-    corners = cube.vertices
     planes: dict[tuple, HalfSpace] = {}
     for part in parts:
         lo, hi = part.bounding_box()
-        zranges = []
-        for i in range(d):
-            # superset of the z with (z - part) reaching the open cube;
-            # planes from useless translates fall to the cube-cut filter
-            zranges.append(range(math.ceil(lo[i]), math.floor(hi[i]) + 2))
-        facets = part.facets()
+        # superset of the z with (z - part) reaching the open cube; planes
+        # from useless translates fall to the cube-cut filter
+        zranges = [range(math.ceil(a), math.floor(b) + 2) for a, b in zip(lo, hi)]
+        # z - part satisfies -a . x <= b - a . z: the facets of -part, moved by z
+        negated = [HalfSpace(tuple(-x for x in hs.normal), hs.offset) for hs in part.facets()]
         for z in itertools.product(*zranges):
-            zv = tuple(Fraction(c) for c in z)
-            for hs in facets:
-                # z - part satisfies -a . x <= b - a . z
-                flipped = HalfSpace(vneg(hs.normal), hs.offset - vdot(hs.normal, zv))
-                vals = [flipped.value(c) for c in corners]
+            for hs in negated:
+                flipped = hs.translated(z)
+                vals = sides(cube, flipped)
                 if min(vals) < 0 < max(vals):
                     planes[flipped.plane_key()] = flipped
     keyed = sorted(planes.items(), key=lambda kv: kv[0])
@@ -237,8 +217,8 @@ def _split_cells(cube: Polytope, planes: list[HalfSpace], budget: int) -> list[P
         cell, idx = stack.pop()
         while idx < len(planes):
             h = planes[idx]
-            vals = [h.value(v) for v in cell.vertices]
-            if min(vals) < 0 and max(vals) > 0:
+            vals = sides(cell, h)
+            if min(vals) < 0 < max(vals):
                 below, above = clip_both(cell, h)
                 stack.append((above, idx + 1))
                 cell = below
@@ -270,10 +250,8 @@ def exact_distribution(body: Body, cell_budget: int = 10**6) -> CountDistributio
         vol = cell.volume()
         if vol == 0:
             continue
-        centroid = tuple(
-            sum((v[i] for v in cell.vertices), ZERO) / len(cell.vertices)
-            for i in range(d)
-        )
+        k = len(cell.numerators) * cell.denominator
+        centroid = tuple(Fraction(sum(c), k) for c in zip(*cell.numerators))
         res = count_at(body, centroid)
         if not res.is_generic:
             raise AssertionError(

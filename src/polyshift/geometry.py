@@ -1,42 +1,44 @@
-"""Exact rational convex-polytope calculus.
+"""Exact rational convex-polytope calculus in homogeneous integer form.
 
-Every coordinate is a `fractions.Fraction`; no floating point appears
-anywhere in this module, so all predicates (membership, tightness,
-emptiness) and all measures (determinants, volumes) are exact.
-
-Conventions:
-
-* vectors are tuples of Fractions, matrices are tuples of row vectors;
-* halfspaces are written ``a . x <= b``;
-* polytopes are closed sets, possibly empty or lower-dimensional;
-  the volume of a non-full-dimensional polytope is 0 by definition;
-* a ``Polytope`` stores exactly its extreme points, sorted
-  lexicographically, which makes vertex-set equality canonical.
-
-Enumeration is exhaustive (``O(C(m, d))`` over d-subsets) which is the
-right trade-off at desk scale: every body handled here has at most a
-few dozen facets and lives in dimension <= 4.
+No floating point appears here, so every predicate (membership,
+tightness, emptiness) and measure (determinant, volume) is exact.  A
+``Polytope`` holds its extreme points, sorted lexicographically, as
+integer numerators over their least common denominator, which makes
+vertex-set equality canonical.  A ``HalfSpace`` ``normal . x <= offset``
+holds coprime integers ``coeffs``, ``rhs`` and a positive rational scale.
+Side tests (``coeffs . num - rhs * den``), clip points, ranks, null
+spaces, facet search, linear solves and simplex volumes run on plain
+ints, all eliminating through one fraction-free Gauss-Jordan routine,
+`_eliminate`.  `fractions.Fraction` remains only at the boundary: the
+public ``vertices``, ``normal``, ``offset``, ``bounding_box``, ``value``,
+``volume`` and ``determinant`` results, built on demand, and rational
+inputs.  Polytopes are closed, possibly empty or lower-dimensional (then
+of volume 0).  Enumeration is exhaustive over d-subsets, the right
+trade-off at desk scale: at most a few dozen facets, dimension <= 4.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DegenerateInput, Infeasible, SingularMatrix, Unbounded
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
+IVec = tuple[int, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# vectors and matrices
+# rational vectors and matrices (the public boundary)
 
 
 def frac(x) -> Fraction:
@@ -63,22 +65,12 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
-
-
-def vscale(c: Fraction, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
-
-
 def vdot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
 def identity_matrix(d: int) -> Mat:
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d)
-    )
+    return tuple(tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d))
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
@@ -95,242 +87,145 @@ def mat_from_columns(cols: Sequence[Vec]) -> Mat:
 
 
 def determinant(m: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    rows = [list(map(frac, r)) for r in m]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    """Exact determinant: each row is cleared to integers, then eliminated."""
+    rows = [_homogenize([as_vec(r)]) for r in m]
+    if any(len(v) != len(rows) for (v,), _ in rows):
         raise DegenerateInput("determinant requires a square matrix")
-    if n == 0:
-        return ONE
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) / prev
-        prev = rows[k][k]
-    return sign * rows[-1][-1]
-
-
-def solve_square(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Optional[Vec]:
-    """Solve a square linear system exactly; None when singular."""
-    n = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(a[i][n] for i in range(n))
-
-
-def matrix_inverse(m: Mat) -> Mat:
-    n = len(m)
-    cols = []
-    for j in range(n):
-        e = [ONE if i == j else ZERO for i in range(n)]
-        x = solve_square(m, e)
-        if x is None:
-            raise SingularMatrix("matrix is not invertible")
-        cols.append(x)
-    return mat_from_columns(cols)
-
-
-def _row_echelon_rank(rows: Sequence[Vec]) -> int:
-    work = [list(r) for r in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = work[rank][col]
-        work[rank] = [x / inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
-
-def _span_nullspace(basis: Sequence[Vec], dim: int) -> list[Vec]:
-    """Vectors a with a . b = 0 for every b in `basis` (standard RREF basis)."""
-    if not basis:
-        return [tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)]
-    work = [list(r) for r in basis]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(dim):
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = work[rank][col]
-        work[rank] = [x / inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(dim) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [ZERO] * dim
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -work[r][fc]
-        out.append(tuple(v))
-    return out
-
-
-def _hyperplane_normal(points: Sequence[Vec]) -> Optional[Vec]:
-    """Normal of the hyperplane through d points in R^d (generalized cross
-    product); None when the points do not affinely span it."""
-    d = len(points[0])
-    if d == 1:
-        return (ONE,)
-    rows = [vsub(p, points[0]) for p in points[1:]]
-    normal = []
-    for j in range(d):
-        minor = [[row[c] for c in range(d) if c != j] for row in rows]
-        normal.append((-ONE) ** j * determinant(minor))
-    n = tuple(normal)
-    if all(x == 0 for x in n):
-        return None
-    return n
+    return Fraction(_det([v for (v,), _ in rows]), math.prod(q for _, q in rows))
 
 
 # ---------------------------------------------------------------------------
-# halfspaces
+# integer kernel
 
 
-@dataclass(frozen=True)
-class HalfSpace:
-    """Closed halfspace ``normal . x <= offset``."""
-
-    normal: Vec
-    offset: Fraction
-
-    def value(self, x: Vec) -> Fraction:
-        """<= 0 inside, 0 on the boundary hyperplane."""
-        return vdot(self.normal, x) - self.offset
-
-    def flipped(self) -> "HalfSpace":
-        return HalfSpace(vneg(self.normal), -self.offset)
-
-    def translated(self, t: Vec) -> "HalfSpace":
-        return HalfSpace(self.normal, self.offset + vdot(self.normal, t))
-
-    def canonical(self) -> "HalfSpace":
-        """Positive rescaling to coprime integer coefficients.
-
-        Only positive scalings preserve the inequality, so the sign is kept;
-        use `plane_key` for an orientation-free hyperplane identifier.
-        """
-        nums = list(self.normal) + [self.offset]
-        den = math.lcm(*(f.denominator for f in nums))
-        ints = [int(f * den) for f in nums]
-        g = math.gcd(*ints)
-        if g > 1:
-            ints = [x // g for x in ints]
-        return HalfSpace(tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1]))
-
-    def key(self) -> tuple:
-        c = self.canonical()
-        return (c.normal, c.offset)
-
-    def plane_key(self) -> tuple:
-        """Orientation-free identifier of the boundary hyperplane."""
-        c = self.canonical()
-        lead = next((x for x in c.normal if x != 0), ONE)
-        if lead < 0:
-            c = HalfSpace(vneg(c.normal), -c.offset)
-        return (c.normal, c.offset)
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
 
 
-def halfspace(normal: Iterable, offset) -> HalfSpace:
-    n = as_vec(normal)
-    if all(x == 0 for x in n):
-        raise DegenerateInput("halfspace normal must be nonzero")
-    return HalfSpace(n, frac(offset))
+def _homogenize(vecs: Sequence[Vec]) -> tuple[list[IVec], int]:
+    """Rational vectors as integer numerators over their least common
+    denominator."""
+    den = math.lcm(*(c.denominator for v in vecs for c in v))
+    return [tuple(c.numerator * (den // c.denominator) for c in v) for v in vecs], den
 
 
-# ---------------------------------------------------------------------------
-# point-set helpers (index based so callers can map results back)
+def _common_den(points: Sequence[tuple[IVec, int]]) -> tuple[list[IVec], int]:
+    """(numerator, denominator) points brought over one common denominator."""
+    den = math.lcm(*(q for _, q in points))
+    return [v if q == den else tuple(x * (den // q) for x in v) for v, q in points], den
 
 
-def _affine_span(points: Sequence[Vec]):
-    """Greedy affine basis of a point set.
+def _primitive(a: Sequence[int], b: int) -> tuple[IVec, int]:
+    g = math.gcd(b, *a)
+    if g > 1:
+        return tuple(x // g for x in a), b // g
+    return tuple(a), b
 
-    Returns (rank r, basis difference vectors, pivot columns, inverse of the
-    r x r pivot submatrix).  Coordinates of any point of the affine hull in
-    this basis come from `_span_coords`.
+
+def _eliminate(rows: Sequence[Sequence[int]], ncols: int):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows.
+
+    Returns (work, pivots, sign).  Pivots are searched in the first `ncols`
+    columns only, so callers may append right-hand sides.  Row k of `work`
+    holds the pivot of column pivots[k]; every pivot entry equals the last
+    pivot, each pivot column is zero off its pivot row, and rows past
+    len(pivots) are zero in the searched columns.  Every entry stays a minor
+    of the input, which makes each division exact; `sign` is the parity of
+    the row swaps, so for a nonsingular square matrix sign times the last
+    pivot is the determinant.
     """
-    v0 = points[0]
-    basis: list[Vec] = []
-    ech: list[tuple[int, list[Fraction]]] = []
-    for p in points[1:]:
-        w = list(vsub(p, v0))
-        for pc, row in ech:
-            if w[pc] != 0:
-                f = w[pc]
-                w = [x - f * y for x, y in zip(w, row)]
-        lead = next((c for c, x in enumerate(w) if x != 0), None)
-        if lead is None:
+    work = [list(r) for r in rows]
+    n = len(work)
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    for col in range(ncols):
+        k = len(pivots)
+        if k == n:
+            break
+        piv = next((i for i in range(k, n) if work[i][col]), None)
+        if piv is None:
             continue
-        inv = w[lead]
-        ech.append((lead, [x / inv for x in w]))
-        basis.append(vsub(p, v0))
-    pivots = [pc for pc, _ in ech]
-    r = len(basis)
-    if r == 0:
-        return 0, [], [], ()
-    m = tuple(tuple(basis[b][pc] for b in range(r)) for pc in pivots)
-    return r, basis, pivots, matrix_inverse(m)
+        if piv != k:
+            work[k], work[piv] = work[piv], work[k]
+            sign = -sign
+        prow = work[k]
+        p = prow[col]
+        for i in range(n):
+            if i != k:
+                row = work[i]
+                f = row[col]
+                work[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        pivots.append(col)
+        prev = p
+    return work, pivots, sign
 
 
-def _span_coords(points: Sequence[Vec], v0: Vec, pivots, minv) -> list[Vec]:
+def _rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    return len(_eliminate(rows, ncols)[1])
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    n = len(rows)
+    if n == 0:
+        return 1
+    work, pivots, sign = _eliminate(rows, n)
+    return sign * work[-1][-1] if len(pivots) == n else 0
+
+
+def _nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[IVec]:
+    """Primitive integer basis of {x : r . x = 0 for every row r}: one
+    vector per free column, positive there, zero at the other free columns."""
+    work, pivots, _ = _eliminate(rows, ncols)
+    p = work[len(pivots) - 1][pivots[-1]] if pivots else 1
     out = []
-    for p in points:
-        rhs = tuple(p[pc] - v0[pc] for pc in pivots)
-        out.append(mat_vec(minv, rhs))
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = p
+        for k, pc in enumerate(pivots):
+            v[pc] = -work[k][fc]
+        if p < 0:
+            v = [-x for x in v]
+        g = math.gcd(*v)
+        out.append(tuple(x // g for x in v))
     return out
 
 
-def _facet_search(d: int, points: Sequence[Vec]) -> list[HalfSpace]:
-    """All facets of conv(points), assumed full-dimensional in R^d.
+def _affine_span(points: Sequence[IVec]) -> tuple[int, list[int]]:
+    """(rank r of the affine hull, its r pivot columns): projecting onto the
+    pivot columns maps the hull bijectively onto R^r."""
+    v0 = points[0]
+    rows = [tuple(x - y for x, y in zip(p, v0)) for p in points[1:]]
+    pivots = _eliminate(rows, len(v0))[1]
+    return len(pivots), pivots
+
+
+def _project(points: Sequence[IVec], pivots: Sequence[int]) -> list[IVec]:
+    return [tuple(p[c] for c in pivots) for p in points]
+
+
+def _facet_search(d: int, points: Sequence[IVec]) -> list[tuple[IVec, int]]:
+    """All facets ``a . x <= b`` (coprime ints) of conv(points), assumed
+    full-dimensional in Z^d.
 
     Exhaustive over d-subsets spanning a hyperplane with every point on one
-    side, deduplicated by canonical coefficients.
+    side, deduplicated.
     """
-    found: dict[tuple, HalfSpace] = {}
+    found: dict[tuple[IVec, int], None] = {}
     for subset in itertools.combinations(range(len(points)), d):
-        n = _hyperplane_normal([points[i] for i in subset])
-        if n is None:
+        p0 = points[subset[0]]
+        normals = _nullspace(
+            [tuple(x - y for x, y in zip(points[i], p0)) for i in subset[1:]], d
+        )
+        if len(normals) != 1:
             continue
-        b = vdot(n, points[subset[0]])
+        n = normals[0]
+        b = _dot(n, p0)
         pos = neg = False
         for p in points:
-            v = vdot(n, p) - b
+            v = _dot(n, p) - b
             if v > 0:
                 pos = True
             elif v < 0:
@@ -339,30 +234,127 @@ def _facet_search(d: int, points: Sequence[Vec]) -> list[HalfSpace]:
                 break
         if pos and neg:
             continue
-        hs = HalfSpace(n, b) if not pos else HalfSpace(vneg(n), -b)
-        c = hs.canonical()
-        found[(c.normal, c.offset)] = c
-    return list(found.values())
+        found[(n, b) if not pos else (tuple(-x for x in n), -b)] = None
+    return list(found)
 
 
-def _extreme_indices(points: Sequence[Vec]) -> list[int]:
+def _extreme_indices(points: Sequence[IVec]) -> list[int]:
     """Indices of the extreme points of conv(points), any affine rank."""
-    if len(points) == 1:
-        return [0]
-    r, basis, pivots, minv = _affine_span(points)
+    r, pivots = _affine_span(points)
     if r == 0:
         return [0]
-    coords = _span_coords(points, points[0], pivots, minv)
+    coords = _project(points, pivots)
     if r == 1:
         vals = [c[0] for c in coords]
         return sorted({vals.index(min(vals)), vals.index(max(vals))})
     facets = _facet_search(r, coords)
     out = []
     for i, c in enumerate(coords):
-        tight = [hs.normal for hs in facets if hs.value(c) == 0]
-        if len(tight) >= r and _row_echelon_rank(tight) == r:
+        tight = [a for a, b in facets if _dot(a, c) == b]
+        if len(tight) >= r and _rank(tight, r) == r:
             out.append(i)
     return out
+
+
+# ---------------------------------------------------------------------------
+# halfspaces
+
+
+class HalfSpace:
+    """Closed halfspace ``normal . x <= offset``.
+
+    Held as coprime integers ``coeffs``, ``rhs`` and a positive rational
+    scale with ``normal = scale * coeffs``, ``offset = scale * rhs``; the
+    rational `normal` and `offset` are built on first use.  Equality and
+    hashing are those of the pair (normal, offset).
+    """
+
+    __slots__ = ("coeffs", "rhs", "_scale", "_normal", "_offset")
+
+    def __init__(self, normal: Iterable, offset):
+        nums = as_vec(normal) + (frac(offset),)
+        (ints,), den = _homogenize([nums])
+        g = math.gcd(*ints) or 1
+        self.coeffs = tuple(x // g for x in ints[:-1])
+        self.rhs = ints[-1] // g
+        self._scale = Fraction(g, den)
+        self._normal = nums[:-1]
+        self._offset = nums[-1]
+
+    @classmethod
+    def _from_ints(cls, coeffs: IVec, rhs: int, scale: Fraction = ONE) -> "HalfSpace":
+        h = cls.__new__(cls)
+        h.coeffs, h.rhs, h._scale = coeffs, rhs, scale
+        h._normal = h._offset = None
+        return h
+
+    @property
+    def normal(self) -> Vec:
+        if self._normal is None:
+            s = self._scale
+            self._normal = tuple(s * x for x in self.coeffs)
+        return self._normal
+
+    @property
+    def offset(self) -> Fraction:
+        if self._offset is None:
+            self._offset = self._scale * self.rhs
+        return self._offset
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # (coeffs, rhs) primitive and scale > 0 make the triple unique
+        return (self.coeffs, self.rhs, self._scale) == (other.coeffs, other.rhs, other._scale)
+
+    def __hash__(self) -> int:
+        return hash((self.normal, self.offset))
+
+    def __repr__(self) -> str:
+        return f"HalfSpace(normal={self.normal!r}, offset={self.offset!r})"
+
+    def value(self, x: Iterable) -> Fraction:
+        """<= 0 inside, 0 on the boundary hyperplane."""
+        return self._scale * (sum((a * c for a, c in zip(self.coeffs, x)), ZERO) - self.rhs)
+
+    def flipped(self) -> "HalfSpace":
+        return HalfSpace._from_ints(tuple(-x for x in self.coeffs), -self.rhs, self._scale)
+
+    def translated(self, t: Iterable) -> "HalfSpace":
+        (tn,), tden = _homogenize([as_vec(t)])
+        return self._shifted(tn, tden)
+
+    def _shifted(self, tn: IVec, tden: int) -> "HalfSpace":
+        """Translate by tn / tden: scale * (coeffs . x) <= scale * (rhs + coeffs . t)."""
+        a = tuple(x * tden for x in self.coeffs)
+        b = self.rhs * tden + _dot(self.coeffs, tn)
+        g = math.gcd(b, *a)
+        scale = self._scale if g == tden else self._scale * g / tden
+        return HalfSpace._from_ints(tuple(x // g for x in a), b // g, scale)
+
+    def canonical(self) -> "HalfSpace":
+        """Positive rescaling to coprime integer coefficients.
+
+        Only positive scalings preserve the inequality, so the sign is kept;
+        use `plane_key` for an orientation-free hyperplane identifier.
+        """
+        return self if self._scale == 1 else HalfSpace._from_ints(self.coeffs, self.rhs)
+
+    def key(self) -> tuple:
+        return (self.coeffs, self.rhs)
+
+    def plane_key(self) -> tuple:
+        """Orientation-free identifier of the boundary hyperplane."""
+        if next(x for x in self.coeffs if x != 0) < 0:
+            return (tuple(-x for x in self.coeffs), -self.rhs)
+        return (self.coeffs, self.rhs)
+
+
+def halfspace(normal: Iterable, offset) -> HalfSpace:
+    n = as_vec(normal)
+    if all(x == 0 for x in n):
+        raise DegenerateInput("halfspace normal must be nonzero")
+    return HalfSpace(n, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -376,44 +368,39 @@ class Polytope:
     idempotent, so concurrent readers are safe.
     """
 
-    __slots__ = (
-        "dim",
-        "vertices",
-        "_facet_hint",
-        "_facets",
-        "_span",
-        "_description",
-        "_int_ineqs",
-        "_volume",
-        "_triangulation",
-    )
+    __slots__ = ("dim", "numerators", "denominator", "_vertices", "_facet_hint", "_facets",
+                 "_span", "_description", "_int_ineqs", "_volume", "_simplices", "_box")
 
-    def __init__(
-        self,
-        dim: int,
-        points: Iterable[Iterable],
-        *,
-        facet_hint: Optional[Sequence[HalfSpace]] = None,
-        skip_normalization: bool = False,
-    ):
-        pts = sorted({as_vec(p) for p in points})
-        for p in pts:
+    def __init__(self, dim: int, points: Iterable[Iterable], *, den: Optional[int] = None,
+                 facet_hint: Optional[Sequence[HalfSpace]] = None,
+                 skip_normalization: bool = False):
+        """With `den`, `points` are integer numerator vectors over that
+        positive common denominator; otherwise they are rationals."""
+        if den is None:
+            verts = sorted({as_vec(p) for p in points})
+            nums, den = _homogenize(verts)
+        else:
+            nums = sorted(set(map(tuple, points)))
+            verts = None
+        for p in nums:
             if len(p) != dim:
-                raise DegenerateInput(
-                    f"point of length {len(p)} in ambient dimension {dim}"
-                )
-        if pts and not skip_normalization and len(pts) > 2:
-            keep = _extreme_indices(pts)
-            pts = [pts[i] for i in keep]
+                raise DegenerateInput(f"point of length {len(p)} in ambient dimension {dim}")
+        if nums and not skip_normalization and len(nums) > 2:
+            keep = _extreme_indices(nums)
+            if len(keep) < len(nums):
+                nums = [nums[i] for i in keep]
+                verts = [verts[i] for i in keep] if verts is not None else None
+        g = math.gcd(den, *itertools.chain.from_iterable(nums))
+        if g > 1:
+            den //= g
+            nums = [tuple(x // g for x in v) for v in nums]
         self.dim = dim
-        self.vertices: tuple[Vec, ...] = tuple(pts)
+        self.numerators: tuple[IVec, ...] = tuple(nums)
+        self.denominator: int = den
+        self._vertices = tuple(verts) if verts is not None else None
         self._facet_hint = tuple(facet_hint) if facet_hint is not None else None
-        self._facets = None
-        self._span = None
-        self._description = None
-        self._int_ineqs = None
-        self._volume = None
-        self._triangulation = None
+        self._facets = self._span = self._description = self._int_ineqs = None
+        self._volume = self._simplices = self._box = None
 
     # -- constructors -------------------------------------------------------
 
@@ -426,24 +413,30 @@ class Polytope:
         return cls(dim, ())
 
     @classmethod
-    def from_halfspaces(
-        cls, halfspaces: Sequence[HalfSpace], dim: int
-    ) -> "Polytope":
+    def from_halfspaces(cls, halfspaces: Sequence[HalfSpace], dim: int) -> "Polytope":
         return vertices_from_facets(halfspaces, dim)
 
     # -- basic queries ------------------------------------------------------
 
     @property
+    def vertices(self) -> tuple[Vec, ...]:
+        """Extreme points as Fraction vectors, lexicographically sorted."""
+        if self._vertices is None:
+            den = self.denominator
+            self._vertices = tuple(tuple(Fraction(x, den) for x in v) for v in self.numerators)
+        return self._vertices
+
+    @property
     def is_empty(self) -> bool:
-        return not self.vertices
+        return not self.numerators
 
     @property
     def is_lattice(self) -> bool:
-        return all(c.denominator == 1 for v in self.vertices for c in v)
+        return self.denominator == 1
 
     def _affine(self):
         if self._span is None:
-            self._span = _affine_span(self.vertices)
+            self._span = _affine_span(self.numerators)
         return self._span
 
     @property
@@ -451,8 +444,6 @@ class Polytope:
         """Dimension of the affine hull (-1 for the empty polytope)."""
         if self.is_empty:
             return -1
-        if len(self.vertices) == 1:
-            return 0
         return self._affine()[0]
 
     @property
@@ -460,17 +451,14 @@ class Polytope:
         return self.rank == self.dim
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polytope)
-            and self.dim == other.dim
-            and self.vertices == other.vertices
-        )
+        return isinstance(other, Polytope) and (self.dim, self.denominator, self.numerators) == (
+            other.dim, other.denominator, other.numerators)
 
     def __hash__(self) -> int:
         return hash((self.dim, self.vertices))
 
     def __repr__(self) -> str:
-        return f"Polytope(dim={self.dim}, vertices={len(self.vertices)})"
+        return f"Polytope(dim={self.dim}, vertices={len(self.numerators)})"
 
     # -- facets and descriptions ---------------------------------------------
 
@@ -480,22 +468,25 @@ class Polytope:
             return self._facets
         if not self.is_full_dim:
             raise DegenerateInput("facets() requires a full-dimensional polytope")
+        nums, den, d = self.numerators, self.denominator, self.dim
         if self._facet_hint is not None:
             seen: dict[tuple, HalfSpace] = {}
             for hs in self._facet_hint:
-                c = hs.canonical()
-                k = (c.normal, c.offset)
+                k = (hs.coeffs, hs.rhs)
                 if k in seen:
                     continue
-                tight = [v for v in self.vertices if c.value(v) == 0]
-                if len(tight) < self.dim:
+                a, bd = hs.coeffs, hs.rhs * den
+                tight = [v for v in nums if _dot(a, v) == bd]
+                if len(tight) < d:
                     continue
-                diffs = [vsub(p, tight[0]) for p in tight[1:]]
-                if _row_echelon_rank(diffs) == self.dim - 1:
-                    seen[k] = c
+                v0 = tight[0]
+                diffs = [tuple(x - y for x, y in zip(v, v0)) for v in tight[1:]]
+                if _rank(diffs, d) == d - 1:
+                    seen[k] = hs.canonical()
             self._facets = tuple(seen.values())
         else:
-            self._facets = tuple(_facet_search(self.dim, self.vertices))
+            self._facets = tuple(HalfSpace._from_ints(*_primitive(tuple(den * x for x in a), b))
+                                 for a, b in _facet_search(d, nums))
         return self._facets
 
     def linear_description(self) -> tuple[tuple[HalfSpace, ...], tuple[HalfSpace, ...]]:
@@ -504,61 +495,40 @@ class Polytope:
         Equalities are halfspaces read as ``a . x == b`` (the affine hull);
         for full-dimensional polytopes there are none and the inequalities
         are the facets.  Lower-dimensional faces get their facet system
-        computed inside the hull and lifted back to ambient coordinates.
+        computed in the hull's pivot coordinates and lifted back.
         """
         if self._description is not None:
             return self._description
         if self.is_empty:
             raise DegenerateInput("empty polytope has no linear description")
-        d = self.dim
         if self.is_full_dim:
             self._description = ((), self.facets())
             return self._description
-        v0 = self.vertices[0]
-        if len(self.vertices) == 1:
-            eqs = tuple(
-                HalfSpace(tuple(ONE if j == i else ZERO for j in range(d)), v0[i])
-                for i in range(d)
-            )
-            self._description = (eqs, ())
-            return self._description
-        r, basis, pivots, minv = self._affine()
-        eqs = tuple(
-            HalfSpace(n, vdot(n, v0)).canonical()
-            for n in _span_nullspace(basis, d)
-        )
-        coords = _span_coords(self.vertices, v0, pivots, minv)
-        sub = Polytope(r, coords, skip_normalization=True)
+        d, nums, den = self.dim, self.numerators, self.denominator
+        v0 = nums[0]
+        r, pivots = self._affine()
+        diffs = [tuple(x - y for x, y in zip(v, v0)) for v in nums[1:]]
+        eqs = tuple(HalfSpace._from_ints(*_primitive(tuple(den * x for x in n), _dot(n, v0)))
+                    for n in _nullspace(diffs, d))
         ineqs = []
-        for hs in sub.facets():
-            u = mat_vec(tuple(zip(*minv)), hs.normal)  # row vector g . Minv
-            a = [ZERO] * d
-            for j, pc in enumerate(pivots):
-                a[pc] = u[j]
-            b = hs.offset + sum((u[j] * v0[pc] for j, pc in enumerate(pivots)), ZERO)
-            ineqs.append(HalfSpace(tuple(a), b).canonical())
+        if r > 0:
+            sub = Polytope(r, _project(nums, pivots), den=den, skip_normalization=True)
+            for hs in sub.facets():
+                a = [0] * d
+                for j, pc in enumerate(pivots):
+                    a[pc] = hs.coeffs[j]
+                ineqs.append(HalfSpace._from_ints(tuple(a), hs.rhs))
         self._description = (eqs, tuple(ineqs))
         return self._description
 
     def integer_description(self):
-        """linear_description rescaled to integer coefficients, as plain ints.
+        """linear_description with coprime integer coefficients, as plain ints.
 
         Returns (equalities, inequalities), each a list of (coeffs, rhs).
         """
         if self._int_ineqs is None:
             eqs, ineqs = self.linear_description()
-
-            def to_int(hs: HalfSpace):
-                c = hs.canonical()
-                return (
-                    tuple(int(x) for x in c.normal),
-                    int(c.offset),
-                )
-
-            self._int_ineqs = (
-                [to_int(h) for h in eqs],
-                [to_int(h) for h in ineqs],
-            )
+            self._int_ineqs = ([(h.coeffs, h.rhs) for h in eqs], [(h.coeffs, h.rhs) for h in ineqs])
         return self._int_ineqs
 
     # -- membership ---------------------------------------------------------
@@ -568,9 +538,7 @@ class Polytope:
             return False
         p = as_vec(x)
         eqs, ineqs = self.linear_description()
-        return all(h.value(p) == 0 for h in eqs) and all(
-            h.value(p) <= 0 for h in ineqs
-        )
+        return all(h.value(p) == 0 for h in eqs) and all(h.value(p) <= 0 for h in ineqs)
 
     def on_boundary(self, x: Iterable) -> bool:
         """True when x lies on the topological boundary of the polytope.
@@ -586,42 +554,34 @@ class Polytope:
 
     # -- geometry -----------------------------------------------------------
 
-    def bounding_box(self) -> tuple[Vec, Vec]:
+    def integer_box(self) -> tuple[IVec, IVec]:
+        """Bounding box corners as numerator vectors over `denominator`."""
         if self.is_empty:
             raise DegenerateInput("empty polytope has no bounding box")
-        lo = tuple(min(v[i] for v in self.vertices) for i in range(self.dim))
-        hi = tuple(max(v[i] for v in self.vertices) for i in range(self.dim))
-        return lo, hi
+        if self._box is None:
+            cols = list(zip(*self.numerators))
+            self._box = (tuple(map(min, cols)), tuple(map(max, cols)))
+        return self._box
+
+    def bounding_box(self) -> tuple[Vec, Vec]:
+        lo, hi = self.integer_box()
+        den = self.denominator
+        return tuple(Fraction(x, den) for x in lo), tuple(Fraction(x, den) for x in hi)
 
     def translated(self, t: Iterable) -> "Polytope":
-        tv = as_vec(t)
-        out = Polytope(
-            self.dim,
-            (vadd(v, tv) for v in self.vertices),
-            skip_normalization=True,
-        )
+        (tn,), tden = _homogenize([as_vec(t)])
+        den = math.lcm(self.denominator, tden)
+        f, shift = den // self.denominator, tuple(den // tden * x for x in tn)
+        out = Polytope(self.dim, (tuple(f * x + y for x, y in zip(v, shift))
+                                  for v in self.numerators), den=den, skip_normalization=True)
         # facets translate exactly, no re-pruning needed
-        if self._facets is not None:
-            out._facets = tuple(h.translated(tv) for h in self._facets)
-        elif self._facet_hint is not None:
-            out._facet_hint = tuple(h.translated(tv) for h in self._facet_hint)
-        return out
+        return _carry_facets(self, out, lambda h: h._shifted(tn, tden))
 
     def negated(self) -> "Polytope":
-        out = Polytope(
-            self.dim,
-            (vneg(v) for v in self.vertices),
-            skip_normalization=True,
-        )
-        if self._facets is not None:
-            out._facets = tuple(
-                HalfSpace(vneg(h.normal), h.offset) for h in self._facets
-            )
-        elif self._facet_hint is not None:
-            out._facet_hint = tuple(
-                HalfSpace(vneg(h.normal), h.offset) for h in self._facet_hint
-            )
-        return out
+        out = Polytope(self.dim, (tuple(-x for x in v) for v in self.numerators),
+                       den=self.denominator, skip_normalization=True)
+        return _carry_facets(self, out, lambda h: HalfSpace._from_ints(
+            tuple(-x for x in h.coeffs), h.rhs, h._scale))
 
     def volume(self) -> Fraction:
         if self._volume is None:
@@ -660,39 +620,33 @@ Body = Union[Polytope, PolytopeUnion]
 # triangulation and volume
 
 
-def _order_polygon(coords: Sequence[Vec]) -> list[int]:
+def _order_polygon(coords: Sequence[IVec]) -> list[int]:
     """Indices of a planar point set in counterclockwise order around the
     centroid (exact sign comparisons, no angles)."""
     n = len(coords)
-    cx = sum((c[0] for c in coords), ZERO) / n
-    cy = sum((c[1] for c in coords), ZERO) / n
+    sx = sum(c[0] for c in coords)
+    sy = sum(c[1] for c in coords)
+    rel = [(n * x - sx, n * y - sy) for x, y in coords]  # n * (c - centroid)
 
     def half(i: int) -> int:
-        x, y = coords[i][0] - cx, coords[i][1] - cy
+        x, y = rel[i]
         return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    def cross(i: int, j: int) -> Fraction:
-        xi, yi = coords[i][0] - cx, coords[i][1] - cy
-        xj, yj = coords[j][0] - cx, coords[j][1] - cy
-        return xi * yj - xj * yi
-
-    import functools
 
     def cmp(i: int, j: int) -> int:
         hi, hj = half(i), half(j)
         if hi != hj:
             return -1 if hi < hj else 1
-        c = cross(i, j)
+        c = rel[i][0] * rel[j][1] - rel[j][0] * rel[i][1]
         return 0 if c == 0 else (-1 if c > 0 else 1)
 
     return sorted(range(n), key=functools.cmp_to_key(cmp))
 
 
-def _triangulate_point_set(
-    points: Sequence[Vec], hints: Optional[Sequence[HalfSpace]] = None
-) -> list[tuple[int, ...]]:
+def _triangulate_point_set(points: Sequence[IVec], den: int,
+                           hints: Optional[Sequence[HalfSpace]] = None) -> list[tuple[int, ...]]:
     """Simplices (as index tuples) triangulating conv(points) inside its
-    affine hull; fan from the lexicographically smallest point.
+    affine hull; fan from the lexicographically smallest point.  `points`
+    are numerator vectors over the common denominator `den`.
 
     `hints`, when given, must be ambient halfspaces whose boundary
     hyperplanes induce every proper face of conv(points) (the facet list
@@ -703,7 +657,7 @@ def _triangulate_point_set(
     n = len(points)
     if n == 1:
         return [(0,)]
-    r, basis, pivots, minv = _affine_span(points)
+    r, pivots = _affine_span(points)
     if r == 0:
         return [(0,)]
     if r == 1:
@@ -712,35 +666,43 @@ def _triangulate_point_set(
         hi = max(range(n), key=lambda i: points[i])
         return [(lo, hi)]
     if r == 2:
-        coords = _span_coords(points, points[0], pivots, minv)
-        order = _order_polygon(coords)
+        order = _order_polygon(_project(points, pivots))
         lead = min(range(len(order)), key=lambda k: points[order[k]])
         order = order[lead:] + order[:lead]
         return [(order[0], order[i], order[i + 1]) for i in range(1, len(order) - 1)]
     faces: list[list[int]] = []
     if hints is not None:
+        d = len(points[0])
         by_tight_set: dict[frozenset, list[int]] = {}
         for hs in hints:
-            tight = [i for i in range(n) if hs.value(points[i]) == 0]
+            a, bd = hs.coeffs, hs.rhs * den
+            tight = [i for i in range(n) if _dot(a, points[i]) == bd]
             if r <= len(tight) < n:
                 by_tight_set.setdefault(frozenset(tight), tight)
         for tight in by_tight_set.values():
-            diffs = [vsub(points[i], points[tight[0]]) for i in tight[1:]]
-            if _row_echelon_rank(diffs) == r - 1:
+            v0 = points[tight[0]]
+            diffs = [tuple(x - y for x, y in zip(points[i], v0)) for i in tight[1:]]
+            if _rank(diffs, d) == r - 1:
                 faces.append(tight)
     else:
-        coords = _span_coords(points, points[0], pivots, minv)
-        for hs in _facet_search(r, coords):
-            faces.append([i for i in range(n) if hs.value(coords[i]) == 0])
+        coords = _project(points, pivots)
+        for a, b in _facet_search(r, coords):
+            faces.append([i for i in range(n) if _dot(a, coords[i]) == b])
     i0 = min(range(n), key=lambda i: points[i])
     out: list[tuple[int, ...]] = []
     for tight in faces:
         if i0 in tight:
             continue
-        sub = _triangulate_point_set([points[i] for i in tight], hints)
+        sub = _triangulate_point_set([points[i] for i in tight], den, hints)
         for s in sub:
             out.append((i0,) + tuple(tight[k] for k in s))
     return out
+
+
+def _simplices(p: Polytope) -> list[tuple[int, ...]]:
+    if p._simplices is None:
+        p._simplices = _triangulate_point_set(p.numerators, p.denominator, p.facets())
+    return p._simplices
 
 
 def triangulate(p: Polytope) -> list[tuple[Vec, ...]]:
@@ -748,21 +710,19 @@ def triangulate(p: Polytope) -> list[tuple[Vec, ...]]:
     vertices, fanned from the lexicographically smallest vertex."""
     if not p.is_full_dim:
         raise DegenerateInput("triangulate requires a full-dimensional polytope")
-    if p._triangulation is None:
-        idx = _triangulate_point_set(p.vertices, hints=p.facets())
-        p._triangulation = [tuple(p.vertices[i] for i in s) for s in idx]
-    return p._triangulation
+    verts = p.vertices
+    return [tuple(verts[i] for i in s) for s in _simplices(p)]
 
 
 def _volume_of(p: Polytope) -> Fraction:
     if p.is_empty or not p.is_full_dim:
         return ZERO
-    d = p.dim
-    total = ZERO
-    for simplex in triangulate(p):
-        rows = [vsub(v, simplex[0]) for v in simplex[1:]]
-        total += abs(determinant(rows))
-    return total / math.factorial(d)
+    nums, d = p.numerators, p.dim
+    total = 0
+    for s in _simplices(p):
+        v0 = nums[s[0]]
+        total += abs(_det([tuple(x - y for x, y in zip(nums[i], v0)) for i in s[1:]]))
+    return Fraction(total, math.factorial(d) * p.denominator**d)
 
 
 def volume(body: Body) -> Fraction:
@@ -786,133 +746,142 @@ def facets_from_vertices(p: Polytope) -> list[HalfSpace]:
     return list(p.facets())
 
 
-def _enumerate_vertices(halfspaces: Sequence[HalfSpace], dim: int) -> list[Vec]:
-    cand: dict[Vec, None] = {}
-    for subset in itertools.combinations(halfspaces, dim):
-        x = solve_square([h.normal for h in subset], [h.offset for h in subset])
-        if x is None:
+def _enumerate_vertices(rows: Sequence[tuple[IVec, int]], dim: int) -> list[tuple[IVec, int]]:
+    """Feasible solutions of the tight d-subsets of ``a . x <= b``, as
+    (numerator vector, positive denominator) in lowest terms."""
+    cand: dict[tuple[IVec, int], None] = {}
+    for subset in itertools.combinations(rows, dim):
+        work, pivots, _ = _eliminate([a + (b,) for a, b in subset], dim)
+        if len(pivots) < dim:
             continue
-        if all(h.value(x) <= 0 for h in halfspaces):
-            cand[x] = None
+        q = work[0][0]
+        num = [row[dim] for row in work]
+        if q < 0:
+            q, num = -q, [-x for x in num]
+        g = math.gcd(q, *num)
+        num, q = tuple(x // g for x in num), q // g
+        if all(_dot(a, num) <= b * q for a, b in rows):
+            cand[(num, q)] = None
     return list(cand)
 
 
-def _has_recession_direction(halfspaces: Sequence[HalfSpace], dim: int) -> bool:
-    cone = [HalfSpace(h.normal, ZERO) for h in halfspaces]
+def _has_recession_direction(rows: Sequence[tuple[IVec, int]], dim: int) -> bool:
+    cone = [(a, 0) for a, _ in rows]
     box = []
     for i in range(dim):
-        e = tuple(ONE if j == i else ZERO for j in range(dim))
-        box.append(HalfSpace(e, ONE))
-        box.append(HalfSpace(vneg(e), ONE))
-    for v in _enumerate_vertices(cone + box, dim):
-        if any(c != 0 for c in v):
-            return True
-    return False
+        e = tuple(1 if j == i else 0 for j in range(dim))
+        box += [(e, 1), (tuple(-x for x in e), 1)]
+    return any(any(v) for v, _ in _enumerate_vertices(cone + box, dim))
 
 
 def vertices_from_facets(halfspaces: Sequence[HalfSpace], dim: int) -> Polytope:
     """All vertices of a bounded halfspace system, by exhaustive d-subset
     solves of tight systems with feasibility filtering."""
-    verts = _enumerate_vertices(halfspaces, dim)
-    if _has_recession_direction(halfspaces, dim):
+    rows = [(h.coeffs, h.rhs) for h in halfspaces]
+    verts = _enumerate_vertices(rows, dim)
+    if _has_recession_direction(rows, dim):
         raise Unbounded("halfspace system admits a recession direction")
     if not verts:
         raise Infeasible("halfspace system has no solution")
-    return Polytope(
-        dim, verts, facet_hint=halfspaces, skip_normalization=True
-    )
+    nums, den = _common_den(verts)
+    return Polytope(dim, nums, den=den, facet_hint=halfspaces, skip_normalization=True)
 
 
 # ---------------------------------------------------------------------------
 # clipping, intersection, Minkowski sums, affine maps
 
 
-def _clip_new_vertices(p: Polytope, h: HalfSpace) -> list[Vec]:
-    """Vertices of p's clip that lie on the hyperplane of h.
+def sides(p: Polytope, h: HalfSpace) -> list[int]:
+    """h at each vertex of p in integers, ``coeffs . num - rhs * denominator``:
+    h.value(v) times the positive factor denominator / scale."""
+    a, bd = h.coeffs, h.rhs * p.denominator
+    return [sum(map(mul, a, v)) - bd for v in p.numerators]
+
+
+def _clip_new_vertices(p: Polytope, h: HalfSpace, vals: list[int]) -> list[tuple[IVec, int]]:
+    """Vertices of p's clip that lie on the hyperplane of h, as (numerator
+    vector, positive denominator) in lowest terms.
 
     Each one is the crossing point of an edge of p whose endpoints sit
     strictly on opposite sides; two vertices span an edge exactly when
-    their common tight constraints have rank d-1.  The crossing point
-    u + t (v - u) with t = val(u) / (val(u) - val(v)) is exact.
+    their common tight constraints have rank d-1.  With side values
+    s_i < 0 < s_j the crossing point of u_i, u_j is
+    (s_j u_i - s_i u_j) / (s_j - s_i), exact in integers.
     """
-    verts = p.vertices
-    vals = [h.value(v) for v in verts]
+    nums, den = p.numerators, p.denominator
     inside = [i for i, val in enumerate(vals) if val < 0]
     outside = [i for i, val in enumerate(vals) if val > 0]
-    if not inside or not outside:
-        return []
     eqs, ineqs = p.linear_description()
-    eq_rows = [e.normal for e in eqs]
-    masks = []
-    for v in verts:
-        m = 0
-        for b, q in enumerate(ineqs):
-            if q.value(v) == 0:
-                m |= 1 << b
-        masks.append(m)
+    eq_rows = [e.coeffs for e in eqs]
+    masks = [0] * len(nums)
+    for b, q in enumerate(ineqs):
+        for i, s in enumerate(sides(p, q)):
+            if s == 0:
+                masks[i] |= 1 << b
     need = p.dim - 1
-    out: dict[Vec, None] = {}
+    out = []
     for i in inside:
+        si, ui = vals[i], nums[i]
         for j in outside:
             common = masks[i] & masks[j]
             if common.bit_count() + len(eq_rows) < need:
                 continue
-            rows = eq_rows + [
-                ineqs[b].normal for b in range(len(ineqs)) if common >> b & 1
-            ]
-            if need > 0 and _row_echelon_rank(rows) != need:
+            rows = eq_rows + [ineqs[b].coeffs for b in range(len(ineqs)) if common >> b & 1]
+            if need > 0 and _rank(rows, p.dim) != need:
                 continue
-            t = vals[i] / (vals[i] - vals[j])
-            point = vadd(verts[i], vscale(t, vsub(verts[j], verts[i])))
-            out[point] = None
-    return list(out)
+            sj = vals[j]
+            num = [sj * x - si * y for x, y in zip(ui, nums[j])]
+            q = (sj - si) * den
+            g = math.gcd(q, *num)
+            out.append((tuple(x // g for x in num), q // g))
+    return out
+
+
+def _split_piece(p: Polytope, keep: list[int], new, hint) -> Polytope:
+    """The polytope on p's vertices `keep` plus the crossing points `new`."""
+    nums, den = _common_den([(p.numerators[i], p.denominator) for i in keep] + new)
+    out = Polytope(p.dim, nums, den=den, facet_hint=hint, skip_normalization=True)
+    if hint is not None:
+        # p is full-dimensional and the cut leaves vertices strictly inside
+        out._span = p._span
+    return out
 
 
 def clip(p: Polytope, h: HalfSpace) -> Polytope:
     """p intersected with the closed halfspace h; may be empty or flat."""
     if p.is_empty:
         return p
-    vals = [h.value(v) for v in p.vertices]
-    if all(v <= 0 for v in vals):
+    vals = sides(p, h)
+    if max(vals) <= 0:
         return p
-    kept = [v for v, val in zip(p.vertices, vals) if val <= 0]
+    kept = [i for i, val in enumerate(vals) if val <= 0]
     if not kept:
         return Polytope.empty(p.dim)
-    if all(val >= 0 for val in vals):
+    if min(vals) >= 0:
         # only the face lying on the hyperplane survives; its points are
         # vertices of p, hence already extreme
-        return Polytope(p.dim, kept, skip_normalization=True)
-    new = _clip_new_vertices(p, h)
+        return _split_piece(p, kept, [], None)
+    new = _clip_new_vertices(p, h, vals)
     hint = None
     if p.is_full_dim:
         hint = tuple(p.linear_description()[1]) + (h,)
-    return Polytope(p.dim, kept + new, facet_hint=hint, skip_normalization=True)
+    return _split_piece(p, kept, new, hint)
 
 
 def clip_both(p: Polytope, h: HalfSpace) -> tuple[Polytope, Polytope]:
     """(p cut to h's <= side, p cut to the >= side), sharing the boundary
     vertex computation; intended for cell splitting."""
-    vals = [h.value(v) for v in p.vertices]
-    below = [v for v, val in zip(p.vertices, vals) if val <= 0]
-    above = [v for v, val in zip(p.vertices, vals) if val >= 0]
-    if all(v <= 0 for v in vals):
-        return p, Polytope(p.dim, above, skip_normalization=True)
-    if all(v >= 0 for v in vals):
-        return Polytope(p.dim, below, skip_normalization=True), p
-    new = _clip_new_vertices(p, h)
+    vals = sides(p, h)
+    below = [i for i, val in enumerate(vals) if val <= 0]
+    above = [i for i, val in enumerate(vals) if val >= 0]
+    if max(vals, default=0) <= 0:
+        return p, _split_piece(p, above, [], None)
+    if min(vals) >= 0:
+        return _split_piece(p, below, [], None), p
+    new = _clip_new_vertices(p, h, vals)
     ineqs = tuple(p.linear_description()[1]) if p.is_full_dim else None
-    lo = Polytope(
-        p.dim,
-        below + new,
-        facet_hint=(ineqs + (h,)) if ineqs is not None else None,
-        skip_normalization=True,
-    )
-    hi = Polytope(
-        p.dim,
-        above + new,
-        facet_hint=(ineqs + (h.flipped(),)) if ineqs is not None else None,
-        skip_normalization=True,
-    )
+    lo = _split_piece(p, below, new, (ineqs + (h,)) if ineqs is not None else None)
+    hi = _split_piece(p, above, new, (ineqs + (h.flipped(),)) if ineqs is not None else None)
     return lo, hi
 
 
@@ -922,9 +891,9 @@ def intersect(p: Polytope, q: Polytope) -> Polytope:
         raise DegenerateInput("intersection requires equal ambient dimensions")
     if p.is_empty or q.is_empty:
         return Polytope.empty(p.dim)
-    plo, phi = p.bounding_box()
-    qlo, qhi = q.bounding_box()
-    if any(plo[i] > qhi[i] or qlo[i] > phi[i] for i in range(p.dim)):
+    (plo, phi), (qlo, qhi) = p.integer_box(), q.integer_box()
+    pd, qd = p.denominator, q.denominator
+    if any(plo[i] * qd > qhi[i] * pd or qlo[i] * pd > phi[i] * qd for i in range(p.dim)):
         return Polytope.empty(p.dim)
     out = p
     eqs, ineqs = q.linear_description()
@@ -948,7 +917,10 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
         raise DegenerateInput("Minkowski sum requires equal ambient dimensions")
     if p.is_empty or q.is_empty:
         return Polytope.empty(p.dim)
-    return Polytope(p.dim, (vadd(a, b) for a in p.vertices for b in q.vertices))
+    den = math.lcm(p.denominator, q.denominator)
+    f, g = den // p.denominator, den // q.denominator
+    sums = (tuple(f * x + g * y for x, y in zip(a, b)) for a in p.numerators for b in q.numerators)
+    return Polytope(p.dim, sums, den=den)
 
 
 def affine_image(p: Polytope, m: Mat, t: Iterable) -> Polytope:
@@ -957,27 +929,30 @@ def affine_image(p: Polytope, m: Mat, t: Iterable) -> Polytope:
     tv = as_vec(t)
     if determinant(mm) == 0:
         raise SingularMatrix("affine image requires an invertible matrix")
-    return Polytope(
-        p.dim,
-        (vadd(mat_vec(mm, v), tv) for v in p.vertices),
-        skip_normalization=True,
-    )
+    return Polytope(p.dim, (vadd(mat_vec(mm, v), tv) for v in p.vertices), skip_normalization=True)
 
 
 def dilate(p: Polytope, n: int) -> Polytope:
     if n <= 0:
         raise DegenerateInput("dilation factor must be positive")
-    out = Polytope(
-        p.dim,
-        (vscale(Fraction(n), v) for v in p.vertices),
-        skip_normalization=True,
-    )
+    out = Polytope(p.dim, (tuple(n * x for x in v) for v in p.numerators),
+                   den=p.denominator, skip_normalization=True)
+
+    def grow(h: HalfSpace) -> HalfSpace:
+        g = math.gcd(n * h.rhs, *h.coeffs)
+        return HalfSpace._from_ints(tuple(x // g for x in h.coeffs), n * h.rhs // g, h._scale * g)
+
+    return _carry_facets(p, out, grow)
+
+
+def _carry_facets(p: Polytope, out: Polytope, move) -> Polytope:
+    """Give `out`, the image of p under a similarity, p's rank and its facet
+    data mapped by `move`."""
+    out._span = p._span
     if p._facets is not None:
-        out._facets = tuple(HalfSpace(h.normal, n * h.offset) for h in p._facets)
+        out._facets = tuple(map(move, p._facets))
     elif p._facet_hint is not None:
-        out._facet_hint = tuple(
-            HalfSpace(h.normal, n * h.offset) for h in p._facet_hint
-        )
+        out._facet_hint = tuple(map(move, p._facet_hint))
     return out
 
 
@@ -986,13 +961,13 @@ def bounding_box(p: Polytope) -> tuple[Vec, Vec]:
 
 
 def unit_cube(d: int) -> Polytope:
-    verts = [as_vec(bits) for bits in itertools.product((0, 1), repeat=d)]
     hint = []
     for i in range(d):
-        e = tuple(ONE if j == i else ZERO for j in range(d))
-        hint.append(HalfSpace(vneg(e), ZERO))
-        hint.append(HalfSpace(e, ONE))
-    return Polytope(d, verts, facet_hint=hint, skip_normalization=True)
+        e = tuple(1 if j == i else 0 for j in range(d))
+        hint.append(HalfSpace._from_ints(tuple(-x for x in e), 0))
+        hint.append(HalfSpace._from_ints(e, 1))
+    return Polytope(d, itertools.product((0, 1), repeat=d), den=1, facet_hint=hint,
+                    skip_normalization=True)
 
 
 def segment(a: Iterable, b: Iterable, dim: Optional[int] = None) -> Polytope:
@@ -1004,7 +979,7 @@ def segment(a: Iterable, b: Iterable, dim: Optional[int] = None) -> Polytope:
 # JSON form: {"dim": d, "vertices": [["p/q" | "k", ...], ...]}
 
 
-def _parse_rational(x) -> Fraction:
+def parse_rational(x) -> Fraction:
     if isinstance(x, bool):
         raise DegenerateInput(f"not a rational: {x!r}")
     if isinstance(x, int):
@@ -1017,27 +992,29 @@ def _parse_rational(x) -> Fraction:
     raise DegenerateInput(f"not a rational: {x!r}")
 
 
-def polytope_from_json(data: dict) -> Polytope:
+def parse_json_rows(data: dict, rows_key: str, what: str) -> tuple[int, list]:
+    """The positive integer ``dim`` and the row list `rows_key` of a JSON
+    body description, validated strictly (a boolean is not a dimension)."""
     try:
         dim = data["dim"]
-        raw = data["vertices"]
+        raw = data[rows_key]
     except (KeyError, TypeError) as exc:
-        raise DegenerateInput(f"polytope JSON needs dim and vertices: {exc}") from exc
-    if not isinstance(dim, int) or dim < 1:
-        raise DegenerateInput("polytope dim must be a positive integer")
-    verts = []
-    for row in raw:
-        v = tuple(_parse_rational(x) for x in row)
-        if len(v) != dim:
-            raise DegenerateInput("vertex length does not match dim")
-        verts.append(v)
-    if not verts:
-        raise DegenerateInput("polytope JSON has no vertices")
-    return Polytope(dim, verts)
+        raise DegenerateInput(f"{what} JSON needs dim and {rows_key}: {exc}") from exc
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise DegenerateInput(f"{what} dim must be a positive integer")
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise DegenerateInput(f"{what} {rows_key} must be a list of lists")
+    if not raw:
+        raise DegenerateInput(f"{what} JSON has no {rows_key}")
+    if any(len(row) != dim for row in raw):
+        raise DegenerateInput(f"{what} row length does not match dim")
+    return dim, raw
+
+
+def polytope_from_json(data: dict) -> Polytope:
+    dim, raw = parse_json_rows(data, "vertices", "polytope")
+    return Polytope(dim, [tuple(parse_rational(x) for x in row) for row in raw])
 
 
 def polytope_to_json(p: Polytope) -> dict:
-    return {
-        "dim": p.dim,
-        "vertices": [[str(c) for c in v] for v in p.vertices],
-    }
+    return {"dim": p.dim, "vertices": [[str(c) for c in v] for v in p.vertices]}

@@ -623,7 +623,7 @@ def reeve_audit(n: int, max_distribution_n: int = 4) -> ReeveAudit:
     discrepancy record is emitted rather than either value being forced.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DegenerateInput(f"reeve-audit needs n >= 1, got {n}")
     closed = Fraction(n**3 + 12 * n - 3, 72 * n)
     means = {k: reeve_layer_mean(n, k) for k in range(1, n + 1)}
     pairs = {

@@ -224,3 +224,24 @@ def test_output_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["mean"] == "1/2"
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        # a fractional zonotope generator is rejected, not truncated by int()
+        (["volume", "--input", "zonotope:{path}"], {"dim": 2, "generators": [[1.5, 0], [0, 1]]}),
+        # a JSON boolean is not a dimension
+        (["volume", "--input", "file:{path}"], {"dim": True, "vertices": [["0"], ["1"]]}),
+        (["volume", "--input", "zonotope:{path}"], {"dim": True, "generators": [[1]]}),
+        (["reeve-audit", "--n", "0"], None),
+        (["count", "--input", "simplex:2", "--shifts", "-3"], None),
+    ],
+)
+def test_bad_input_exits_two_with_error_payload(argv, body, tmp_path, capsys):
+    path = tmp_path / "body.json"
+    if body is not None:
+        path.write_text(json.dumps(body))
+    code, out = run_cli([a.format(path=path) for a in argv], capsys)
+    assert code == 2
+    assert "error" in json.loads(out)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyshift.catalog import reeve_tetrahedron, standard_simplex
@@ -16,6 +16,7 @@ from polyshift.geometry import (
     as_vec,
     bounding_box,
     clip,
+    clip_both,
     determinant,
     dilate,
     facets_from_vertices,
@@ -411,3 +412,107 @@ def test_json_rejects_bad_shape():
 def test_normalization_drops_interior_points():
     p = Polytope(2, [(0, 0), (2, 0), (0, 2), (1, 1), (1, 0)])
     assert set(p.vertices) == {as_vec(v) for v in [(0, 0), (2, 0), (0, 2)]}
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel on non-lattice rational input
+
+rationals = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+def rational_points(d, min_size, max_size):
+    return st.lists(
+        st.tuples(*[rationals] * d), min_size=min_size, max_size=max_size, unique=True
+    )
+
+
+rational_bodies = st.integers(2, 3).flatmap(
+    lambda d: st.tuples(st.just(d), rational_points(d, d + 1, d + 4))
+)
+normals = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+
+
+def full_dim_body(d, pts):
+    p = Polytope(d, pts)
+    assume(p.is_full_dim)
+    return p
+
+
+@given(rational_bodies, normals, rationals)
+@settings(max_examples=60, deadline=None)
+def test_clip_both_halves_sum_to_volume(body, normal, offset):
+    d, pts = body
+    assume(any(normal[:d]))
+    p = full_dim_body(d, pts)
+    lo, hi = clip_both(p, halfspace(normal[:d], offset))
+    assert lo.volume() + hi.volume() == p.volume()
+
+
+@given(rational_bodies, normals, rationals)
+@settings(max_examples=60, deadline=None)
+def test_new_clip_vertices_lie_on_the_plane(body, normal, offset):
+    d, pts = body
+    assume(any(normal[:d]))
+    p = full_dim_body(d, pts)
+    h = halfspace(normal[:d], offset)
+    cut = clip(p, h)
+    assert all(h.value(v) <= 0 for v in cut.vertices)
+    assert all(h.value(v) == 0 for v in set(cut.vertices) - set(p.vertices))
+
+
+def cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+@given(rational_points(3, 1, 3))
+@settings(max_examples=80, deadline=None)
+def test_rank_of_flat_bodies_in_r3(pts):
+    a = as_vec(pts[0])
+    diffs = [tuple(x - y for x, y in zip(as_vec(p), a)) for p in pts[1:]]
+    if not diffs:
+        expected = 0
+    elif len(diffs) == 1 or not any(cross(*diffs)):
+        expected = 1
+    else:
+        expected = 2
+    body = Polytope(3, pts)
+    assert body.rank == expected
+    assert not body.is_full_dim and volume(body) == 0
+    eqs, _ = body.linear_description()
+    assert len(eqs) == 3 - expected
+    assert all(h.value(p) == 0 for h in eqs for p in body.vertices)
+
+
+def laplace(m):
+    if not m:
+        return F(1)
+    return sum(
+        (-1) ** j * m[0][j] * laplace([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+@settings(max_examples=80, deadline=None)
+def test_determinant_matches_laplace_expansion(m):
+    assert determinant(m) == laplace(m)
+
+
+@given(rational_bodies, st.lists(rationals, min_size=3, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_covariogram_is_even(body, t):
+    d, pts = body
+    p = full_dim_body(d, pts)
+    t = t[:d]
+    back = [-c for c in t]
+    assert volume(intersect(p, p.translated(t))) == volume(intersect(p, p.translated(back)))
+
+
+def test_halfspace_equality_is_on_normal_and_offset():
+    a, b = HalfSpace((1, 1), 1), HalfSpace((2, 2), 2)
+    assert a != b and a.key() == b.key()
+    assert a == HalfSpace((F(1), F(1)), F(1))
+    assert hash(a) == hash(((F(1), F(1)), F(1)))
+    assert a.translated((F(1, 2), 0)) == HalfSpace((1, 1), F(3, 2))
