@@ -28,7 +28,7 @@ from .distributions import (
     exact_variance,
     mc_distribution,
 )
-from .errors import GeometryError
+from .errors import GeometryError, InvariantViolation
 from .geometry import Polytope, polytope_from_json, polytope_to_json, volume
 from .verifier import FAIL, IDENTITY_TAGS, reeve_audit, verify
 
@@ -309,15 +309,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Exit codes: 0 success, 1 identity violated, 2 input error, 3 broken
+    internal invariant; codes 2 and 3 print a JSON ``error`` payload."""
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except GeometryError as exc:
+    except (GeometryError, InvariantViolation) as exc:
         sys.stdout.write(
             json.dumps({"error": str(exc)}, sort_keys=True, separators=(",", ":"))
             + "\n"
         )
-        return 2
+        return 3 if isinstance(exc, InvariantViolation) else 2
 
 
 if __name__ == "__main__":

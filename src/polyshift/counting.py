@@ -3,55 +3,71 @@
 The central quantity is the number of integer points captured by ``p + s``
 for a shift ``s`` in the half-open unit cube.  Counting is closed-set:
 points on the boundary are counted *and* reported, so callers can detect
-non-generic shifts and resample.
+non-generic shifts and resample.  Stream shifts are dyadic, ``m / 2**64``
+with integer ``m``: exact, and almost surely generic.
 
-Shift coordinates are dyadic rationals ``k / 2**64`` drawn from a seeded
-stream, which keeps every membership test exact while making boundary
-hits astronomically rare yet detectable.
+The counter works on the body's integer rows ``a . x <= b``: as ``a . z``
+is an integer, ``a . (z - m/D) <= b`` iff ``a . z <= b + floor(a . m / D)``,
+so residuals are small ints and a row can be tight only when ``D | a . m``
+(for a generic dyadic shift, never).  Lattice points are enumerated depth
+first, one coordinate per level, counting whole fibers along the last;
+stepping a coordinate subtracts its column from the residuals.  A per-body
+plan bounds each row's remaining terms from below, and a level visits only
+values that keep every residual above its bound: empty subtrees are pruned
+and no point is lost.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import add, floordiv, lt, mul, sub
+from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateInput, NotConstant
-from .geometry import (
-    Body,
-    Polytope,
-    PolytopeUnion,
-    Vec,
-    as_vec,
-    determinant,
-    minkowski_sum,
-    parse_json_rows,
-    parse_rational,
-    segment,
-    zero_vec,
-)
+from .geometry import (Body, IVec, Polytope, PolytopeUnion, Vec, _homogenize, as_vec, determinant,
+                       minkowski_sum, parse_json_rows, parse_rational, segment, zero_vec)
 
 DYADIC_BITS = 64
 _DYADIC_DEN = 1 << DYADIC_BITS
 
 
-@dataclass(frozen=True)
 class Shift:
-    """Translation vector with coordinates in [0, 1)."""
+    """Translation vector with coordinates in [0, 1), held as integer
+    numerators ``nums`` over one positive denominator ``den``."""
 
-    coords: Vec
-    seed_info: str = ""
+    __slots__ = ("nums", "den", "_coords")
 
-    def __post_init__(self):
-        if any(c < 0 or c >= 1 for c in self.coords):
+    def __init__(self, coords: Iterable):
+        coords = as_vec(coords)
+        if any(c < 0 or c >= 1 for c in coords):
             raise DegenerateInput("shift coordinates must lie in [0, 1)")
+        (self.nums,), self.den = _homogenize([coords])
+        self._coords = coords
+
+    @classmethod
+    def _from_ints(cls, nums: IVec, den: int) -> "Shift":
+        out = object.__new__(cls)
+        out.nums, out.den, out._coords = nums, den, None
+        return out
+
+    @property
+    def coords(self) -> Vec:
+        if self._coords is None:
+            self._coords = tuple(Fraction(x, self.den) for x in self.nums)
+        return self._coords
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
+
+    def __eq__(self, other):
+        return self.coords == other.coords if isinstance(other, Shift) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coords)
 
 
 class ShiftStream:
@@ -61,16 +77,10 @@ class ShiftStream:
         self.dim = dim
         self.seed = seed
         self._rng = random.Random(seed)
-        self._index = 0
+        self._bits = (DYADIC_BITS,) * dim
 
     def draw(self) -> Shift:
-        coords = tuple(
-            Fraction(self._rng.getrandbits(DYADIC_BITS), _DYADIC_DEN)
-            for _ in range(self.dim)
-        )
-        info = f"mt19937:seed={self.seed}:index={self._index}"
-        self._index += 1
-        return Shift(coords, info)
+        return Shift._from_ints(tuple(map(self._rng.getrandbits, self._bits)), _DYADIC_DEN)
 
 
 @dataclass(frozen=True)
@@ -85,119 +95,157 @@ class CountResult:
         return not self.boundary_hits
 
 
-def _shift_coords(shift) -> Vec:
-    if isinstance(shift, Shift):
-        return shift.coords
-    return as_vec(shift)
+_NONE = CountResult(0)
 
 
-def _count_polytope(p: Polytope, coords: Vec) -> CountResult:
-    """Exact count of z in Z^d with z in p + coords.
+class _CountPlan:
+    """Shift-independent counting data of one nonempty polytope, built on its first count.
 
-    Works on one integer-cleared inequality per facet, counting whole fibers
-    along the last coordinate at once; lower-dimensional bodies additionally
-    carry their affine-hull equalities, and every point they capture counts
-    as a boundary hit.
+    Rows ``a . x <= rhs`` (equalities folded in as pairs) are ordered by the
+    sign of a_last: positive below ``npos``, negative below ``nnz``, then
+    zero; ``divs`` holds their |a_last| unless all are 1.  ``mins[k][j]``
+    bounds ``sum_{i >= k} a_ji z_i`` over the box ``ceil(lo) .. floor(hi) + 1``,
+    which holds every shift's lattice range; ``levels[k]`` holds the rows
+    with a_jk > 0 and a_jk < 0, each as (j, |a_jk|, mins[k + 1][j]).
     """
+
+    __slots__ = ("rows", "rhs", "cols", "mins0", "levels", "npos", "nnz", "divs", "eq_rows", "box")
+
+    def __init__(self, p: Polytope):
+        d = p.dim
+        eqs, ineqs = p.integer_description()
+        rows = [(a, b, False) for a, b in ineqs]
+        for a, b in eqs:
+            rows += [(a, b, True), (tuple(-x for x in a), -b, True)]
+        rows.sort(key=lambda r: (r[0][-1] <= 0, r[0][-1] == 0))
+        self.rows = [a for a, _, _ in rows]
+        self.rhs = [b for _, b, _ in rows]
+        self.eq_rows = [j for j, r in enumerate(rows) if r[2]]
+        self.cols = cols = [tuple(a[k] for a in self.rows) for k in range(d)]
+        den = p.denominator
+        lo_box, hi_box = p.integer_box()
+        mins = [[0] * len(rows)]
+        for k in reversed(range(d)):
+            lo, hi = -(-lo_box[k] // den), hi_box[k] // den + 1
+            mins.append([s + min(c * lo, c * hi) for s, c in zip(mins[-1], cols[k])])
+        mins.reverse()
+        self.mins0 = mins[0]
+        self.levels = [([(j, c, mins[k + 1][j]) for j, c in enumerate(cols[k]) if c > 0],
+                        [(j, -c, mins[k + 1][j]) for j, c in enumerate(cols[k]) if c < 0])
+                       for k in range(d - 1)]
+        divs = [abs(c) for c in cols[-1] if c]
+        self.npos, self.nnz = sum(c > 0 for c in cols[-1]), len(divs)
+        self.divs = None if set(divs) == {1} else (divs[:self.npos], divs[self.npos:])
+        # the enumerated coordinates' box corners as (q, r) with corner = q * den + r
+        self.box = [(divmod(lo, den), divmod(hi, den)) for lo, hi in zip(lo_box[:-1], hi_box[:-1])]
+
+
+def _fiber_hits(R, tight, last, lo, hi, prefix) -> list:
+    """The points of fiber ``prefix x [lo, hi]`` where a tight row is an equality, in order."""
+    vals = set()
+    for j in tight:
+        a, r = last[j], R[j]
+        if a == 0:
+            if r == 0:
+                return [prefix + (z,) for z in range(lo, hi + 1)]
+        elif r % a == 0:
+            vals.add(r // a)
+    return [prefix + (z,) for z in sorted(vals) if lo <= z <= hi]
+
+
+def _count_polytope(p: Polytope, m: IVec, D: int, off: Optional[IVec]) -> CountResult:
+    """Exact count of z in Z^d with z in p + m/D, for m in [0, D)^d; boundary
+    hits are reported translated by the integer vector ``off``."""
     if p.is_empty:
-        return CountResult(0)
+        return _NONE
     d = p.dim
-    if len(coords) != d:
+    if len(m) != d:
         raise DegenerateInput("shift dimension does not match the polytope")
-    eqs, ineqs = p.integer_description()
-    flat = not p.is_full_dim
-    den = math.lcm(*(c.denominator for c in coords))
-    m = [c.numerator * (den // c.denominator) for c in coords]
-    # box corner + shift = (corner * den + m * pden) / (pden * den)
-    pden = p.denominator
-    lo_box, hi_box = p.integer_box()
-    scale = pden * den
-    ranges = []
-    for i in range(d):
-        lo = -((-lo_box[i] * den - m[i] * pden) // scale)
-        hi = (hi_box[i] * den + m[i] * pden) // scale
-        if lo > hi:
-            return CountResult(0)
-        ranges.append((lo, hi))
-
-    # constraint a.(z - s) (<=|==) b  <->  den*(a.z) (<=|==) den*b + a.m
-    ineq_data = [
-        (a, den * b + sum(ai * mi for ai, mi in zip(a, m))) for a, b in ineqs
-    ]
-    eq_data = [
-        (a, den * b + sum(ai * mi for ai, mi in zip(a, m))) for a, b in eqs
-    ]
-
+    plan = p._count_plan
+    if plan is None:
+        plan = p._count_plan = _CountPlan(p)
+    am = [sum(map(mul, a, m)) for a in plan.rows]
+    R = [b + x // D for b, x in zip(plan.rhs, am)]
+    if any(map(lt, R, plan.mins0)) or any(am[j] % D for j in plan.eq_rows):
+        return _NONE
+    # a row can be tight only when D | a . m
+    tight = [j for j, x in enumerate(am) if not x % D]
+    # lattice range of the enumerated coordinates over the shifted box: a
+    # corner q + r / den moves to q + t / scale with t = r * D + x * den < 2 * scale
+    den = p.denominator
+    scale = den * D
+    blo, bhi = [], []
+    for ((q, r), (qh, rh)), x in zip(plan.box, m):
+        t, th = r * D + x * den, rh * D + x * den
+        blo.append(q + (t > 0) + (t > scale))
+        bhi.append(qh + (th >= scale))
+    cols, levels, npos, nnz, divs = plan.cols, plan.levels, plan.npos, plan.nnz, plan.divs
     count = 0
-    hits: list[tuple[int, ...]] = []
-    tail_lo, tail_hi = ranges[-1]
-    for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges[:-1])):
-        lo, hi = tail_lo, tail_hi
-        feasible = True
-        tight_all = False
-        tight_vals: set[int] = set()
-        for a, t in eq_data:
-            r = t - den * sum(ai * zi for ai, zi in zip(a, prefix))
-            ad = den * a[-1]
-            if ad == 0:
-                if r != 0:
-                    feasible = False
-                    break
+    hits: list = []
+
+    def fibers(R, prefix, zs, col):
+        # whole fibers over prefix + z for z in zs, at residuals R, R - col, ...
+        nonlocal count
+        for z in zs:
+            if divs is None:
+                hi, lo = min(R[:npos]), -min(R[npos:nnz])
             else:
-                if r % ad:
-                    feasible = False
-                    break
-                z = r // ad
-                lo = max(lo, z)
-                hi = min(hi, z)
-        if not feasible or lo > hi:
-            continue
-        for a, t in ineq_data:
-            r = t - den * sum(ai * zi for ai, zi in zip(a, prefix))
-            ad = den * a[-1]
-            if ad == 0:
-                if r < 0:
-                    feasible = False
-                    break
-                if r == 0:
-                    tight_all = True
-            elif ad > 0:
-                hi = min(hi, r // ad)
-                if r % ad == 0:
-                    tight_vals.add(r // ad)
-            else:
-                lo = max(lo, -(r // -ad))
-                if (-r) % (-ad) == 0:
-                    tight_vals.add((-r) // (-ad))
-            if lo > hi:
-                feasible = False
-                break
-        if not feasible or lo > hi:
-            continue
-        count += hi - lo + 1
-        if flat or tight_all:
-            hits.extend(prefix + (z,) for z in range(lo, hi + 1))
-        else:
-            hits.extend(prefix + (z,) for z in sorted(tight_vals) if lo <= z <= hi)
+                hi = min(map(floordiv, R[:npos], divs[0]))
+                lo = -min(map(floordiv, R[npos:nnz], divs[1]))
+            if lo <= hi:
+                count += hi - lo + 1
+                if tight:
+                    hits.extend(_fiber_hits(R, tight, cols[-1], lo, hi, prefix + z))
+            R = list(map(sub, R, col))
+
+    def walk(k, R, prefix):
+        # z_k ranges over the values that keep every residual at or above its minimum
+        pos, neg = levels[k]
+        lo, hi = blo[k], bhi[k]
+        for j, c, mn in pos:
+            t = (R[j] - mn) // c
+            if t < hi:
+                hi = t
+        for j, c, mn in neg:
+            t = -((R[j] - mn) // c)
+            if t > lo:
+                lo = t
+        col = cols[k]
+        R = [r - lo * c for r, c in zip(R, col)]
+        if k + 2 == d:
+            fibers(R, prefix, zip(range(lo, hi + 1)), col)
+            return
+        for z in range(lo, hi + 1):
+            walk(k + 1, R, prefix + (z,))
+            R = list(map(sub, R, col))
+
+    if d == 1:
+        fibers(R, (), ((),), cols[0])
+    else:
+        walk(0, R, ())
+    if hits and off is not None:
+        hits = [tuple(map(add, z, off)) for z in hits]
     return CountResult(count, tuple(hits))
 
 
 def count_at(body: Body, shift) -> CountResult:
     """Number of lattice points inside ``body + shift`` (closed count).
 
-    Unions count additively over their parts, matching the almost-sure
-    additivity of counts over interior-disjoint families.
+    ``shift`` is a `Shift` or any rational vector; the latter is reduced
+    modulo Z^d and the boundary hits are translated back.  Unions count
+    additively over their parts, matching the almost-sure additivity of
+    counts over interior-disjoint families.
     """
-    coords = _shift_coords(shift)
-    if isinstance(body, PolytopeUnion):
-        total = 0
-        hits: list[tuple[int, ...]] = []
-        for part in body.parts:
-            r = _count_polytope(part, coords)
-            total += r.count
-            hits.extend(r.boundary_hits)
-        return CountResult(total, tuple(hits))
-    return _count_polytope(body, coords)
+    if isinstance(shift, Shift):
+        m, D, off = shift.nums, shift.den, None
+    else:
+        (full,), D = _homogenize([as_vec(shift)])
+        m = tuple(x % D for x in full)
+        off = tuple(x // D for x in full) if m != full else None
+    if not isinstance(body, PolytopeUnion):
+        return _count_polytope(body, m, D, off)
+    res = [_count_polytope(part, m, D, off) for part in body.parts]
+    return CountResult(sum(r.count for r in res), tuple(z for r in res for z in r.boundary_hits))
 
 
 def is_generic(body: Body, shift) -> bool:
@@ -205,13 +253,7 @@ def is_generic(body: Body, shift) -> bool:
     return count_at(body, shift).is_generic
 
 
-def generic_count(
-    body: Body,
-    seed: int = 0,
-    *,
-    trials: int = 8,
-    max_resamples: int = 64,
-) -> int:
+def generic_count(body: Body, seed: int = 0, *, trials: int = 8, max_resamples: int = 64) -> int:
     """Almost-sure count of a body whose generic count is constant.
 
     Draws shifts until generic (resampling on boundary hits) and checks the
@@ -219,19 +261,16 @@ def generic_count(
     NotConstant, flagging misuse.  Boundary events at dyadic shifts signal a
     degenerate instance rather than bad luck, hence the hard resample cap.
     """
-    dim = body.dim
-    stream = ShiftStream(dim, seed)
+    stream = ShiftStream(body.dim, seed)
     values = []
     for _ in range(trials):
-        for attempt in range(max_resamples + 1):
+        for _ in range(max_resamples + 1):
             res = count_at(body, stream.draw())
             if res.is_generic:
                 values.append(res.count)
                 break
         else:
-            raise DegenerateInput(
-                f"no generic shift found in {max_resamples} resamples"
-            )
+            raise DegenerateInput(f"no generic shift found in {max_resamples} resamples")
     if len(set(values)) > 1:
         raise NotConstant(f"generic counts disagree: {sorted(set(values))}")
     return values[0]
@@ -264,9 +303,7 @@ class ZonotopeSpec:
     generators: tuple[Vec, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "generators", tuple(as_vec(g) for g in self.generators)
-        )
+        object.__setattr__(self, "generators", tuple(as_vec(g) for g in self.generators))
         for g in self.generators:
             if len(g) != self.dim:
                 raise DegenerateInput("generator length does not match dim")
@@ -280,11 +317,7 @@ def zonotope_constant(spec: ZonotopeSpec) -> int:
     This equals the almost-sure count of the zonotope and its volume: the
     zonotope splits into one integer parallelepiped per nonsingular subset.
     """
-    d = spec.dim
-    total = 0
-    for subset in itertools.combinations(spec.generators, d):
-        det = determinant(subset)
-        total += abs(int(det))
+    total = sum(abs(int(determinant(s))) for s in itertools.combinations(spec.generators, spec.dim))
     if total == 0:
         raise DegenerateInput("generators do not span the ambient space")
     return total
@@ -300,17 +333,12 @@ def zonotope_polytope(spec: ZonotopeSpec) -> Polytope:
 
 def zonotope_spec_from_json(data: dict) -> ZonotopeSpec:
     dim, raw = parse_json_rows(data, "generators", "zonotope")
-    rows = []
-    for g in raw:
-        row = tuple(parse_rational(x) for x in g)
+    rows = tuple(tuple(parse_rational(x) for x in g) for g in raw)
+    for g, row in zip(raw, rows):
         if any(c.denominator != 1 for c in row):
             raise DegenerateInput(f"zonotope generators must be integral, got {g!r}")
-        rows.append(row)
-    return ZonotopeSpec(dim, tuple(rows))
+    return ZonotopeSpec(dim, rows)
 
 
 def zonotope_spec_to_json(spec: ZonotopeSpec) -> dict:
-    return {
-        "dim": spec.dim,
-        "generators": [[int(c) for c in g] for g in spec.generators],
-    }
+    return {"dim": spec.dim, "generators": [[int(c) for c in g] for g in spec.generators]}

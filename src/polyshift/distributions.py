@@ -29,6 +29,7 @@ from .errors import (
     CellBudgetExceeded,
     DegenerateInput,
     InsufficientSamples,
+    InvariantViolation,
 )
 from .geometry import (
     Body,
@@ -235,8 +236,9 @@ def exact_distribution(body: Body, cell_budget: int = 10**6) -> CountDistributio
     Splits the unit cube by every facet hyperplane of every lattice
     translate that can reach it; on each full-dimensional leaf cell the
     count is constant and is read off at the vertex centroid, which by
-    construction avoids every boundary (asserted, as a loud failure beats
-    a silent miscount).  Probabilities are exact cell-volume sums.
+    construction avoids every boundary (checked, raising InvariantViolation,
+    as a loud failure beats a silent miscount).  Probabilities are exact
+    cell-volume sums.
     """
     _require_full_dim(body, "exact_distribution")
     parts = body.parts if isinstance(body, PolytopeUnion) else (body,)
@@ -254,14 +256,14 @@ def exact_distribution(body: Body, cell_budget: int = 10**6) -> CountDistributio
         centroid = tuple(Fraction(sum(c), k) for c in zip(*cell.numerators))
         res = count_at(body, centroid)
         if not res.is_generic:
-            raise AssertionError(
+            raise InvariantViolation(
                 "cell centroid landed on a translate boundary; "
                 "the splitting plane set must be incomplete"
             )
         probs[res.count] = probs.get(res.count, ZERO) + vol
         total += vol
     if total != 1:
-        raise AssertionError(f"cell volumes sum to {total}, not 1")
+        raise InvariantViolation(f"cell volumes sum to {total}, not 1")
     probs = {m: pr for m, pr in sorted(probs.items()) if pr != 0}
     return CountDistribution(kind="exact", probs=probs)
 
@@ -324,9 +326,26 @@ class ComparisonReport:
 
 
 def _chi2_sf(stat: float, dof: int) -> float:
-    from scipy.stats import chi2
+    """Upper tail of the chi-square law with integer ``dof`` >= 1.
 
-    return float(chi2.sf(stat, dof))
+    This is the regularized gamma Q(dof/2, y) with y = stat/2: for even dof
+    the finite Poisson series e^-y (1 + y + ... + y^(k-1)/(k-1)!), k = dof/2;
+    for odd dof erfc(sqrt y) plus e^-y times the sum of
+    y^(i-1/2) / Gamma(i + 1/2) over i = 1 .. (dof-1)/2.
+    """
+    y = stat / 2
+    if dof % 2 == 0:
+        term = total = 1.0
+        for i in range(1, dof // 2):
+            term *= y / i
+            total += term
+        return math.exp(-y) * total
+    total = math.erfc(math.sqrt(y))
+    term = math.sqrt(y) / math.gamma(1.5)
+    for i in range(1, (dof + 1) // 2):
+        total += math.exp(-y) * term
+        term *= y / (i + 0.5)
+    return total
 
 
 def compare_distributions(

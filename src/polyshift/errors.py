@@ -36,3 +36,8 @@ class InsufficientSamples(GeometryError):
 
 class UnknownIdentity(GeometryError):
     """Verification was requested for an identity tag outside the closed set."""
+
+
+class InvariantViolation(Exception):
+    """An internal invariant of an exact engine failed: a defect in this
+    package, not in the input, hence deliberately not a GeometryError."""

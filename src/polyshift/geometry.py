@@ -369,7 +369,8 @@ class Polytope:
     """
 
     __slots__ = ("dim", "numerators", "denominator", "_vertices", "_facet_hint", "_facets",
-                 "_span", "_description", "_int_ineqs", "_volume", "_simplices", "_box")
+                 "_span", "_description", "_int_ineqs", "_volume", "_simplices", "_box",
+                 "_count_plan")
 
     def __init__(self, dim: int, points: Iterable[Iterable], *, den: Optional[int] = None,
                  facet_hint: Optional[Sequence[HalfSpace]] = None,
@@ -400,7 +401,7 @@ class Polytope:
         self._vertices = tuple(verts) if verts is not None else None
         self._facet_hint = tuple(facet_hint) if facet_hint is not None else None
         self._facets = self._span = self._description = self._int_ineqs = None
-        self._volume = self._simplices = self._box = None
+        self._volume = self._simplices = self._box = self._count_plan = None
 
     # -- constructors -------------------------------------------------------
 

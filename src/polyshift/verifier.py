@@ -31,6 +31,8 @@ from .geometry import (
     PolytopeUnion,
     affine_image,
     dilate,
+    minkowski_sum,
+    segment,
     volume,
     zero_vec,
 )
@@ -361,8 +363,6 @@ def _minkowski_delta_witnesses(label, trio, shifts, seed, wit):
 
 
 def _check_minkowski_2d(instances: int, shifts: int, seed: int):
-    from .geometry import minkowski_sum
-
     wit: list[Witness] = []
     notes: list[str] = []
     for i in range(instances):
@@ -439,8 +439,6 @@ def _check_counterexample_minkowski(shifts: int, seed: int):
     notes: list[str] = []
     base = catalog.central_slab(3)
     flat = catalog.embed_with_zero_last(base)
-    from .geometry import segment
-
     e = segment(zero_vec(4), (0, 0, 0, 1))
     prism = catalog.prism_over_embedded(base)
     deltas = _minkowski_delta_witnesses(

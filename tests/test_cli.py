@@ -216,6 +216,16 @@ def test_byte_determinism_across_processes():
     assert a == b
 
 
+def test_runtime_does_not_import_scipy():
+    # scipy is a test-only dependency; the chi-square tail is closed form
+    code = (
+        "import sys, polyshift.cli; "
+        "polyshift.cli.main(['distribution', '--method', 'mc', '--samples', '50', '--input', 'reeve:2']); "
+        "assert 'scipy' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+
+
 def test_output_to_file(tmp_path, capsys):
     path = tmp_path / "out.json"
     code, out = run_cli(
@@ -245,3 +255,15 @@ def test_bad_input_exits_two_with_error_payload(argv, body, tmp_path, capsys):
     code, out = run_cli([a.format(path=path) for a in argv], capsys)
     assert code == 2
     assert "error" in json.loads(out)
+
+
+def test_broken_invariant_exits_three_with_error_payload(monkeypatch, capsys):
+    # a centroid count that reports a boundary hit breaks the law engine's
+    # invariant; that is a defect, not an input error or a failed identity
+    import polyshift.distributions as distributions
+    from polyshift.counting import CountResult
+
+    monkeypatch.setattr(distributions, "count_at", lambda body, shift: CountResult(1, ((0, 0),)))
+    code, out = run_cli(["distribution", "--method", "exact", "--input", "simplex:2"], capsys)
+    assert code == 3
+    assert "boundary" in json.loads(out)["error"]

@@ -1,5 +1,6 @@
 """Shifted lattice-point counting, genericity, parallelepipeds, zonotopes."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,39 @@ def brute_count(p, coords):
         if p.on_boundary(tuple(F(c) - s for c, s in zip(z, coords)))
     )
     return CountResult(len(pts), hits)
+
+
+def brute_count_body(body, coords):
+    """The oracle over a body; a union reports its parts' hits in part order."""
+    parts = body.parts if isinstance(body, PolytopeUnion) else (body,)
+    res = [brute_count(p, coords) for p in parts]
+    return CountResult(sum(r.count for r in res), tuple(z for r in res for z in r.boundary_hits))
+
+
+@st.composite
+def oracle_bodies(draw):
+    """Hulls of d + 1 .. d + 3 points: lattice (q = 1) or rational."""
+    d = draw(st.integers(1, 4))
+    q = draw(st.sampled_from((1, 2, 3)))
+    reach = (2 if d < 4 else 1) * q  # keeps the oracle's 4-d boxes small
+    coord = st.integers(-reach, reach).map(lambda k: F(k, q))
+    n = d + draw(st.integers(1, 3))
+    return Polytope(d, draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n)))
+
+
+@st.composite
+def oracle_shifts(draw, d):
+    """Boundary-rich shifts on the k/4 and k/6 grids, and shifts k/7 far
+    outside the unit cube."""
+    grid = draw(st.sampled_from((4, 6, 7)))
+    k = st.integers(-40, 39) if grid == 7 else st.integers(0, grid - 1)
+    return tuple(F(x, grid) for x in draw(st.tuples(*[k] * d)))
+
+
+FLAT_BODIES = (
+    Polytope(3, [(0, 0, 0), (2, 1, 1)]),  # a segment in R^3
+    Polytope(3, [(0, 0, 0), (2, 0, 1), (0, 2, 1)]),  # a triangle in x + y = 2z
+)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +212,29 @@ def test_count_matches_brute_force(seed, d):
     assert set(fast.boundary_hits) == set(slow.boundary_hits)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_count_equals_oracle_exactly(data):
+    p = data.draw(oracle_bodies())
+    s = data.draw(oracle_shifts(p.dim))
+    assert count_at(p, s) == brute_count_body(p, s)
+
+
+@given(st.sampled_from(FLAT_BODIES), oracle_shifts(3))
+@settings(max_examples=60, deadline=None)
+def test_flat_count_equals_oracle_exactly(p, s):
+    assert count_at(p, s) == brute_count_body(p, s)
+
+
+@given(oracle_shifts(2))
+@settings(max_examples=60, deadline=None)
+def test_union_count_equals_oracle_exactly(s):
+    a = random_lattice_polytope(2, 5, 2, seed=4)
+    b = standard_simplex(2).translated((F(1, 2), F(-1, 3)))
+    u = PolytopeUnion((a, b, a.translated((1, 0))))
+    assert count_at(u, s) == brute_count_body(u, s)
+
+
 def test_count_matches_brute_force_rational_shift():
     p = random_lattice_polytope(3, 6, 2, seed=77)
     s = (F(1, 3), F(2, 5), F(5, 7))
@@ -283,6 +340,22 @@ def test_zonotope_json_round_trip():
 def test_zonotope_spec_rejects_non_integer():
     with pytest.raises(DegenerateInput):
         ZonotopeSpec(2, ((F(1, 2), F(0)),))
+
+
+def test_shift_stream_pins_the_dyadic_mt19937_stream():
+    rng = random.Random(42)
+    stream = ShiftStream(3, seed=42)
+    for _ in range(5):
+        expected = tuple(Fraction(rng.getrandbits(64), 2**64) for _ in range(3))
+        assert stream.draw().coords == expected
+
+
+def test_shift_holds_integer_numerators():
+    s = Shift((F(1, 2), F(1, 3), F(0)))
+    assert (s.nums, s.den) == ((3, 2, 0), 6)
+    assert s.coords == (F(1, 2), F(1, 3), F(0)) and s.dim == 3
+    assert s == Shift((F(3, 6), F(2, 6), F(0))) and hash(s) == hash(Shift(s.coords))
+    assert count_at(standard_simplex(3), s) == count_at(standard_simplex(3), s.coords)
 
 
 def test_shift_stream_deterministic():

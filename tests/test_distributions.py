@@ -24,6 +24,7 @@ from polyshift.catalog import (
 from polyshift.counting import zonotope_polytope
 from polyshift.distributions import (
     CountDistribution,
+    _chi2_sf,
     compare_distributions,
     exact_covariance,
     exact_distribution,
@@ -447,3 +448,11 @@ def test_distribution_validation():
         CountDistribution(kind="empirical", freqs={0: 3}, samples=4)
     with pytest.raises(DegenerateInput):
         CountDistribution(kind="nonsense")
+
+
+@pytest.mark.parametrize("dof", range(1, 9))
+def test_chi2_sf_closed_form_matches_scipy(dof):
+    stats = pytest.importorskip("scipy.stats")
+    for x in (0.0, 1e-6, 0.3, 1.0, 2.5, 7.0, 15.0, 40.0, 150.0):
+        expected = float(stats.chi2.sf(x, dof))
+        assert _chi2_sf(x, dof) == pytest.approx(expected, rel=1e-9, abs=1e-300)
