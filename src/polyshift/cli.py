@@ -8,8 +8,8 @@ terms; output is byte-deterministic for a fixed invocation, including the
 Monte Carlo paths, whose seeds are always echoed.
 
 Exit codes: 0 success (including expected-failure-confirmed), 1
-verification failure, 2 input error (with a machine-readable
-``{"error": ...}`` payload).
+verification failure, 2 input error, 3 broken internal invariant (codes 2
+and 3 with a machine-readable ``{"error": ...}`` payload).
 """
 
 from __future__ import annotations

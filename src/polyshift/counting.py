@@ -6,15 +6,16 @@ points on the boundary are counted *and* reported, so callers can detect
 non-generic shifts and resample.  Stream shifts are dyadic, ``m / 2**64``
 with integer ``m``: exact, and almost surely generic.
 
-The counter works on the body's integer rows ``a . x <= b``: as ``a . z``
-is an integer, ``a . (z - m/D) <= b`` iff ``a . z <= b + floor(a . m / D)``,
-so residuals are small ints and a row can be tight only when ``D | a . m``
+The counter works on integer rows ``a . x <= b``: as ``a . z`` is an
+integer, ``a . (z - m/D) <= b`` iff ``a . z <= b + floor(a . m / D)``, so
+residuals are small ints and a row can be tight only when ``D | a . m``
 (for a generic dyadic shift, never).  Lattice points are enumerated depth
 first, one coordinate per level, counting whole fibers along the last;
-stepping a coordinate subtracts its column from the residuals.  A per-body
-plan bounds each row's remaining terms from below, and a level visits only
-values that keep every residual above its bound: empty subtrees are pruned
-and no point is lost.
+stepping a coordinate subtracts its column from the residuals.  Level k
+takes its range from the rows of the body's projection onto coordinates
+0..k, which the shift moves by ``s[:k+1]``: z_k ranges exactly over that
+projection's fiber above the prefix, so every visited fiber meets the body
+and no lattice point is lost.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, floordiv, lt, mul, sub
+from operator import add, floordiv, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateInput, NotConstant
@@ -98,46 +99,52 @@ class CountResult:
 _NONE = CountResult(0)
 
 
+def _folded_rows(p: Polytope) -> list:
+    """p's integer rows ``(a, b, is_equality)`` for ``a . x <= b``, equalities as pairs."""
+    eqs, ineqs = p.integer_description()
+    rows = [(a, b, False) for a, b in ineqs]
+    for a, b in eqs:
+        rows += [(a, b, True), (tuple(-x for x in a), -b, True)]
+    return rows
+
+
 class _CountPlan:
     """Shift-independent counting data of one nonempty polytope, built on its first count.
 
-    Rows ``a . x <= rhs`` (equalities folded in as pairs) are ordered by the
-    sign of a_last: positive below ``npos``, negative below ``nnz``, then
-    zero; ``divs`` holds their |a_last| unless all are 1.  ``mins[k][j]``
-    bounds ``sum_{i >= k} a_ji z_i`` over the box ``ceil(lo) .. floor(hi) + 1``,
-    which holds every shift's lattice range; ``levels[k]`` holds the rows
-    with a_jk > 0 and a_jk < 0, each as (j, |a_jk|, mins[k + 1][j]).
+    Level k < d - 1 holds the rows of p's projection onto coordinates 0..k
+    with a_k != 0, unpadded; rows with a_k = 0 are implied by the earlier
+    levels.  ``levels[k]`` is (row count, first row with a_k > 0, the others,
+    first row with a_k < 0, the others), rows as (index in level, |a_k|).
+    The body's rows follow, ordered by the sign of a_last: positive below
+    ``npos``, negative below ``nnz``, then zero; ``divs`` holds their |a_last|
+    unless all are 1, ``eq_rows`` the folded equalities.  ``cols[k]`` is
+    column k of the rows after level k; ``shared`` maps a count to its generic result.
     """
 
-    __slots__ = ("rows", "rhs", "cols", "mins0", "levels", "npos", "nnz", "divs", "eq_rows", "box")
+    __slots__ = ("rows", "rhs", "nlev", "cols", "levels", "npos", "nnz", "divs", "eq_rows",
+                 "shared")
 
     def __init__(self, p: Polytope):
-        d = p.dim
-        eqs, ineqs = p.integer_description()
-        rows = [(a, b, False) for a, b in ineqs]
-        for a, b in eqs:
-            rows += [(a, b, True), (tuple(-x for x in a), -b, True)]
-        rows.sort(key=lambda r: (r[0][-1] <= 0, r[0][-1] == 0))
-        self.rows = [a for a, _, _ in rows]
-        self.rhs = [b for _, b, _ in rows]
-        self.eq_rows = [j for j, r in enumerate(rows) if r[2]]
-        self.cols = cols = [tuple(a[k] for a in self.rows) for k in range(d)]
-        den = p.denominator
-        lo_box, hi_box = p.integer_box()
-        mins = [[0] * len(rows)]
-        for k in reversed(range(d)):
-            lo, hi = -(-lo_box[k] // den), hi_box[k] // den + 1
-            mins.append([s + min(c * lo, c * hi) for s, c in zip(mins[-1], cols[k])])
-        mins.reverse()
-        self.mins0 = mins[0]
-        self.levels = [([(j, c, mins[k + 1][j]) for j, c in enumerate(cols[k]) if c > 0],
-                        [(j, -c, mins[k + 1][j]) for j, c in enumerate(cols[k]) if c < 0])
-                       for k in range(d - 1)]
-        divs = [abs(c) for c in cols[-1] if c]
-        self.npos, self.nnz = sum(c > 0 for c in cols[-1]), len(divs)
+        rows, self.levels, ends = [], [], []
+        for k in range(p.dim - 1):
+            proj = Polytope(k + 1, [v[:k + 1] for v in p.numerators], den=p.denominator)
+            level = [r for r in _folded_rows(proj) if r[0][k]]
+            pos = [(j, a[k]) for j, (a, _, _) in enumerate(level) if a[k] > 0]
+            neg = [(j, -a[k]) for j, (a, _, _) in enumerate(level) if a[k] < 0]
+            self.levels.append((len(level), pos[0], pos[1:], neg[0], neg[1:]))
+            rows += level
+            ends.append(len(rows))
+        self.nlev = len(rows)
+        body = sorted(_folded_rows(p), key=lambda r: (r[0][-1] <= 0, r[0][-1] == 0))
+        rows += body
+        self.rows, self.rhs, eqs = zip(*rows)
+        self.eq_rows = [j for j, e in enumerate(eqs[self.nlev:]) if e]
+        last = tuple(a[-1] for a, _, _ in body)
+        self.cols = [tuple(a[k] for a in self.rows[e:]) for k, e in enumerate(ends)] + [last]
+        divs = [abs(c) for c in last if c]
+        self.npos, self.nnz = sum(c > 0 for c in last), len(divs)
         self.divs = None if set(divs) == {1} else (divs[:self.npos], divs[self.npos:])
-        # the enumerated coordinates' box corners as (q, r) with corner = q * den + r
-        self.box = [(divmod(lo, den), divmod(hi, den)) for lo, hi in zip(lo_box[:-1], hi_box[:-1])]
+        self.shared = {0: _NONE}
 
 
 def _fiber_hits(R, tight, last, lo, hi, prefix) -> list:
@@ -166,19 +173,11 @@ def _count_polytope(p: Polytope, m: IVec, D: int, off: Optional[IVec]) -> CountR
         plan = p._count_plan = _CountPlan(p)
     am = [sum(map(mul, a, m)) for a in plan.rows]
     R = [b + x // D for b, x in zip(plan.rhs, am)]
-    if any(map(lt, R, plan.mins0)) or any(am[j] % D for j in plan.eq_rows):
+    # a body row can be tight only when D | a . m, and an equality must be
+    am = am[plan.nlev:]
+    if any(am[j] % D for j in plan.eq_rows):
         return _NONE
-    # a row can be tight only when D | a . m
     tight = [j for j, x in enumerate(am) if not x % D]
-    # lattice range of the enumerated coordinates over the shifted box: a
-    # corner q + r / den moves to q + t / scale with t = r * D + x * den < 2 * scale
-    den = p.denominator
-    scale = den * D
-    blo, bhi = [], []
-    for ((q, r), (qh, rh)), x in zip(plan.box, m):
-        t, th = r * D + x * den, rh * D + x * den
-        blo.append(q + (t > 0) + (t > scale))
-        bhi.append(qh + (th >= scale))
     cols, levels, npos, nnz, divs = plan.cols, plan.levels, plan.npos, plan.nnz, plan.divs
     count = 0
     hits: list = []
@@ -199,33 +198,40 @@ def _count_polytope(p: Polytope, m: IVec, D: int, off: Optional[IVec]) -> CountR
             R = list(map(sub, R, col))
 
     def walk(k, R, prefix):
-        # z_k ranges over the values that keep every residual at or above its minimum
-        pos, neg = levels[k]
-        lo, hi = blo[k], bhi[k]
-        for j, c, mn in pos:
-            t = (R[j] - mn) // c
+        # z_k ranges over the fiber of the level-k projection above the
+        # prefix; R holds the residuals of level k's rows and all after it
+        n, (j, c), pos, (i, e), neg = levels[k]
+        hi, lo = R[j] // c, -(R[i] // e)
+        for j, c in pos:
+            t = R[j] // c
             if t < hi:
                 hi = t
-        for j, c, mn in neg:
-            t = -((R[j] - mn) // c)
+        for j, c in neg:
+            t = -(R[j] // c)
             if t > lo:
                 lo = t
-        col = cols[k]
-        R = [r - lo * c for r, c in zip(R, col)]
-        if k + 2 == d:
-            fibers(R, prefix, zip(range(lo, hi + 1)), col)
+        if lo > hi:
             return
+        col = cols[k]
+        R = [r - lo * c for r, c in zip(R[n:], col)]
+        if k + 2 == d:
+            return fibers(R, prefix, zip(range(lo, hi + 1)), col)
         for z in range(lo, hi + 1):
-            walk(k + 1, R, prefix + (z,))
+            walk(k + 1, R, prefix + (z,) if tight else prefix)
             R = list(map(sub, R, col))
 
     if d == 1:
         fibers(R, (), ((),), cols[0])
     else:
         walk(0, R, ())
-    if hits and off is not None:
-        hits = [tuple(map(add, z, off)) for z in hits]
-    return CountResult(count, tuple(hits))
+    if hits:
+        if off is not None:
+            hits = [tuple(map(add, z, off)) for z in hits]
+        return CountResult(count, tuple(hits))
+    res = plan.shared.get(count)
+    if res is None:
+        res = plan.shared[count] = CountResult(count)
+    return res
 
 
 def count_at(body: Body, shift) -> CountResult:

@@ -485,9 +485,21 @@ def verify(
 
     Identity tags pass when no witness violates them; counterexample tags
     require at least one violating witness (expected-failure-confirmed).
+    A negative size, or a `body` on a tag other than the two constancy tags
+    or other than a zonotope spec, raises DegenerateInput.
     """
     if kind not in IDENTITY_TAGS:
         raise UnknownIdentity(f"unknown identity tag: {kind!r}")
+    for name, value in (("instances", instances), ("shifts", shifts), ("n_max", n_max)):
+        if value is not None and value < 0:
+            raise DegenerateInput(f"{name} must be nonnegative, got {value}")
+    if body is not None:
+        if kind not in ("zonotope-constancy", "centrally-symmetric-2d-constancy"):
+            raise DegenerateInput(f"identity {kind!r} takes no input body")
+        if not isinstance(body, ZonotopeSpec):
+            raise DegenerateInput(f"identity {kind!r} needs a zonotope input")
+        if kind == "centrally-symmetric-2d-constancy" and body.dim != 2:
+            raise DegenerateInput(f"identity {kind!r} needs a planar zonotope, got dim {body.dim}")
     d_inst, d_shifts, d_nmax = _TAG_DEFAULTS[kind]
     instances = d_inst if instances is None else instances
     shifts = d_shifts if shifts is None else shifts

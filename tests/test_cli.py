@@ -246,6 +246,19 @@ def test_output_to_file(tmp_path, capsys):
         (["volume", "--input", "zonotope:{path}"], {"dim": True, "generators": [[1]]}),
         (["reeve-audit", "--n", "0"], None),
         (["count", "--input", "simplex:2", "--shifts", "-3"], None),
+        # verify: an input of the wrong kind, or on a tag that takes none
+        (["verify", "--identity", "zonotope-constancy", "--input", "simplex:2"], None),
+        (["verify", "--identity", "centrally-symmetric-2d-constancy", "--input", "simplex:2"],
+         None),
+        (["verify", "--identity", "centrally-symmetric-2d-constancy", "--input", "zonotope:{path}"],
+         {"dim": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        (["verify", "--identity", "minkowski-2d", "--input", "simplex:2"], None),
+        (["verify", "--identity", "scaling-simplex", "--input", "zonotope:{path}"],
+         {"dim": 2, "generators": [[1, 0], [0, 1]]}),
+        # verify: negative sizes would report a vacuous pass
+        (["verify", "--identity", "minkowski-2d", "--instances", "-1"], None),
+        (["verify", "--identity", "minkowski-2d", "--shifts", "-2"], None),
+        (["verify", "--identity", "scaling-simplex", "--n", "-1"], None),
     ],
 )
 def test_bad_input_exits_two_with_error_payload(argv, body, tmp_path, capsys):

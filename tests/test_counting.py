@@ -87,6 +87,11 @@ def oracle_shifts(draw, d):
 FLAT_BODIES = (
     Polytope(3, [(0, 0, 0), (2, 1, 1)]),  # a segment in R^3
     Polytope(3, [(0, 0, 0), (2, 0, 1), (0, 2, 1)]),  # a triangle in x + y = 2z
+    # flat projections onto the leading coordinates: equality rows inside the counting levels
+    Polytope(3, [(1, 0, 0), (1, 2, 0), (1, 0, 2)]),  # a triangle in x0 = 1: level 0 is a point
+    Polytope(3, [(F(1, 2), 1, -1), (F(1, 2), 1, 2)]),  # a segment at x0 = 1/2 along x2
+    # in x0 + x1 = 1: level 1 is a segment
+    Polytope(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 1)]),
 )
 
 
@@ -220,9 +225,10 @@ def test_count_equals_oracle_exactly(data):
     assert count_at(p, s) == brute_count_body(p, s)
 
 
-@given(st.sampled_from(FLAT_BODIES), oracle_shifts(3))
-@settings(max_examples=60, deadline=None)
-def test_flat_count_equals_oracle_exactly(p, s):
+@given(st.sampled_from(FLAT_BODIES), st.data())
+@settings(max_examples=100, deadline=None)
+def test_flat_count_equals_oracle_exactly(p, data):
+    s = data.draw(oracle_shifts(p.dim))
     assert count_at(p, s) == brute_count_body(p, s)
 
 
