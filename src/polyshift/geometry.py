@@ -6,15 +6,18 @@ tightness, emptiness) and measure (determinant, volume) is exact.  A
 integer numerators over their least common denominator, which makes
 vertex-set equality canonical.  A ``HalfSpace`` ``normal . x <= offset``
 holds coprime integers ``coeffs``, ``rhs`` and a positive rational scale.
-Side tests (``coeffs . num - rhs * den``), clip points, ranks, null
-spaces, facet search, linear solves and simplex volumes run on plain
-ints, all eliminating through one fraction-free Gauss-Jordan routine,
-`_eliminate`.  `fractions.Fraction` remains only at the boundary: the
-public ``vertices``, ``normal``, ``offset``, ``bounding_box``, ``value``,
-``volume`` and ``determinant`` results, built on demand, and rational
-inputs.  Polytopes are closed, possibly empty or lower-dimensional (then
-of volume 0).  Enumeration is exhaustive over d-subsets, the right
-trade-off at desk scale: at most a few dozen facets, dimension <= 4.
+Side tests (``coeffs . num - rhs * den``), clip points, null spaces, facet
+search, linear solves and simplex volumes run on plain ints, eliminating
+through one fraction-free Gauss-Jordan routine, `_eliminate`.  Clips and
+triangulations are combinatorial, with no rank test: a polytope carries
+per vertex the bitmask of its tight inequalities, a clip finds edges by
+the double description method's adjacency test and hands each piece its
+facets and masks, and faces are vertex bitsets.  `fractions.Fraction`
+remains only at the boundary: the public ``vertices``, ``normal``,
+``offset``, ``bounding_box``, ``value``, ``volume`` and ``determinant``
+results, built on demand, and rational inputs.  Polytopes are closed,
+possibly empty or flat (then of volume 0).  Facet search is exhaustive
+over d-subsets, right at desk scale: a few dozen facets, dimension <= 4.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, or_
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DegenerateInput, Infeasible, SingularMatrix, Unbounded
@@ -161,10 +164,6 @@ def _eliminate(rows: Sequence[Sequence[int]], ncols: int):
     return work, pivots, sign
 
 
-def _rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    return len(_eliminate(rows, ncols)[1])
-
-
 def _det(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if n == 0:
@@ -238,22 +237,23 @@ def _facet_search(d: int, points: Sequence[IVec]) -> list[tuple[IVec, int]]:
     return list(found)
 
 
-def _extreme_indices(points: Sequence[IVec]) -> list[int]:
-    """Indices of the extreme points of conv(points), any affine rank."""
+def _extreme_indices(points: Sequence[IVec]) -> tuple[list[int], Optional[list[tuple[IVec, int]]]]:
+    """Indices of the extreme points of conv(points), any affine rank, and
+    the facets of a full-dimensional hull when no dropped point lies on
+    one, as then a search over the extreme points finds them in that order."""
     r, pivots = _affine_span(points)
     if r == 0:
-        return [0]
+        return [0], None
     coords = _project(points, pivots)
     if r == 1:
         vals = [c[0] for c in coords]
-        return sorted({vals.index(min(vals)), vals.index(max(vals))})
+        return sorted({vals.index(min(vals)), vals.index(max(vals))}), None
     facets = _facet_search(r, coords)
-    out = []
-    for i, c in enumerate(coords):
-        tight = [a for a, b in facets if _dot(a, c) == b]
-        if len(tight) >= r and _rank(tight, r) == r:
-            out.append(i)
-    return out
+    # a point is extreme iff no other point is tight on all of its facets
+    masks = [sum(1 << b for b, (a, rhs) in enumerate(facets) if _dot(a, c) == rhs) for c in coords]
+    extreme = [sum(n & m == m for n in masks) == 1 for m in masks]
+    keep_facets = r == len(points[0]) and all(e for m, e in zip(masks, extreme) if m)
+    return [i for i, e in enumerate(extreme) if e], (facets if keep_facets else None)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +369,8 @@ class Polytope:
     """
 
     __slots__ = ("dim", "numerators", "denominator", "_vertices", "_facet_hint", "_facets",
-                 "_span", "_description", "_int_ineqs", "_volume", "_simplices", "_box",
-                 "_count_plan")
+                 "_span", "_description", "_int_ineqs", "_masks", "_volume", "_simplices",
+                 "_box", "_count_plan")
 
     def __init__(self, dim: int, points: Iterable[Iterable], *, den: Optional[int] = None,
                  facet_hint: Optional[Sequence[HalfSpace]] = None,
@@ -386,11 +386,15 @@ class Polytope:
         for p in nums:
             if len(p) != dim:
                 raise DegenerateInput(f"point of length {len(p)} in ambient dimension {dim}")
+        facets = None
         if nums and not skip_normalization and len(nums) > 2:
-            keep = _extreme_indices(nums)
+            keep, found = _extreme_indices(nums)
             if len(keep) < len(nums):
                 nums = [nums[i] for i in keep]
                 verts = [verts[i] for i in keep] if verts is not None else None
+            if found is not None:
+                facets = tuple(HalfSpace._from_ints(*_primitive(tuple(den * x for x in a), b))
+                               for a, b in found)
         g = math.gcd(den, *itertools.chain.from_iterable(nums))
         if g > 1:
             den //= g
@@ -400,7 +404,8 @@ class Polytope:
         self.denominator: int = den
         self._vertices = tuple(verts) if verts is not None else None
         self._facet_hint = tuple(facet_hint) if facet_hint is not None else None
-        self._facets = self._span = self._description = self._int_ineqs = None
+        self._facets = facets
+        self._span = self._description = self._int_ineqs = self._masks = None
         self._volume = self._simplices = self._box = self._count_plan = None
 
     # -- constructors -------------------------------------------------------
@@ -471,20 +476,10 @@ class Polytope:
             raise DegenerateInput("facets() requires a full-dimensional polytope")
         nums, den, d = self.numerators, self.denominator, self.dim
         if self._facet_hint is not None:
-            seen: dict[tuple, HalfSpace] = {}
-            for hs in self._facet_hint:
-                k = (hs.coeffs, hs.rhs)
-                if k in seen:
-                    continue
-                a, bd = hs.coeffs, hs.rhs * den
-                tight = [v for v in nums if _dot(a, v) == bd]
-                if len(tight) < d:
-                    continue
-                v0 = tight[0]
-                diffs = [tuple(x - y for x, y in zip(v, v0)) for v in tight[1:]]
-                if _rank(diffs, d) == d - 1:
-                    seen[k] = hs.canonical()
-            self._facets = tuple(seen.values())
+            hint = self._facet_hint
+            on = [sum(1 << i for i, s in enumerate(sides(self, h)) if s == 0) for h in hint]
+            self._facets = tuple(hint[b].canonical()
+                                 for b in _facet_sets(on, (1 << len(nums)) - 1).values())
         else:
             self._facets = tuple(HalfSpace._from_ints(*_primitive(tuple(den * x for x in a), b))
                                  for a, b in _facet_search(d, nums))
@@ -495,8 +490,9 @@ class Polytope:
 
         Equalities are halfspaces read as ``a . x == b`` (the affine hull);
         for full-dimensional polytopes there are none and the inequalities
-        are the facets.  Lower-dimensional faces get their facet system
-        computed in the hull's pivot coordinates and lifted back.
+        are the facets.  Lower-dimensional polytopes get their facet system
+        computed in the hull's pivot coordinates and lifted back, except a
+        flat clip piece: it keeps the ambient inequalities it was cut with.
         """
         if self._description is not None:
             return self._description
@@ -643,66 +639,51 @@ def _order_polygon(coords: Sequence[IVec]) -> list[int]:
     return sorted(range(n), key=functools.cmp_to_key(cmp))
 
 
-def _triangulate_point_set(points: Sequence[IVec], den: int,
-                           hints: Optional[Sequence[HalfSpace]] = None) -> list[tuple[int, ...]]:
-    """Simplices (as index tuples) triangulating conv(points) inside its
-    affine hull; fan from the lexicographically smallest point.  `points`
-    are numerator vectors over the common denominator `den`.
-
-    `hints`, when given, must be ambient halfspaces whose boundary
-    hyperplanes induce every proper face of conv(points) (the facet list
-    of an enclosing polytope qualifies at every recursion depth, since
-    faces of a face come from the other facets).  Without hints the
-    facets are searched exhaustively.
+def _facet_sets(on: Sequence[int], s: int) -> dict[int, int]:
+    """The facets of the face with vertex bitset `s`, as {vertex bitset:
+    first b}, given the vertex bitsets `on[b]` of valid inequalities that
+    include every facet.  Every face is cut out by the facets containing
+    it, so the facets of s are the maximal proper nonempty sets s & on[b].
     """
-    n = len(points)
-    if n == 1:
-        return [(0,)]
-    r, pivots = _affine_span(points)
+    faces: dict[int, int] = {}
+    for b, v in enumerate(on):
+        t = s & v
+        if t and t != s:
+            faces.setdefault(t, b)
+    return {t: b for t, b in faces.items() if not any(t & u == t != u for u in faces)}
+
+
+def _fan(nums: Sequence[IVec], on: Sequence[int], s: int, r: int) -> list[tuple[int, ...]]:
+    """Simplices (as vertex index tuples) triangulating the rank-r face with
+    vertex bitset `s`, fanned from its lowest vertex, which is its
+    lexicographically smallest since numerators are sorted; `on[b]` is the
+    vertex bitset of facet b."""
+    i0 = (s & -s).bit_length() - 1
     if r == 0:
-        return [(0,)]
+        return [(i0,)]
+    idx = [i for i in range(i0, s.bit_length()) if s >> i & 1]
     if r == 1:
-        # lexicographic order is monotone along a line
-        lo = min(range(n), key=lambda i: points[i])
-        hi = max(range(n), key=lambda i: points[i])
-        return [(lo, hi)]
+        return [(i0, idx[-1])]
     if r == 2:
-        order = _order_polygon(_project(points, pivots))
-        lead = min(range(len(order)), key=lambda k: points[order[k]])
+        pts = [nums[i] for i in idx]
+        # any three vertices of a polygon span its plane
+        order = _order_polygon(_project(pts, _affine_span(pts[:3])[1]))
+        lead = order.index(0)
         order = order[lead:] + order[:lead]
-        return [(order[0], order[i], order[i + 1]) for i in range(1, len(order) - 1)]
-    faces: list[list[int]] = []
-    if hints is not None:
-        d = len(points[0])
-        by_tight_set: dict[frozenset, list[int]] = {}
-        for hs in hints:
-            a, bd = hs.coeffs, hs.rhs * den
-            tight = [i for i in range(n) if _dot(a, points[i]) == bd]
-            if r <= len(tight) < n:
-                by_tight_set.setdefault(frozenset(tight), tight)
-        for tight in by_tight_set.values():
-            v0 = points[tight[0]]
-            diffs = [tuple(x - y for x, y in zip(points[i], v0)) for i in tight[1:]]
-            if _rank(diffs, d) == r - 1:
-                faces.append(tight)
-    else:
-        coords = _project(points, pivots)
-        for a, b in _facet_search(r, coords):
-            faces.append([i for i in range(n) if _dot(a, coords[i]) == b])
-    i0 = min(range(n), key=lambda i: points[i])
+        return [(i0, idx[order[k]], idx[order[k + 1]]) for k in range(1, len(order) - 1)]
     out: list[tuple[int, ...]] = []
-    for tight in faces:
-        if i0 in tight:
-            continue
-        sub = _triangulate_point_set([points[i] for i in tight], den, hints)
-        for s in sub:
-            out.append((i0,) + tuple(tight[k] for k in s))
+    for t in _facet_sets(on, s):
+        if not t >> i0 & 1:
+            out += [(i0,) + f for f in _fan(nums, on, t, r - 1)]
     return out
 
 
 def _simplices(p: Polytope) -> list[tuple[int, ...]]:
     if p._simplices is None:
-        p._simplices = _triangulate_point_set(p.numerators, p.denominator, p.facets())
+        masks = _masks(p)
+        on = [sum(1 << i for i, m in enumerate(masks) if m >> b & 1)
+              for b in range(len(p.facets()))]
+        p._simplices = _fan(p.numerators, on, (1 << len(masks)) - 1, p.dim)
     return p._simplices
 
 
@@ -799,91 +780,109 @@ def sides(p: Polytope, h: HalfSpace) -> list[int]:
     return [sum(map(mul, a, v)) - bd for v in p.numerators]
 
 
-def _clip_new_vertices(p: Polytope, h: HalfSpace, vals: list[int]) -> list[tuple[IVec, int]]:
-    """Vertices of p's clip that lie on the hyperplane of h, as (numerator
-    vector, positive denominator) in lowest terms.
+def _masks(p: Polytope) -> list[int]:
+    """Per vertex of nonempty p, the bitmask of the inequalities of its
+    linear description that are tight there."""
+    if p._masks is None:
+        cols = [sides(p, q) for q in p.linear_description()[1]]
+        p._masks = [sum(1 << b for b, col in enumerate(cols) if col[i] == 0)
+                    for i in range(len(p.numerators))]
+    return p._masks
 
-    Each one is the crossing point of an edge of p whose endpoints sit
-    strictly on opposite sides; two vertices span an edge exactly when
-    their common tight constraints have rank d-1.  With side values
+
+def _crossings(p: Polytope, vals: list[int]) -> list[tuple[IVec, int, int]]:
+    """Vertices of p's clip on a hyperplane with side values `vals` at p's
+    vertices: (numerator vector, positive denominator, in lowest terms, and
+    the mask of p's inequalities tight there).  Each crosses an edge of p
+    whose ends sit strictly on opposite sides.  Two vertices span an edge
+    exactly when no third vertex is tight on every inequality tight at both
+    (the adjacency test of the double description method); an edge of a
+    rank-r polytope lies on at least r - 1 of them.  With side values
     s_i < 0 < s_j the crossing point of u_i, u_j is
-    (s_j u_i - s_i u_j) / (s_j - s_i), exact in integers.
+    (s_j u_i - s_i u_j) / (s_j - s_i).
     """
     nums, den = p.numerators, p.denominator
-    inside = [i for i, val in enumerate(vals) if val < 0]
-    outside = [i for i, val in enumerate(vals) if val > 0]
-    eqs, ineqs = p.linear_description()
-    eq_rows = [e.coeffs for e in eqs]
-    masks = [0] * len(nums)
-    for b, q in enumerate(ineqs):
-        for i, s in enumerate(sides(p, q)):
-            if s == 0:
-                masks[i] |= 1 << b
-    need = p.dim - 1
+    masks = _masks(p)
+    need = p.rank - 1
+    outside = [j for j, s in enumerate(vals) if s > 0]
     out = []
-    for i in inside:
-        si, ui = vals[i], nums[i]
+    for i, si in enumerate(vals):
+        if si >= 0:
+            continue
+        ui, mi = nums[i], masks[i]
         for j in outside:
-            common = masks[i] & masks[j]
-            if common.bit_count() + len(eq_rows) < need:
-                continue
-            rows = eq_rows + [ineqs[b].coeffs for b in range(len(ineqs)) if common >> b & 1]
-            if need > 0 and _rank(rows, p.dim) != need:
+            common = mi & masks[j]
+            if common.bit_count() < need or sum(m & common == common for m in masks) > 2:
                 continue
             sj = vals[j]
             num = [sj * x - si * y for x, y in zip(ui, nums[j])]
             q = (sj - si) * den
             g = math.gcd(q, *num)
-            out.append((tuple(x // g for x in num), q // g))
+            out.append((tuple(x // g for x in num), q // g, common))
     return out
 
 
-def _split_piece(p: Polytope, keep: list[int], new, hint) -> Polytope:
-    """The polytope on p's vertices `keep` plus the crossing points `new`."""
-    nums, den = _common_den([(p.numerators[i], p.denominator) for i in keep] + new)
-    out = Polytope(p.dim, nums, den=den, facet_hint=hint, skip_normalization=True)
-    if hint is not None:
-        # p is full-dimensional and the cut leaves vertices strictly inside
-        out._span = p._span
+def _piece(p: Polytope, h: HalfSpace, vals: list[int], new) -> Polytope:
+    """p cut to h, which has p's vertices strictly on both sides (side
+    values `vals`), given the crossing points `new`, with p's incidence.
+
+    An inequality of p stays a facet (relative to the hull) exactly when
+    some vertex strictly inside h has its bit, and h is the last facet.
+    Kept vertices keep their masks re-indexed, crossing points get their
+    edge's, and both get h's bit on h's hyperplane.
+    """
+    eqs, ineqs = p.linear_description()
+    masks = _masks(p)
+    alive = functools.reduce(or_, (m for s, m in zip(vals, masks) if s < 0))
+    dead = [b for b in reversed(range(len(ineqs))) if not alive >> b & 1]
+    hbit = 1 << (len(ineqs) - len(dead))
+
+    def moved(m: int) -> int:  # m with the dead bits cut out
+        for b in dead:
+            m = m & ((1 << b) - 1) | m >> (b + 1) << b
+        return m
+
+    pts = [(v, p.denominator, moved(m) | (hbit if s == 0 else 0))
+           for v, s, m in zip(p.numerators, vals, masks) if s <= 0]
+    pts += [(v, q, moved(m) | hbit) for v, q, m in new]
+    nums, den = _common_den([(v, q) for v, q, _ in pts])
+    order = sorted(range(len(nums)), key=nums.__getitem__)
+    out = Polytope(p.dim, [nums[k] for k in order], den=den, skip_normalization=True)
+    out._masks = [pts[k][2] for k in order]
+    out._span = p._affine()
+    cut = tuple(q.canonical() for b, q in enumerate(ineqs) if alive >> b & 1) + (h.canonical(),)
+    out._description, out._facets = (eqs, cut), (None if eqs else cut)
     return out
+
+
+def _face(p: Polytope, keep: list[int]) -> Polytope:
+    """The polytope on p's vertices `keep`, which lie on one face of p."""
+    return Polytope(p.dim, [p.numerators[i] for i in keep], den=p.denominator,
+                    skip_normalization=True)
 
 
 def clip(p: Polytope, h: HalfSpace) -> Polytope:
     """p intersected with the closed halfspace h; may be empty or flat."""
-    if p.is_empty:
-        return p
     vals = sides(p, h)
-    if max(vals) <= 0:
+    if max(vals, default=0) <= 0:
         return p
-    kept = [i for i, val in enumerate(vals) if val <= 0]
-    if not kept:
-        return Polytope.empty(p.dim)
     if min(vals) >= 0:
-        # only the face lying on the hyperplane survives; its points are
+        # only the face on the hyperplane survives, if any; its points are
         # vertices of p, hence already extreme
-        return _split_piece(p, kept, [], None)
-    new = _clip_new_vertices(p, h, vals)
-    hint = None
-    if p.is_full_dim:
-        hint = tuple(p.linear_description()[1]) + (h,)
-    return _split_piece(p, kept, new, hint)
+        return _face(p, [i for i, val in enumerate(vals) if val == 0])
+    return _piece(p, h, vals, _crossings(p, vals))
 
 
 def clip_both(p: Polytope, h: HalfSpace) -> tuple[Polytope, Polytope]:
     """(p cut to h's <= side, p cut to the >= side), sharing the boundary
     vertex computation; intended for cell splitting."""
     vals = sides(p, h)
-    below = [i for i, val in enumerate(vals) if val <= 0]
-    above = [i for i, val in enumerate(vals) if val >= 0]
     if max(vals, default=0) <= 0:
-        return p, _split_piece(p, above, [], None)
+        return p, _face(p, [i for i, val in enumerate(vals) if val == 0])
     if min(vals) >= 0:
-        return _split_piece(p, below, [], None), p
-    new = _clip_new_vertices(p, h, vals)
-    ineqs = tuple(p.linear_description()[1]) if p.is_full_dim else None
-    lo = _split_piece(p, below, new, (ineqs + (h,)) if ineqs is not None else None)
-    hi = _split_piece(p, above, new, (ineqs + (h.flipped(),)) if ineqs is not None else None)
-    return lo, hi
+        return _face(p, [i for i, val in enumerate(vals) if val == 0]), p
+    new = _crossings(p, vals)
+    return _piece(p, h, vals, new), _piece(p, h.flipped(), [-val for val in vals], new)
 
 
 def intersect(p: Polytope, q: Polytope) -> Polytope:

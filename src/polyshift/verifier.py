@@ -37,27 +37,6 @@ from .geometry import (
     zero_vec,
 )
 
-IDENTITY_TAGS = (
-    "scaling-simplex",
-    "scaling-polyhedron",
-    "corollary-3d",
-    "corollary-3d-symmetric",
-    "corollary-4d-symmetric",
-    "zonotope-constancy",
-    "sl-invariance",
-    "negation-invariance",
-    "minkowski-2d",
-    "symmetric-distribution-2d",
-    "centrally-symmetric-2d-constancy",
-    "counterexample-slab",
-    "counterexample-minkowski",
-    "counterexample-symmetry",
-)
-
-_COUNTEREXAMPLE_TAGS = frozenset(
-    t for t in IDENTITY_TAGS if t.startswith("counterexample-")
-)
-
 PASS = "pass"
 FAIL = "fail"
 EXPECTED_FAILURE = "expected-failure-confirmed"
@@ -100,24 +79,6 @@ class VerificationReport:
 
 
 _MAX_WITNESSES = 16
-
-# per-tag defaults: (instances, shifts per instance, max dilation factor)
-_TAG_DEFAULTS: dict[str, tuple[int, int, int]] = {
-    "scaling-simplex": (5, 200, 5),
-    "scaling-polyhedron": (3, 200, 5),
-    "corollary-3d": (5, 100, 3),
-    "corollary-3d-symmetric": (2, 0, 3),
-    "corollary-4d-symmetric": (1, 0, 2),
-    "zonotope-constancy": (5, 100, 0),
-    "sl-invariance": (20, 0, 0),
-    "negation-invariance": (6, 0, 0),
-    "minkowski-2d": (5, 100, 0),
-    "symmetric-distribution-2d": (6, 0, 0),
-    "centrally-symmetric-2d-constancy": (5, 100, 0),
-    "counterexample-slab": (1, 100, 0),
-    "counterexample-minkowski": (1, 100, 0),
-    "counterexample-symmetry": (1, 0, 0),
-}
 
 
 def _fmt_shift(shift) -> tuple[str, ...]:
@@ -194,10 +155,12 @@ def _sl_bodies(d: int, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# per-tag checkers; each returns (instances, shifts, witnesses, notes)
+# per-tag checkers: each takes the keywords it needs of tag, instances,
+# shifts, n_max, seed and body, and returns (instances, shifts, witnesses, notes)
 
 
-def _check_scaling(kind: str, instances: int, shifts: int, n_max: int, seed: int):
+def _check_scaling(tag: str, instances: int, shifts: int, n_max: int, seed: int, **_):
+    kind = "simplex" if tag == "scaling-simplex" else "polyhedron"
     wit: list[Witness] = []
     notes: list[str] = []
     cases = _scaling_instances(kind, instances, seed)
@@ -227,7 +190,8 @@ def _check_scaling(kind: str, instances: int, shifts: int, n_max: int, seed: int
     return len(cases), shifts, wit, notes
 
 
-def _check_corollary_3d(instances: int, shifts: int, n_values, seed: int):
+def _check_corollary_3d(instances: int, shifts: int, n_max: int, seed: int, **_):
+    n_values = range(2, n_max + 1)
     wit: list[Witness] = []
     notes: list[str] = []
     for i in range(instances):
@@ -253,10 +217,10 @@ def _check_corollary_3d(instances: int, shifts: int, n_values, seed: int):
     return instances, shifts, wit, notes
 
 
-def _check_symmetric_scaling(dim: int, instances: int, n_max: int, seed: int):
+def _check_symmetric_scaling(tag: str, instances: int, n_max: int, seed: int, **_):
     wit: list[Witness] = []
     notes: list[str] = []
-    if dim == 3:
+    if tag == "corollary-3d-symmetric":
         cases = _symmetric_3d_instances(instances, seed)
         exponent = 2
         n_values = list(range(1, n_max + 1))
@@ -276,7 +240,7 @@ def _check_symmetric_scaling(dim: int, instances: int, n_max: int, seed: int):
 
 
 def _check_constancy(tag: str, instances: int, shifts: int, seed: int,
-                     body: Optional[ZonotopeSpec]):
+                     body: Optional[ZonotopeSpec], **_):
     wit: list[Witness] = []
     notes: list[str] = []
     cases: list[tuple[str, ZonotopeSpec]] = []
@@ -308,7 +272,7 @@ def _check_constancy(tag: str, instances: int, shifts: int, seed: int,
     return len(cases), shifts, wit, notes
 
 
-def _check_invariance(tag: str, instances: int, seed: int):
+def _check_invariance(tag: str, instances: int, seed: int, **_):
     wit: list[Witness] = []
     notes: list[str] = []
     checked = 0
@@ -362,7 +326,7 @@ def _minkowski_delta_witnesses(label, trio, shifts, seed, wit):
     return set(seen)
 
 
-def _check_minkowski_2d(instances: int, shifts: int, seed: int):
+def _check_minkowski_2d(instances: int, shifts: int, seed: int, **_):
     wit: list[Witness] = []
     notes: list[str] = []
     for i in range(instances):
@@ -376,7 +340,16 @@ def _check_minkowski_2d(instances: int, shifts: int, seed: int):
     return instances, shifts, wit, notes
 
 
-def _check_symmetric_distribution_2d(instances: int, seed: int):
+def _is_symmetric_law(dist) -> bool:
+    """Whether the law is symmetric about its mean: m and 2 * mean - m are
+    equally likely for every atom m (so 2 * mean is an integer)."""
+    twice_mean = 2 * dist.mean()
+    return twice_mean.denominator == 1 and all(
+        dist.probability(m) == dist.probability(int(twice_mean) - m) for m in dist.support()
+    )
+
+
+def _check_symmetric_distribution_2d(instances: int, seed: int, **_):
     wit: list[Witness] = []
     notes: list[str] = []
     cases = [("unit-right-triangle", catalog.standard_simplex(2))]
@@ -386,25 +359,13 @@ def _check_symmetric_distribution_2d(instances: int, seed: int):
         )
     for label, poly in cases:
         dist = exact_distribution(poly)
-        twice_mean = 2 * dist.mean()
-        if twice_mean.denominator != 1:
-            _witness(wit, f"{label} mean", None, twice_mean, "integer expected")
-            continue
-        for m in dist.support():
-            mirror = int(twice_mean) - m
-            if dist.probability(m) != dist.probability(mirror):
-                _witness(
-                    wit,
-                    f"{label} P({m}) vs P({mirror})",
-                    None,
-                    dist.probability(m),
-                    dist.probability(mirror),
-                )
+        if not _is_symmetric_law(dist):
+            _witness(wit, label, None, _fmt_law(dist), f"symmetric about mean {dist.mean()}")
         notes.append(f"{label}: support {list(dist.support())}")
     return len(cases), 0, wit, notes
 
 
-def _check_counterexample_slab(shifts: int, seed: int):
+def _check_counterexample_slab(shifts: int, seed: int, **_):
     wit: list[Witness] = []
     notes: list[str] = []
     body = catalog.central_slab(3)
@@ -434,7 +395,11 @@ def _check_counterexample_slab(shifts: int, seed: int):
     return 1, shifts, wit, notes
 
 
-def _check_counterexample_minkowski(shifts: int, seed: int):
+def _check_counterexample_minkowski(shifts: int, seed: int, **_):
+    if shifts < 2:
+        # a witness is two shifts with different deltas; with fewer the
+        # report could only claim a failure to find what was never sought
+        raise DegenerateInput("counterexample-minkowski needs at least two shifts")
     wit: list[Witness] = []
     notes: list[str] = []
     base = catalog.central_slab(3)
@@ -448,28 +413,35 @@ def _check_counterexample_minkowski(shifts: int, seed: int):
     return 1, shifts, wit, notes
 
 
-def _check_counterexample_symmetry():
+def _check_counterexample_symmetry(**_):
     wit: list[Witness] = []
-    notes: list[str] = []
     dist = exact_distribution(catalog.standard_simplex(3))
-    twice_mean = 2 * dist.mean()
-    asym = twice_mean.denominator != 1
-    if not asym:
-        for m in dist.support():
-            mirror = int(twice_mean) - m
-            if dist.probability(m) != dist.probability(mirror):
-                asym = True
-                break
-    if asym:
-        _witness(
-            wit,
-            "corner-simplex-3d",
-            None,
-            f"distribution {_fmt_law(dist)}",
-            f"symmetric about mean {dist.mean()}",
-        )
-    notes.append(f"distribution {_fmt_law(dist)}")
-    return 1, 0, wit, notes
+    if not _is_symmetric_law(dist):
+        _witness(wit, "corner-simplex-3d", None, f"distribution {_fmt_law(dist)}",
+                 f"symmetric about mean {dist.mean()}")
+    return 1, 0, wit, [f"distribution {_fmt_law(dist)}"]
+
+
+# tag -> (checker, (instances, shifts per instance, max dilation factor)),
+# in the order the battery runs; the defaults apply where verify() gets None
+_CHECKERS = {
+    "scaling-simplex": (_check_scaling, (5, 200, 5)),
+    "scaling-polyhedron": (_check_scaling, (3, 200, 5)),
+    "corollary-3d": (_check_corollary_3d, (5, 100, 3)),
+    "corollary-3d-symmetric": (_check_symmetric_scaling, (2, 0, 3)),
+    "corollary-4d-symmetric": (_check_symmetric_scaling, (1, 0, 2)),
+    "zonotope-constancy": (_check_constancy, (5, 100, 0)),
+    "sl-invariance": (_check_invariance, (20, 0, 0)),
+    "negation-invariance": (_check_invariance, (6, 0, 0)),
+    "minkowski-2d": (_check_minkowski_2d, (5, 100, 0)),
+    "symmetric-distribution-2d": (_check_symmetric_distribution_2d, (6, 0, 0)),
+    "centrally-symmetric-2d-constancy": (_check_constancy, (5, 100, 0)),
+    "counterexample-slab": (_check_counterexample_slab, (1, 100, 0)),
+    "counterexample-minkowski": (_check_counterexample_minkowski, (1, 100, 0)),
+    "counterexample-symmetry": (_check_counterexample_symmetry, (1, 0, 0)),
+}
+
+IDENTITY_TAGS = tuple(_CHECKERS)
 
 
 def verify(
@@ -485,10 +457,11 @@ def verify(
 
     Identity tags pass when no witness violates them; counterexample tags
     require at least one violating witness (expected-failure-confirmed).
-    A negative size, or a `body` on a tag other than the two constancy tags
-    or other than a zonotope spec, raises DegenerateInput.
+    A negative size, fewer than two shifts for counterexample-minkowski
+    (its witness compares two), or a `body` on a tag other than the two
+    constancy tags or other than a zonotope spec, raises DegenerateInput.
     """
-    if kind not in IDENTITY_TAGS:
+    if kind not in _CHECKERS:
         raise UnknownIdentity(f"unknown identity tag: {kind!r}")
     for name, value in (("instances", instances), ("shifts", shifts), ("n_max", n_max)):
         if value is not None and value < 0:
@@ -500,38 +473,16 @@ def verify(
             raise DegenerateInput(f"identity {kind!r} needs a zonotope input")
         if kind == "centrally-symmetric-2d-constancy" and body.dim != 2:
             raise DegenerateInput(f"identity {kind!r} needs a planar zonotope, got dim {body.dim}")
-    d_inst, d_shifts, d_nmax = _TAG_DEFAULTS[kind]
-    instances = d_inst if instances is None else instances
-    shifts = d_shifts if shifts is None else shifts
-    n_max = d_nmax if n_max is None else n_max
-
-    if kind == "scaling-simplex":
-        ran = _check_scaling("simplex", instances, shifts, n_max, seed)
-    elif kind == "scaling-polyhedron":
-        ran = _check_scaling("polyhedron", instances, shifts, n_max, seed)
-    elif kind == "corollary-3d":
-        ran = _check_corollary_3d(instances, shifts, list(range(2, n_max + 1)), seed)
-    elif kind == "corollary-3d-symmetric":
-        ran = _check_symmetric_scaling(3, instances, n_max, seed)
-    elif kind == "corollary-4d-symmetric":
-        ran = _check_symmetric_scaling(4, instances, n_max, seed)
-    elif kind in ("zonotope-constancy", "centrally-symmetric-2d-constancy"):
-        ran = _check_constancy(kind, instances, shifts, seed, body)
-    elif kind in ("sl-invariance", "negation-invariance"):
-        ran = _check_invariance(kind, instances, seed)
-    elif kind == "minkowski-2d":
-        ran = _check_minkowski_2d(instances, shifts, seed)
-    elif kind == "symmetric-distribution-2d":
-        ran = _check_symmetric_distribution_2d(instances, seed)
-    elif kind == "counterexample-slab":
-        ran = _check_counterexample_slab(shifts, seed)
-    elif kind == "counterexample-minkowski":
-        ran = _check_counterexample_minkowski(shifts, seed)
-    else:
-        ran = _check_counterexample_symmetry()
-
-    n_inst, n_shifts, witnesses, notes = ran
-    if kind in _COUNTEREXAMPLE_TAGS:
+    checker, (d_inst, d_shifts, d_nmax) = _CHECKERS[kind]
+    n_inst, n_shifts, witnesses, notes = checker(
+        tag=kind,
+        instances=d_inst if instances is None else instances,
+        shifts=d_shifts if shifts is None else shifts,
+        n_max=d_nmax if n_max is None else n_max,
+        seed=seed,
+        body=body,
+    )
+    if kind.startswith("counterexample-"):
         status = EXPECTED_FAILURE if witnesses else FAIL
     else:
         status = PASS if not witnesses else FAIL

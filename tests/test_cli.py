@@ -1,15 +1,22 @@
 """Command-line interface: parsing, outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyshift.cli import main, parse_polytope_input
 from polyshift.counting import ZonotopeSpec
 from polyshift.errors import GeometryError
 from polyshift.geometry import Polytope, as_vec
+from polyshift.verifier import IDENTITY_TAGS
 
 
 def run_cli(args, capsys):
@@ -259,6 +266,9 @@ def test_output_to_file(tmp_path, capsys):
         (["verify", "--identity", "minkowski-2d", "--instances", "-1"], None),
         (["verify", "--identity", "minkowski-2d", "--shifts", "-2"], None),
         (["verify", "--identity", "scaling-simplex", "--n", "-1"], None),
+        # a Minkowski counterexample compares the deltas at two shifts
+        (["verify", "--identity", "counterexample-minkowski", "--shifts", "0"], None),
+        (["verify", "--identity", "counterexample-minkowski", "--shifts", "1"], None),
     ],
 )
 def test_bad_input_exits_two_with_error_payload(argv, body, tmp_path, capsys):
@@ -280,3 +290,88 @@ def test_broken_invariant_exits_three_with_error_payload(monkeypatch, capsys):
     code, out = run_cli(["distribution", "--method", "exact", "--input", "simplex:2"], capsys)
     assert code == 3
     assert "boundary" in json.loads(out)["error"]
+
+
+# ---------------------------------------------------------------------------
+# malformed input never crashes: exit 0 or 2, never a traceback
+
+
+def run_quietly(argv):
+    """(exit code, stderr) of one in-process CLI call; argparse rejections
+    arrive as SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+# small values only: a well-formed body must stay cheap to measure
+json_entries = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["1/2", "-2/3", "0", "1/0", "", "x", " 1", "1e1", "nan", "inf", "1.5"]),
+    st.none(),
+    st.booleans(),
+    st.floats(-2, 2),
+    st.lists(st.integers(-1, 1), max_size=2),
+    st.dictionaries(st.sampled_from(["dim", "x"]), st.integers(0, 2), max_size=1),
+)
+json_rows = st.one_of(
+    st.lists(st.lists(json_entries, max_size=4), max_size=5),
+    json_entries,
+)
+json_bodies = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "dim": st.one_of(st.integers(-1, 4), st.none(), st.booleans(), st.floats(0, 3),
+                         st.sampled_from(["2", ""])),
+        "vertices": json_rows,
+        "generators": json_rows,
+    }),
+    json_rows,
+)
+
+
+@given(st.sampled_from(["file", "zonotope"]), json_bodies,
+       st.sampled_from([["volume"], ["count", "--shifts", "2"], ["catalog", "--dump"]]))
+@settings(max_examples=200, deadline=None)
+def test_malformed_body_json_exits_zero_or_two(kind, body, command):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(body, fh)
+        spec = f"{kind}:{path}"
+        argv = command + ([spec] if command[0] == "catalog" else ["--input", spec])
+        code, err = run_quietly(argv)
+    finally:
+        os.unlink(path)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
+# out-of-range values: nonpositive sizes and dimensions, unknown names and
+# non-integers; large positive sizes are left out, as they only cost time
+sizes = st.one_of(st.integers(-2, 2), st.just(-10**6), st.sampled_from(["", "x", "1.5"])).map(str)
+argument_lists = st.one_of(
+    st.builds(lambda n: ["count", "--input", "simplex:2", "--shifts", n], sizes),
+    st.builds(lambda n: ["distribution", "--method", "mc", "--samples", n, "--input", "simplex:2"],
+              sizes),
+    st.builds(lambda n: ["distribution", "--cell-budget", n, "--input", "simplex:2"], sizes),
+    st.builds(lambda n, m: ["reeve-audit", "--n", n, "--max-distribution-n", m], sizes, sizes),
+    st.builds(lambda t, i, s, n: ["verify", "--identity", t, "--instances", i, "--shifts", s,
+                                  "--n", n],
+              st.sampled_from(IDENTITY_TAGS + ("no-such-tag",)), sizes, sizes, sizes),
+    st.builds(lambda name, a, b: ["volume", "--input", f"{name}:{a}:{b}"],
+              st.sampled_from(["simplex", "slab", "reeve", "central-slab", "cube"]), sizes, sizes),
+    st.builds(lambda name, a: ["volume", "--input", f"{name}:{a}"],
+              st.sampled_from(["simplex", "slab", "reeve", "central-slab"]), sizes),
+)
+
+
+@given(argument_lists)
+@settings(max_examples=150, deadline=None)
+def test_out_of_range_arguments_exit_zero_or_two(argv):
+    code, err = run_quietly(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polyshift.catalog import reeve_tetrahedron, standard_simplex
+from polyshift import geometry
+from polyshift.catalog import (
+    cross_polytope,
+    random_lattice_polytope,
+    reeve_tetrahedron,
+    standard_simplex,
+)
 from polyshift.errors import DegenerateInput, Infeasible, SingularMatrix, Unbounded
 from polyshift.geometry import (
     HalfSpace,
@@ -27,6 +33,7 @@ from polyshift.geometry import (
     polytope_from_json,
     polytope_to_json,
     segment,
+    triangulate,
     unit_cube,
     vertices_from_facets,
     volume,
@@ -516,3 +523,121 @@ def test_halfspace_equality_is_on_normal_and_offset():
     assert a == HalfSpace((F(1), F(1)), F(1))
     assert hash(a) == hash(((F(1), F(1)), F(1)))
     assert a.translated((F(1, 2), 0)) == HalfSpace((1, 1), F(3, 2))
+
+
+# ---------------------------------------------------------------------------
+# incidence carried through clips
+
+
+@st.composite
+def clip_chains(draw):
+    """A lattice or rational body in d = 2..4, flat half the time, and a
+    chain of clips, clip_both sides and at most one translate meet (fewer
+    steps in R^4, where pieces gain vertices fastest and the fresh hulls
+    of the oracle grow costly)."""
+    d = draw(st.integers(2, 4))
+    steps = 3 if d < 4 else 2
+    entries = st.integers(-2, 2).map(F) if draw(st.booleans()) else rationals
+    pts = draw(st.lists(st.tuples(*[entries] * d), min_size=d + 1, max_size=d + steps + 1,
+                        unique=True))
+    flat = draw(st.sampled_from(("", "", "axis", "sum")))
+    if flat == "axis":
+        pts = [(F(1),) + p[1:] for p in pts]
+    elif flat == "sum":
+        pts = [p[:-1] + (1 - sum(p[:-1]),) for p in pts]
+    normal = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+    offset = st.integers(-2, 2) | rationals
+    ops = draw(st.lists(st.tuples(st.sampled_from(("clip", "below", "above")), normal, offset),
+                        max_size=steps))
+    at = draw(st.none() | st.integers(0, len(ops)))
+    if at is not None or not ops:
+        shift = draw(st.lists(st.integers(-1, 1) | rationals, min_size=d, max_size=d))
+        ops.insert(at or 0, ("meet", shift, None))
+    return Polytope(d, pts), ops
+
+
+def assert_incidence(p):
+    """p's vertices are extreme, each vertex mask is exactly its set of
+    tight inequalities, full-dimensional facets are those a fresh hull
+    finds, and a flat description cuts out p."""
+    fresh = Polytope(p.dim, p.vertices)
+    assert fresh.vertices == p.vertices
+    eqs, ineqs = p.linear_description()
+    masks = geometry._masks(p)
+    for m, v in zip(masks, p.vertices):
+        assert m == sum(1 << b for b, h in enumerate(ineqs) if h.value(v) == 0)
+    if p.is_full_dim:
+        assert set(p.facets()) == set(fresh.facets())
+    else:
+        system = list(ineqs) + list(eqs) + [e.flipped() for e in eqs]
+        assert vertices_from_facets(system, p.dim).vertices == p.vertices
+
+
+@given(clip_chains())
+@settings(max_examples=120, deadline=None)
+def test_clips_carry_exact_incidence(chain):
+    p, ops = chain
+    assert_incidence(p)
+    for op, a, b in ops:
+        if op == "meet":
+            p = intersect(p, p.translated(a))
+        else:
+            h = halfspace(a, b)
+            lo, hi = clip_both(p, h)
+            cut = clip(p, h)
+            assert cut == lo
+            if not cut.is_empty:
+                assert geometry._masks(cut) == geometry._masks(lo)
+                assert cut.linear_description() == lo.linear_description()
+            p, other = (hi, lo) if op == "above" else (lo, hi)
+            if not other.is_empty:
+                assert_incidence(other)
+        if p.is_empty:
+            return
+        assert_incidence(p)
+
+
+def test_clip_skips_diagonals_of_non_simple_faces():
+    # in d <= 4 two vertices on r - 1 common facets always span an edge (a
+    # ridge lies on exactly two facets), so only d >= 5 needs the third-vertex
+    # test: here the square x {o} lies on the four octahedron facets through o,
+    # and x0 + x1 <= 1 separates its diagonal corners
+    octahedron = [tuple(s if j == i else 0 for j in range(3)) for i in range(3) for s in (1, -1)]
+    pts = [(a, b) + o for a in (0, 1) for b in (0, 1) for o in octahedron]
+    hint = [halfspace(e, 1) for e in ([1, 0, 0, 0, 0], [0, 1, 0, 0, 0])]
+    hint += [halfspace(e, 0) for e in ([-1, 0, 0, 0, 0], [0, -1, 0, 0, 0])]
+    hint += [halfspace((0, 0, x, y, z), 1) for x in (1, -1) for y in (1, -1) for z in (1, -1)]
+    p = Polytope(5, pts, facet_hint=hint, skip_normalization=True)
+    cut = clip(p, halfspace((1, 1, 0, 0, 0), 1))
+    assert set(cut.vertices) == {as_vec(v) for v in pts if v[0] + v[1] <= 1}
+    assert cut.volume() == p.volume() / 2 == F(2, 3)
+
+
+# simplex lists of triangulate(), in order, as the rank-tested face search
+# made them; catalog.scaling_decomposition consumes this order
+CROSS4_X2_SIMPLICES = [
+    ((-2, 0, 0, 0), (0, -2, 0, 0), (0, 0, -2, 0), (2, 0, 0, 0), (0, 0, 0, -2)),
+    ((-2, 0, 0, 0), (0, -2, 0, 0), (0, 0, -2, 0), (2, 0, 0, 0), (0, 0, 0, 2)),
+    ((-2, 0, 0, 0), (0, -2, 0, 0), (0, 0, 0, -2), (2, 0, 0, 0), (0, 0, 2, 0)),
+    ((-2, 0, 0, 0), (0, -2, 0, 0), (0, 0, 0, 2), (2, 0, 0, 0), (0, 0, 2, 0)),
+    ((-2, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2), (2, 0, 0, 0), (0, 2, 0, 0)),
+    ((-2, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, 2), (2, 0, 0, 0), (0, 2, 0, 0)),
+    ((-2, 0, 0, 0), (0, 0, 0, -2), (0, 0, 2, 0), (2, 0, 0, 0), (0, 2, 0, 0)),
+    ((-2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 2, 0), (2, 0, 0, 0), (0, 2, 0, 0)),
+]
+RANDOM_SEED5_SIMPLICES = [
+    ((-3, -1, 0), (-1, 3, 2), (3, 2, 2), (0, 3, -2)),
+    ((-3, -1, 0), (-1, 3, 2), (1, -3, 3), (3, 2, 2)),
+    ((-3, -1, 0), (0, 3, -2), (2, -3, -2), (3, -2, 0)),
+    ((-3, -1, 0), (0, 3, -2), (3, -2, 0), (3, 2, 2)),
+    ((-3, -1, 0), (1, -3, 3), (2, -3, -2), (3, -2, 0)),
+    ((-3, -1, 0), (1, -3, 3), (3, -2, 0), (3, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("body, expected", [
+    (lambda: dilate(cross_polytope(4), 2), CROSS4_X2_SIMPLICES),
+    (lambda: random_lattice_polytope(3, 8, 3, seed=5), RANDOM_SEED5_SIMPLICES),
+], ids=["cross4-x2", "random3d-seed5"])
+def test_triangulation_order_is_pinned(body, expected):
+    assert triangulate(body()) == [tuple(as_vec(v) for v in s) for s in expected]
