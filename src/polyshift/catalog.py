@@ -12,12 +12,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .counting import ZonotopeSpec
 from .errors import DegenerateInput
 from .geometry import (
-    HalfSpace,
+    IVec,
     Mat,
     Polytope,
     PolytopeUnion,
@@ -27,13 +26,10 @@ from .geometry import (
     affine_image,
     as_vec,
     determinant,
-    mat_from_columns,
     minkowski_sum,
     segment,
     triangulate,
     unit_cube,
-    vadd,
-    vsub,
     zero_vec,
 )
 
@@ -47,9 +43,7 @@ def standard_simplex(d: int) -> Polytope:
     if d < 1:
         raise DegenerateInput("dimension must be at least 1")
     verts = [zero_vec(d)] + [_unit_vector(d, i) for i in range(d)]
-    hint = [HalfSpace(tuple(-x for x in _unit_vector(d, i)), ZERO) for i in range(d)]
-    hint.append(HalfSpace((ONE,) * d, ONE))
-    return Polytope(d, verts, facet_hint=hint, skip_normalization=True)
+    return Polytope(d, verts, skip_normalization=True)
 
 
 def slab_pieces(d: int) -> list[Polytope]:
@@ -60,7 +54,6 @@ def slab_pieces(d: int) -> list[Polytope]:
     """
     if d < 1:
         raise DegenerateInput("dimension must be at least 1")
-    ones = (ONE,) * d
     pieces = []
     for k in range(1, d + 1):
         verts = [
@@ -68,14 +61,7 @@ def slab_pieces(d: int) -> list[Polytope]:
             for bits in itertools.product((0, 1), repeat=d)
             if sum(bits) in (k - 1, k)
         ]
-        hint = []
-        for i in range(d):
-            e = _unit_vector(d, i)
-            hint.append(HalfSpace(tuple(-x for x in e), ZERO))
-            hint.append(HalfSpace(e, ONE))
-        hint.append(HalfSpace(ones, Fraction(k)))
-        hint.append(HalfSpace(tuple(-x for x in ones), Fraction(-(k - 1))))
-        pieces.append(Polytope(d, verts, facet_hint=hint, skip_normalization=True))
+        pieces.append(Polytope(d, verts, skip_normalization=True))
     return pieces
 
 
@@ -102,20 +88,12 @@ def central_slab(d: int) -> Polytope:
     yet its shifted lattice count is not constant for d >= 3."""
     if d < 2:
         raise DegenerateInput("central slab needs dimension at least 2")
-    ones = (ONE,) * d
-    hss = []
-    for i in range(d):
-        e = _unit_vector(d, i)
-        hss.append(HalfSpace(tuple(-x for x in e), ZERO))
-        hss.append(HalfSpace(e, ONE))
-    hss.append(HalfSpace(ones, Fraction(d - 1)))
-    hss.append(HalfSpace(tuple(-x for x in ones), Fraction(-1)))
     verts = [
         as_vec(bits)
         for bits in itertools.product((0, 1), repeat=d)
         if 1 <= sum(bits) <= d - 1
     ]
-    return Polytope(d, verts, facet_hint=hss, skip_normalization=True)
+    return Polytope(d, verts, skip_normalization=True)
 
 
 def embed_with_zero_last(p: Polytope) -> Polytope:
@@ -161,21 +139,19 @@ class ScalingDecomposition:
     base: Polytope
     dim: int
     pieces: list[PolytopeUnion]
-    transforms: list[tuple[Mat, Vec]]
+    transforms: list[tuple[tuple[IVec, ...], IVec]]
     constant_sum: int
 
     def multiplicity(self, k: int, n: int) -> int:
         return piece_multiplicity(k, n, self.dim)
 
 
-def _simplex_transform(simplex_verts) -> tuple[Mat, Vec]:
-    """(matrix, translation) mapping the corner simplex onto the given one:
-    columns are edge vectors from the lexicographically smallest vertex,
-    translation is that vertex."""
-    ordered = sorted(simplex_verts)
-    v0 = ordered[0]
-    cols = [vsub(v, v0) for v in ordered[1:]]
-    return mat_from_columns(cols), v0
+def _simplex_transform(simplex_verts) -> tuple[tuple[IVec, ...], IVec]:
+    """Integer (matrix, translation) mapping the corner simplex onto the
+    given lattice simplex: columns are edge vectors from the
+    lexicographically smallest vertex, translation is that vertex."""
+    v0, *rest = sorted(tuple(x.numerator for x in v) for v in simplex_verts)
+    return tuple(zip(*(tuple(x - y for x, y in zip(v, v0)) for v in rest))), v0
 
 
 def scaling_decomposition(base: Polytope, kind: str = "polyhedron") -> ScalingDecomposition:

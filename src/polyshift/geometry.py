@@ -6,18 +6,18 @@ tightness, emptiness) and measure (determinant, volume) is exact.  A
 integer numerators over their least common denominator, which makes
 vertex-set equality canonical.  A ``HalfSpace`` ``normal . x <= offset``
 holds coprime integers ``coeffs``, ``rhs`` and a positive rational scale.
-Side tests (``coeffs . num - rhs * den``), clip points, null spaces, facet
-search, linear solves and simplex volumes run on plain ints, eliminating
-through one fraction-free Gauss-Jordan routine, `_eliminate`.  Clips and
-triangulations are combinatorial, with no rank test: a polytope carries
-per vertex the bitmask of its tight inequalities, a clip finds edges by
-the double description method's adjacency test and hands each piece its
-facets and masks, and faces are vertex bitsets.  `fractions.Fraction`
-remains only at the boundary: the public ``vertices``, ``normal``,
-``offset``, ``bounding_box``, ``value``, ``volume`` and ``determinant``
-results, built on demand, and rational inputs.  Polytopes are closed,
-possibly empty or flat (then of volume 0).  Facet search is exhaustive
-over d-subsets, right at desk scale: a few dozen facets, dimension <= 4.
+Side tests (``coeffs . num - rhs * den``), clip points, null spaces, hulls,
+linear solves and simplex volumes run on plain ints, eliminating through
+one fraction-free Gauss-Jordan routine, `_eliminate`.  Hulls, clips and
+triangulations are combinatorial, with no rank test: a point set gets its
+facets from a beneath-beyond insertion hull whose facets carry their
+tight points, a polytope carries per vertex the bitmask of its tight
+inequalities, a clip finds edges by the double description method's
+adjacency test and hands each piece its facets and masks, and faces are
+vertex bitsets.  `fractions.Fraction` remains only at the boundary: the
+public ``vertices``, ``normal``, ``offset``, ``bounding_box``, ``value``,
+``volume`` and ``determinant`` results, built on demand, and rational
+inputs.  Polytopes are closed, possibly empty or flat (then of volume 0).
 """
 
 from __future__ import annotations
@@ -60,14 +60,6 @@ def zero_vec(d: int) -> Vec:
     return (ZERO,) * d
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vdot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
@@ -76,17 +68,9 @@ def identity_matrix(d: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d))
 
 
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(vdot(row, v) for row in m)
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     cols = list(zip(*b))
     return tuple(tuple(vdot(row, as_vec(c)) for c in cols) for row in a)
-
-
-def mat_from_columns(cols: Sequence[Vec]) -> Mat:
-    return tuple(as_vec(row) for row in zip(*cols))
 
 
 def determinant(m: Sequence[Sequence]) -> Fraction:
@@ -205,55 +189,81 @@ def _project(points: Sequence[IVec], pivots: Sequence[int]) -> list[IVec]:
     return [tuple(p[c] for c in pivots) for p in points]
 
 
-def _facet_search(d: int, points: Sequence[IVec]) -> list[tuple[IVec, int]]:
-    """All facets ``a . x <= b`` (coprime ints) of conv(points), assumed
-    full-dimensional in Z^d.
+def _transpose(masks: Sequence[int], n: int) -> list[int]:
+    """The n bitmasks whose bit b at position i is bit i of masks[b]."""
+    return [sum(1 << b for b, m in enumerate(masks) if m >> i & 1) for i in range(n)]
 
-    Exhaustive over d-subsets spanning a hyperplane with every point on one
-    side, deduplicated.
+
+def _hull(points: Sequence[IVec]) -> tuple[list[int], list[tuple[IVec, int]], list[int]]:
+    """conv(points) for distinct integer points affinely spanning R^r,
+    r >= 1: (the indices of its extreme points, its facets ``a . x <= b``
+    with primitive a, and per facet the bitmask of the extreme points tight
+    on it, bit k for the k-th extreme point).
+
+    Beneath-beyond insertion from a first simplex, whose centroid stays
+    interior and orients every facet; each facet carries the bitmask of
+    the inserted points tight on it.  A point drops the facets it sees and
+    spans each horizon ridge: two facets meet in a ridge iff they share at
+    least r - 1 points and no third facet holds them all (`_crossings`'
+    edge test in dual form).  Facets on one plane merge by their (a, b)
+    key.  A point is extreme iff no other point is tight on all of its
+    facets.
+
+    Facets are sorted by their ascending lists of extreme points.  Two
+    such lists first differ at a point independent of the points before it
+    (a point of one facet in the affine hull of points shared with another
+    lies on both), so this is the order of each facet's lexicographically
+    first affinely independent r-subset, where an exhaustive search over
+    r-subsets first meets it.
     """
-    found: dict[tuple[IVec, int], None] = {}
-    for subset in itertools.combinations(range(len(points)), d):
-        p0 = points[subset[0]]
-        normals = _nullspace(
-            [tuple(x - y for x, y in zip(points[i], p0)) for i in subset[1:]], d
-        )
-        if len(normals) != 1:
-            continue
-        n = normals[0]
-        b = _dot(n, p0)
-        pos = neg = False
-        for p in points:
-            v = _dot(n, p) - b
-            if v > 0:
-                pos = True
-            elif v < 0:
-                neg = True
-            if pos and neg:
-                break
-        if pos and neg:
-            continue
-        found[(n, b) if not pos else (tuple(-x for x in n), -b)] = None
-    return list(found)
+    r, n = len(points[0]), len(points)
+    # the first independent points: pivot columns of the transposed differences
+    rows = [[p[c] - points[0][c] for p in points[1:]] for c in range(r)]
+    simplex = [0] + [1 + k for k in _eliminate(rows, n - 1)[1]]
+    centre = [sum(col) for col in zip(*(points[i] for i in simplex))]  # (r + 1) * centroid
+
+    def plane(ridge: Sequence[int], p: IVec) -> tuple[IVec, int]:
+        a = _nullspace([tuple(x - y for x, y in zip(points[i], p)) for i in ridge], r)[0]
+        b = _dot(a, p)
+        return (a, b) if _dot(a, centre) < (r + 1) * b else (tuple(-x for x in a), -b)
+
+    hull: dict[tuple[IVec, int], int] = {}
+    for j in simplex:
+        rest = [i for i in simplex if i != j]
+        hull[plane(rest[1:], points[rest[0]])] = sum(1 << i for i in rest)
+    for i, p in enumerate(points):  # the simplex's own points change nothing
+        bit = 1 << i
+        side = {key: _dot(key[0], p) - key[1] for key in hull}
+        masks = list(hull.values())
+        new = []
+        for f, sf in side.items():
+            if sf <= 0:
+                continue
+            for g, sg in side.items():
+                common = hull[f] & hull[g]
+                if sg > 0 or common.bit_count() < r - 1:
+                    continue
+                if sum(common & m == common for m in masks) > 2:
+                    continue
+                new.append((plane([k for k in range(common.bit_length()) if common >> k & 1], p),
+                            common))
+        for key, s in side.items():
+            if s > 0:
+                del hull[key]
+            elif s == 0:
+                hull[key] |= bit
+        for key, m in new:
+            hull[key] = hull.get(key, 0) | m | bit
+    tight = _transpose(list(hull.values()), n)
+    extreme = [i for i, t in enumerate(tight) if sum(u & t == t for u in tight) == 1]
+    on = {key: [k for k, i in enumerate(extreme) if m >> i & 1] for key, m in hull.items()}
+    facets = sorted(on, key=on.__getitem__)
+    return extreme, facets, [sum(1 << k for k in on[key]) for key in facets]
 
 
-def _extreme_indices(points: Sequence[IVec]) -> tuple[list[int], Optional[list[tuple[IVec, int]]]]:
-    """Indices of the extreme points of conv(points), any affine rank, and
-    the facets of a full-dimensional hull when no dropped point lies on
-    one, as then a search over the extreme points finds them in that order."""
-    r, pivots = _affine_span(points)
-    if r == 0:
-        return [0], None
-    coords = _project(points, pivots)
-    if r == 1:
-        vals = [c[0] for c in coords]
-        return sorted({vals.index(min(vals)), vals.index(max(vals))}), None
-    facets = _facet_search(r, coords)
-    # a point is extreme iff no other point is tight on all of its facets
-    masks = [sum(1 << b for b, (a, rhs) in enumerate(facets) if _dot(a, c) == rhs) for c in coords]
-    extreme = [sum(n & m == m for n in masks) == 1 for m in masks]
-    keep_facets = r == len(points[0]) and all(e for m, e in zip(masks, extreme) if m)
-    return [i for i, e in enumerate(extreme) if e], (facets if keep_facets else None)
+def _halfspaces(found: Sequence[tuple[IVec, int]], den: int) -> tuple["HalfSpace", ...]:
+    """Facets ``a . num <= b`` of numerators over `den` as halfspaces in x."""
+    return tuple(HalfSpace._from_ints(*_primitive(tuple(den * x for x in a), b)) for a, b in found)
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +374,18 @@ def halfspace(normal: Iterable, offset) -> HalfSpace:
 class Polytope:
     """Convex polytope given by its extreme points, with cached facet data.
 
-    Instances are immutable after construction; the lazy caches are
-    idempotent, so concurrent readers are safe.
+    A body built from points, unless `skip_normalization` vouches that they
+    are all extreme, keeps the extreme ones as `_hull` finds them and, when
+    full-dimensional, that hull's facets and vertex masks.  Instances are
+    immutable after construction; the lazy caches are idempotent, so
+    concurrent readers are safe.
     """
 
-    __slots__ = ("dim", "numerators", "denominator", "_vertices", "_facet_hint", "_facets",
-                 "_span", "_description", "_int_ineqs", "_masks", "_volume", "_simplices",
-                 "_box", "_count_plan")
+    __slots__ = ("dim", "numerators", "denominator", "_vertices", "_facets", "_span",
+                 "_description", "_int_ineqs", "_masks", "_volume", "_simplices", "_box",
+                 "_count_plan")
 
     def __init__(self, dim: int, points: Iterable[Iterable], *, den: Optional[int] = None,
-                 facet_hint: Optional[Sequence[HalfSpace]] = None,
                  skip_normalization: bool = False):
         """With `den`, `points` are integer numerator vectors over that
         positive common denominator; otherwise they are rationals."""
@@ -386,15 +398,17 @@ class Polytope:
         for p in nums:
             if len(p) != dim:
                 raise DegenerateInput(f"point of length {len(p)} in ambient dimension {dim}")
-        facets = None
+        facets = masks = span = None
         if nums and not skip_normalization and len(nums) > 2:
-            keep, found = _extreme_indices(nums)
+            # distinct points, so of affine rank >= 1; the extreme ones span
+            # the same affine hull, hence the same pivot columns
+            span = _affine_span(nums)
+            keep, found, on = _hull(_project(nums, span[1]))
             if len(keep) < len(nums):
                 nums = [nums[i] for i in keep]
                 verts = [verts[i] for i in keep] if verts is not None else None
-            if found is not None:
-                facets = tuple(HalfSpace._from_ints(*_primitive(tuple(den * x for x in a), b))
-                               for a, b in found)
+            if span[0] == dim:
+                facets, masks = _halfspaces(found, den), _transpose(on, len(nums))
         g = math.gcd(den, *itertools.chain.from_iterable(nums))
         if g > 1:
             den //= g
@@ -403,24 +417,15 @@ class Polytope:
         self.numerators: tuple[IVec, ...] = tuple(nums)
         self.denominator: int = den
         self._vertices = tuple(verts) if verts is not None else None
-        self._facet_hint = tuple(facet_hint) if facet_hint is not None else None
-        self._facets = facets
-        self._span = self._description = self._int_ineqs = self._masks = None
+        self._facets, self._masks, self._span = facets, masks, span
+        self._description = self._int_ineqs = None
         self._volume = self._simplices = self._box = self._count_plan = None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_vertices(cls, dim: int, points: Iterable[Iterable]) -> "Polytope":
-        return cls(dim, points)
-
-    @classmethod
     def empty(cls, dim: int) -> "Polytope":
         return cls(dim, ())
-
-    @classmethod
-    def from_halfspaces(cls, halfspaces: Sequence[HalfSpace], dim: int) -> "Polytope":
-        return vertices_from_facets(halfspaces, dim)
 
     # -- basic queries ------------------------------------------------------
 
@@ -469,20 +474,19 @@ class Polytope:
     # -- facets and descriptions ---------------------------------------------
 
     def facets(self) -> tuple[HalfSpace, ...]:
-        """Irredundant facet halfspaces; full-dimensional polytopes only."""
+        """Irredundant facet halfspaces; full-dimensional polytopes only.
+
+        Unless carried from another body, they come from `_hull` in its
+        order, which also fills in the vertex masks.
+        """
         if self._facets is not None:
             return self._facets
         if not self.is_full_dim:
             raise DegenerateInput("facets() requires a full-dimensional polytope")
-        nums, den, d = self.numerators, self.denominator, self.dim
-        if self._facet_hint is not None:
-            hint = self._facet_hint
-            on = [sum(1 << i for i, s in enumerate(sides(self, h)) if s == 0) for h in hint]
-            self._facets = tuple(hint[b].canonical()
-                                 for b in _facet_sets(on, (1 << len(nums)) - 1).values())
-        else:
-            self._facets = tuple(HalfSpace._from_ints(*_primitive(tuple(den * x for x in a), b))
-                                 for a, b in _facet_search(d, nums))
+        _, found, on = _hull(self.numerators)
+        self._facets = _halfspaces(found, self.denominator)
+        if self._masks is None:
+            self._masks = _transpose(on, len(self.numerators))
         return self._facets
 
     def linear_description(self) -> tuple[tuple[HalfSpace, ...], tuple[HalfSpace, ...]]:
@@ -491,8 +495,9 @@ class Polytope:
         Equalities are halfspaces read as ``a . x == b`` (the affine hull);
         for full-dimensional polytopes there are none and the inequalities
         are the facets.  Lower-dimensional polytopes get their facet system
-        computed in the hull's pivot coordinates and lifted back, except a
-        flat clip piece: it keeps the ambient inequalities it was cut with.
+        from `_hull` in the pivot coordinates of their affine hull, lifted
+        back, except a flat clip piece: it keeps the ambient inequalities it
+        was cut with.
         """
         if self._description is not None:
             return self._description
@@ -509,8 +514,7 @@ class Polytope:
                     for n in _nullspace(diffs, d))
         ineqs = []
         if r > 0:
-            sub = Polytope(r, _project(nums, pivots), den=den, skip_normalization=True)
-            for hs in sub.facets():
+            for hs in _halfspaces(_hull(_project(nums, pivots))[1], den):
                 a = [0] * d
                 for j, pc in enumerate(pivots):
                     a[pc] = hs.coeffs[j]
@@ -681,8 +685,7 @@ def _fan(nums: Sequence[IVec], on: Sequence[int], s: int, r: int) -> list[tuple[
 def _simplices(p: Polytope) -> list[tuple[int, ...]]:
     if p._simplices is None:
         masks = _masks(p)
-        on = [sum(1 << i for i, m in enumerate(masks) if m >> b & 1)
-              for b in range(len(p.facets()))]
+        on = _transpose(masks, len(p.facets()))
         p._simplices = _fan(p.numerators, on, (1 << len(masks)) - 1, p.dim)
     return p._simplices
 
@@ -758,7 +761,9 @@ def _has_recession_direction(rows: Sequence[tuple[IVec, int]], dim: int) -> bool
 
 def vertices_from_facets(halfspaces: Sequence[HalfSpace], dim: int) -> Polytope:
     """All vertices of a bounded halfspace system, by exhaustive d-subset
-    solves of tight systems with feasibility filtering."""
+    solves of tight systems with feasibility filtering.  A full-dimensional
+    result keeps as facets the halfspaces cutting out its facets, first
+    comers first."""
     rows = [(h.coeffs, h.rhs) for h in halfspaces]
     verts = _enumerate_vertices(rows, dim)
     if _has_recession_direction(rows, dim):
@@ -766,7 +771,12 @@ def vertices_from_facets(halfspaces: Sequence[HalfSpace], dim: int) -> Polytope:
     if not verts:
         raise Infeasible("halfspace system has no solution")
     nums, den = _common_den(verts)
-    return Polytope(dim, nums, den=den, facet_hint=halfspaces, skip_normalization=True)
+    out = Polytope(dim, nums, den=den, skip_normalization=True)
+    if out.is_full_dim:
+        on = [sum(1 << i for i, s in enumerate(sides(out, h)) if s == 0) for h in halfspaces]
+        out._facets = tuple(halfspaces[b].canonical()
+                            for b in _facet_sets(on, (1 << len(out.numerators)) - 1).values())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -924,12 +934,17 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
 
 
 def affine_image(p: Polytope, m: Mat, t: Iterable) -> Polytope:
-    """Image of p under x -> m x + t; m must be invertible."""
-    mm = as_mat(m)
-    tv = as_vec(t)
-    if determinant(mm) == 0:
+    """Image of p under x -> m x + t; m must be invertible.  With
+    m = rows / mden and t = tn / tden, vertex v / den maps to numerator
+    f * (rows v) + g * tn over lcm(mden * den, tden)."""
+    if determinant(m) == 0:
         raise SingularMatrix("affine image requires an invertible matrix")
-    return Polytope(p.dim, (vadd(mat_vec(mm, v), tv) for v in p.vertices), skip_normalization=True)
+    rows, mden = _homogenize(as_mat(m))
+    (tn,), tden = _homogenize([as_vec(t)])
+    den = math.lcm(mden * p.denominator, tden)
+    f, g = den // (mden * p.denominator), den // tden
+    return Polytope(p.dim, (tuple(f * _dot(row, v) + g * x for row, x in zip(rows, tn))
+                            for v in p.numerators), den=den, skip_normalization=True)
 
 
 def dilate(p: Polytope, n: int) -> Polytope:
@@ -951,8 +966,6 @@ def _carry_facets(p: Polytope, out: Polytope, move) -> Polytope:
     out._span = p._span
     if p._facets is not None:
         out._facets = tuple(map(move, p._facets))
-    elif p._facet_hint is not None:
-        out._facet_hint = tuple(map(move, p._facet_hint))
     return out
 
 
@@ -961,13 +974,11 @@ def bounding_box(p: Polytope) -> tuple[Vec, Vec]:
 
 
 def unit_cube(d: int) -> Polytope:
-    hint = []
-    for i in range(d):
-        e = tuple(1 if j == i else 0 for j in range(d))
-        hint.append(HalfSpace._from_ints(tuple(-x for x in e), 0))
-        hint.append(HalfSpace._from_ints(e, 1))
-    return Polytope(d, itertools.product((0, 1), repeat=d), den=1, facet_hint=hint,
-                    skip_normalization=True)
+    out = Polytope(d, itertools.product((0, 1), repeat=d), den=1, skip_normalization=True)
+    # -x_i <= 0 and x_i <= 1, in turn for each i
+    out._facets = tuple(HalfSpace._from_ints(tuple(s if j == i else 0 for j in range(d)), max(s, 0))
+                        for i in range(d) for s in (-1, 1))
+    return out
 
 
 def segment(a: Iterable, b: Iterable, dim: Optional[int] = None) -> Polytope:

@@ -1,5 +1,6 @@
 """Exact-geometry engine: representations, conversions, clipping, volume."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -597,17 +598,18 @@ def test_clips_carry_exact_incidence(chain):
         assert_incidence(p)
 
 
+def square_times_octahedron():
+    octahedron = [tuple(s if j == i else 0 for j in range(3)) for i in range(3) for s in (1, -1)]
+    return [(a, b) + o for a in (0, 1) for b in (0, 1) for o in octahedron]
+
+
 def test_clip_skips_diagonals_of_non_simple_faces():
     # in d <= 4 two vertices on r - 1 common facets always span an edge (a
     # ridge lies on exactly two facets), so only d >= 5 needs the third-vertex
     # test: here the square x {o} lies on the four octahedron facets through o,
     # and x0 + x1 <= 1 separates its diagonal corners
-    octahedron = [tuple(s if j == i else 0 for j in range(3)) for i in range(3) for s in (1, -1)]
-    pts = [(a, b) + o for a in (0, 1) for b in (0, 1) for o in octahedron]
-    hint = [halfspace(e, 1) for e in ([1, 0, 0, 0, 0], [0, 1, 0, 0, 0])]
-    hint += [halfspace(e, 0) for e in ([-1, 0, 0, 0, 0], [0, -1, 0, 0, 0])]
-    hint += [halfspace((0, 0, x, y, z), 1) for x in (1, -1) for y in (1, -1) for z in (1, -1)]
-    p = Polytope(5, pts, facet_hint=hint, skip_normalization=True)
+    pts = square_times_octahedron()
+    p = Polytope(5, pts)
     cut = clip(p, halfspace((1, 1, 0, 0, 0), 1))
     assert set(cut.vertices) == {as_vec(v) for v in pts if v[0] + v[1] <= 1}
     assert cut.volume() == p.volume() / 2 == F(2, 3)
@@ -641,3 +643,108 @@ RANDOM_SEED5_SIMPLICES = [
 ], ids=["cross4-x2", "random3d-seed5"])
 def test_triangulation_order_is_pinned(body, expected):
     assert triangulate(body()) == [tuple(as_vec(v) for v in s) for s in expected]
+
+
+# ---------------------------------------------------------------------------
+# the insertion hull against an exhaustive facet search
+
+
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def facet_search(points):
+    """Facets ``a . x <= b`` (primitive a) of conv(points), full-dimensional
+    in Z^d, in the order an exhaustive search over d-subsets meets them."""
+    d = len(points[0])
+    found = {}
+    for subset in itertools.combinations(range(len(points)), d):
+        p0 = points[subset[0]]
+        normals = geometry._nullspace(
+            [tuple(x - y for x, y in zip(points[i], p0)) for i in subset[1:]], d)
+        if len(normals) != 1:
+            continue
+        a = normals[0]
+        b = dot(a, p0)
+        signs = set()
+        for p in points:
+            signs.add((dot(a, p) > b) - (dot(a, p) < b))
+            if {-1, 1} <= signs:
+                break
+        else:
+            found.setdefault((a, b) if 1 not in signs else (tuple(-x for x in a), -b), None)
+    return list(found)
+
+
+def oracle_hull(points):
+    """`geometry._hull`'s results by exhaustive search: a point is extreme
+    when no other point is tight on all of its facets, and facets are
+    searched again over the extreme points alone."""
+    facets = facet_search(points)
+    tight = [{b for b, (a, rhs) in enumerate(facets) if dot(a, p) == rhs} for p in points]
+    extreme = [i for i, t in enumerate(tight)
+               if not any(t <= u for j, u in enumerate(tight) if j != i)]
+    ext = [points[i] for i in extreme]
+    if len(ext) < len(points):
+        facets = facet_search(ext)
+    masks = [sum(1 << k for k, p in enumerate(ext) if dot(a, p) == b) for a, b in facets]
+    return extreme, facets, masks
+
+
+@st.composite
+def hull_clouds(draw):
+    """Point lists in d = 1..4, lattice or rational, with repeated points,
+    many coplanar ones (the boxes are small) and flat sets."""
+    d = draw(st.integers(1, 4))
+    entries = st.integers(-2, 2).map(F) if draw(st.booleans()) else rationals
+    pts = draw(st.lists(st.tuples(*[entries] * d), min_size=2, max_size=d + (7 if d < 4 else 5)))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=2))
+    flat = draw(st.sampled_from(("", "", "axis", "sum"))) if d > 1 else ""
+    if flat == "axis":
+        pts = [(F(1),) + p[1:] for p in pts]
+    elif flat == "sum":
+        pts = [p[:-1] + (1 - sum(p[:-1]),) for p in pts]
+    return d, pts
+
+
+@given(hull_clouds())
+@settings(max_examples=200, deadline=None)
+def test_hull_matches_exhaustive_search(cloud):
+    d, pts = cloud
+    p = Polytope(d, pts)
+    assume(p.rank >= 1)
+    verts = sorted(set(pts))
+    nums, den = geometry._homogenize(verts)
+    r, pivots = geometry._affine_span(nums)
+    coords = geometry._project(nums, pivots)
+    extreme, facets, masks = oracle_hull(coords)
+    assert geometry._hull(coords) == (extreme, facets, masks)
+    assert p.vertices == tuple(verts[i] for i in extreme)
+    halfspaces = []
+    for a, b in facets:
+        lifted = [0] * d
+        for j, c in enumerate(pivots):
+            lifted[c] = den * a[j]
+        halfspaces.append(HalfSpace(lifted, b).canonical())
+    assert p.linear_description()[1] == tuple(halfspaces)
+    assert geometry._masks(p) == [sum(1 << b for b, m in enumerate(masks) if m >> k & 1)
+                                  for k in range(len(extreme))]
+    q = Polytope(d, p.vertices, skip_normalization=True)
+    if p.is_full_dim:
+        assert q.facets() == p.facets() == tuple(halfspaces)
+    assert q.linear_description() == p.linear_description()
+    assert geometry._masks(q) == geometry._masks(p)
+
+
+def test_points_on_facets_leave_the_facet_order_alone():
+    # (1, 0) lies on the facet y >= 0 but is no vertex: a search over all
+    # five points meets y >= 0 first, one over the four vertices -x + y <= 0
+    pts = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
+    extreme = [(0, 0), (1, 1), (2, 0), (2, 1)]
+    assert geometry._hull(pts) == oracle_hull(pts)
+    assert Polytope(2, pts).facets() == Polytope(2, extreme).facets()
+
+
+def test_hull_of_a_five_dimensional_non_simple_body():
+    pts = sorted(square_times_octahedron())
+    assert geometry._hull(pts) == oracle_hull(pts)
