@@ -43,7 +43,7 @@ def standard_simplex(d: int) -> Polytope:
     if d < 1:
         raise DegenerateInput("dimension must be at least 1")
     verts = [zero_vec(d)] + [_unit_vector(d, i) for i in range(d)]
-    return Polytope(d, verts, skip_normalization=True)
+    return Polytope(d, verts)
 
 
 def slab_pieces(d: int) -> list[Polytope]:
@@ -61,7 +61,7 @@ def slab_pieces(d: int) -> list[Polytope]:
             for bits in itertools.product((0, 1), repeat=d)
             if sum(bits) in (k - 1, k)
         ]
-        pieces.append(Polytope(d, verts, skip_normalization=True))
+        pieces.append(Polytope(d, verts))
     return pieces
 
 
@@ -79,7 +79,7 @@ def reeve_tetrahedron(params) -> Polytope:
     vertices are lattice points, yet translates can capture many."""
     n = params.n if isinstance(params, ReeveParams) else ReeveParams(params).n
     verts = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, n)]
-    return Polytope(3, verts, skip_normalization=True)
+    return Polytope(3, verts)
 
 
 def central_slab(d: int) -> Polytope:
@@ -93,16 +93,12 @@ def central_slab(d: int) -> Polytope:
         for bits in itertools.product((0, 1), repeat=d)
         if 1 <= sum(bits) <= d - 1
     ]
-    return Polytope(d, verts, skip_normalization=True)
+    return Polytope(d, verts)
 
 
 def embed_with_zero_last(p: Polytope) -> Polytope:
     """Same vertex set with a zero coordinate appended (a flat body)."""
-    return Polytope(
-        p.dim + 1,
-        [v + (ZERO,) for v in p.vertices],
-        skip_normalization=True,
-    )
+    return Polytope(p.dim + 1, [v + (ZERO,) for v in p.vertices])
 
 
 def prism_over_embedded(p: Polytope) -> Polytope:
@@ -314,7 +310,7 @@ def cross_polytope(d: int, scale: int = 1) -> Polytope:
         e[i] = scale
         verts.append(tuple(e))
         verts.append(tuple(-x for x in e))
-    return Polytope(d, verts, skip_normalization=True)
+    return Polytope(d, verts)
 
 
 def hexagon_zonotope() -> ZonotopeSpec:

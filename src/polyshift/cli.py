@@ -100,8 +100,11 @@ def _distribution_csv(dist: CountDistribution) -> str:
 
 def _emit(text: str, out_path: Optional[str]):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {out_path!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -9,12 +9,15 @@ holds coprime integers ``coeffs``, ``rhs`` and a positive rational scale.
 Side tests (``coeffs . num - rhs * den``), clip points, null spaces, hulls,
 linear solves and simplex volumes run on plain ints, eliminating through
 one fraction-free Gauss-Jordan routine, `_eliminate`.  Hulls, clips and
-triangulations are combinatorial, with no rank test: a point set gets its
-facets from a beneath-beyond insertion hull whose facets carry their
-tight points, a polytope carries per vertex the bitmask of its tight
-inequalities, a clip finds edges by the double description method's
-adjacency test and hands each piece its facets and masks, and faces are
-vertex bitsets.  `fractions.Fraction` remains only at the boundary: the
+triangulations are combinatorial, with no rank test.  Every polytope
+holds its incidence from construction: its rank, its linear description
+and per vertex the bitmask of its tight inequalities.  A point set gets
+them from one beneath-beyond insertion hull whose facets carry their
+tight points; a clip finds edges by the double description method's
+adjacency test and hands each piece, and each face it keeps, its facets
+and masks; translates, negation and dilates carry them over; and
+`vertices_from_facets` is a box clipped by each halfspace in turn.  Faces
+are vertex bitsets.  `fractions.Fraction` remains only at the boundary: the
 public ``vertices``, ``normal``, ``offset``, ``bounding_box``, ``value``,
 ``volume`` and ``determinant`` results, built on demand, and rational
 inputs.  Polytopes are closed, possibly empty or flat (then of volume 0).
@@ -261,9 +264,26 @@ def _hull(points: Sequence[IVec]) -> tuple[list[int], list[tuple[IVec, int]], li
     return extreme, facets, [sum(1 << k for k in on[key]) for key in facets]
 
 
-def _halfspaces(found: Sequence[tuple[IVec, int]], den: int) -> tuple["HalfSpace", ...]:
-    """Facets ``a . num <= b`` of numerators over `den` as halfspaces in x."""
-    return tuple(HalfSpace._from_ints(*_primitive(tuple(den * x for x in a), b)) for a, b in found)
+def _halfspaces(found: Sequence[tuple[IVec, int]], den: int, pivots: Sequence[int],
+                dim: int) -> tuple["HalfSpace", ...]:
+    """Facets ``a . y <= b`` of numerators over `den` in their pivot
+    coordinates y, as halfspaces in x in R^dim."""
+    out = []
+    for a, b in found:
+        lifted = [0] * dim
+        for j, c in enumerate(pivots):
+            lifted[c] = den * a[j]
+        out.append(HalfSpace._from_ints(*_primitive(lifted, b)))
+    return tuple(out)
+
+
+def _equalities(nums: Sequence[IVec], den: int, dim: int) -> tuple["HalfSpace", ...]:
+    """The affine hull of the points `nums` over `den` as halfspaces read as
+    ``a . x == b``, one per vector of `_nullspace`'s basis."""
+    v0 = nums[0]
+    diffs = [tuple(x - y for x, y in zip(v, v0)) for v in nums[1:]]
+    return tuple(HalfSpace._from_ints(*_primitive(tuple(den * x for x in n), _dot(n, v0)))
+                 for n in _nullspace(diffs, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -372,21 +392,24 @@ def halfspace(normal: Iterable, offset) -> HalfSpace:
 
 
 class Polytope:
-    """Convex polytope given by its extreme points, with cached facet data.
+    """Convex polytope given by its extreme points, with its incidence.
 
-    A body built from points, unless `skip_normalization` vouches that they
-    are all extreme, keeps the extreme ones as `_hull` finds them and, when
-    full-dimensional, that hull's facets and vertex masks.  Instances are
-    immutable after construction; the lazy caches are idempotent, so
-    concurrent readers are safe.
+    Every instance holds from construction its rank, its linear description
+    (equalities of its affine hull, then inequalities that are its facets
+    relative to that hull) and per vertex the bitmask of the inequalities
+    tight there.  A body built from points gets all three from one `_hull`
+    run in the pivot coordinates of its affine hull, which also drops the
+    points that are not extreme.  An operation that knows its result's
+    incidence (a clip piece or face, a translate, the negation, a dilate,
+    the unit cube) builds the result through `_made`, with no hull.
+    Instances are immutable after construction; the lazy caches are
+    idempotent, so concurrent readers are safe.
     """
 
-    __slots__ = ("dim", "numerators", "denominator", "_vertices", "_facets", "_span",
-                 "_description", "_int_ineqs", "_masks", "_volume", "_simplices", "_box",
-                 "_count_plan")
+    __slots__ = ("dim", "numerators", "denominator", "_vertices", "_rank", "_description",
+                 "_masks", "_int_ineqs", "_volume", "_simplices", "_box", "_count_plan")
 
-    def __init__(self, dim: int, points: Iterable[Iterable], *, den: Optional[int] = None,
-                 skip_normalization: bool = False):
+    def __init__(self, dim: int, points: Iterable[Iterable], *, den: Optional[int] = None):
         """With `den`, `points` are integer numerator vectors over that
         positive common denominator; otherwise they are rationals."""
         if den is None:
@@ -398,17 +421,37 @@ class Polytope:
         for p in nums:
             if len(p) != dim:
                 raise DegenerateInput(f"point of length {len(p)} in ambient dimension {dim}")
-        facets = masks = span = None
-        if nums and not skip_normalization and len(nums) > 2:
+        # no point or one: rank -1 or 0, and no inequality
+        rank, ineqs, masks = len(nums) - 1, (), [0] * len(nums)
+        if len(nums) > 1:
             # distinct points, so of affine rank >= 1; the extreme ones span
             # the same affine hull, hence the same pivot columns
-            span = _affine_span(nums)
-            keep, found, on = _hull(_project(nums, span[1]))
+            rank, pivots = _affine_span(nums)
+            keep, found, on = _hull(_project(nums, pivots))
             if len(keep) < len(nums):
                 nums = [nums[i] for i in keep]
                 verts = [verts[i] for i in keep] if verts is not None else None
-            if span[0] == dim:
-                facets, masks = _halfspaces(found, den), _transpose(on, len(nums))
+            ineqs, masks = _halfspaces(found, den, pivots, dim), _transpose(on, len(nums))
+        description = None
+        if nums:
+            description = (_equalities(nums, den, dim) if rank < dim else (), ineqs)
+        self._set(dim, nums, den, rank, description, masks)
+        if verts is not None:
+            self._vertices = tuple(verts)
+
+    @classmethod
+    def _made(cls, dim: int, nums: Sequence[IVec], den: int, rank: int, description,
+              masks: list[int]) -> "Polytope":
+        """The polytope whose caller knows its incidence: distinct extreme
+        points `nums` over `den`, sorted lexicographically, its `rank`, its
+        (equalities, inequalities) `description` and, per point, the bitmask
+        of the inequalities tight there."""
+        out = cls.__new__(cls)
+        out._set(dim, nums, den, rank, description, masks)
+        return out
+
+    def _set(self, dim, nums, den, rank, description, masks):
+        """Store the fields, the numerators brought to lowest terms."""
         g = math.gcd(den, *itertools.chain.from_iterable(nums))
         if g > 1:
             den //= g
@@ -416,16 +459,31 @@ class Polytope:
         self.dim = dim
         self.numerators: tuple[IVec, ...] = tuple(nums)
         self.denominator: int = den
-        self._vertices = tuple(verts) if verts is not None else None
-        self._facets, self._masks, self._span = facets, masks, span
-        self._description = self._int_ineqs = None
+        self._rank, self._description, self._masks = rank, description, masks
+        self._vertices = self._int_ineqs = None
         self._volume = self._simplices = self._box = self._count_plan = None
+
+    def _image(self, nums: list[IVec], den: int, move, reverse: bool = False) -> "Polytope":
+        """This body under a translation or positive dilation, or under
+        x -> -x with `reverse` (which reverses the lexicographic vertex
+        order): vertex k goes to nums[k] over `den` and each inequality h
+        to the canonical halfspace ``move(h)``; equalities are read off the
+        new points."""
+        if self.is_empty:
+            return self
+        eqs, ineqs = self._description
+        masks = self._masks
+        if reverse:
+            nums, masks = nums[::-1], masks[::-1]
+        eqs = _equalities(nums, den, self.dim) if eqs else ()
+        return Polytope._made(self.dim, nums, den, self._rank, (eqs, tuple(map(move, ineqs))),
+                              masks)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def empty(cls, dim: int) -> "Polytope":
-        return cls(dim, ())
+        return cls._made(dim, (), 1, -1, None, [])
 
     # -- basic queries ------------------------------------------------------
 
@@ -445,21 +503,14 @@ class Polytope:
     def is_lattice(self) -> bool:
         return self.denominator == 1
 
-    def _affine(self):
-        if self._span is None:
-            self._span = _affine_span(self.numerators)
-        return self._span
-
     @property
     def rank(self) -> int:
         """Dimension of the affine hull (-1 for the empty polytope)."""
-        if self.is_empty:
-            return -1
-        return self._affine()[0]
+        return self._rank
 
     @property
     def is_full_dim(self) -> bool:
-        return self.rank == self.dim
+        return self._rank == self.dim
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polytope) and (self.dim, self.denominator, self.numerators) == (
@@ -474,52 +525,23 @@ class Polytope:
     # -- facets and descriptions ---------------------------------------------
 
     def facets(self) -> tuple[HalfSpace, ...]:
-        """Irredundant facet halfspaces; full-dimensional polytopes only.
-
-        Unless carried from another body, they come from `_hull` in its
-        order, which also fills in the vertex masks.
-        """
-        if self._facets is not None:
-            return self._facets
+        """Irredundant facet halfspaces; full-dimensional polytopes only."""
         if not self.is_full_dim:
             raise DegenerateInput("facets() requires a full-dimensional polytope")
-        _, found, on = _hull(self.numerators)
-        self._facets = _halfspaces(found, self.denominator)
-        if self._masks is None:
-            self._masks = _transpose(on, len(self.numerators))
-        return self._facets
+        return self._description[1]
 
     def linear_description(self) -> tuple[tuple[HalfSpace, ...], tuple[HalfSpace, ...]]:
         """(equalities, inequalities) cutting out this polytope exactly.
 
         Equalities are halfspaces read as ``a . x == b`` (the affine hull);
         for full-dimensional polytopes there are none and the inequalities
-        are the facets.  Lower-dimensional polytopes get their facet system
-        from `_hull` in the pivot coordinates of their affine hull, lifted
-        back, except a flat clip piece: it keeps the ambient inequalities it
-        was cut with.
+        are the facets.  The inequalities of a flat body are its facets
+        relative to its affine hull: lifted from the pivot coordinates of
+        that hull when it was built from points, the ambient inequalities it
+        was cut with when it is a clip piece or face.
         """
-        if self._description is not None:
-            return self._description
         if self.is_empty:
             raise DegenerateInput("empty polytope has no linear description")
-        if self.is_full_dim:
-            self._description = ((), self.facets())
-            return self._description
-        d, nums, den = self.dim, self.numerators, self.denominator
-        v0 = nums[0]
-        r, pivots = self._affine()
-        diffs = [tuple(x - y for x, y in zip(v, v0)) for v in nums[1:]]
-        eqs = tuple(HalfSpace._from_ints(*_primitive(tuple(den * x for x in n), _dot(n, v0)))
-                    for n in _nullspace(diffs, d))
-        ineqs = []
-        if r > 0:
-            for hs in _halfspaces(_hull(_project(nums, pivots))[1], den):
-                a = [0] * d
-                for j, pc in enumerate(pivots):
-                    a[pc] = hs.coeffs[j]
-                ineqs.append(HalfSpace._from_ints(tuple(a), hs.rhs))
-        self._description = (eqs, tuple(ineqs))
         return self._description
 
     def integer_description(self):
@@ -573,16 +595,13 @@ class Polytope:
         (tn,), tden = _homogenize([as_vec(t)])
         den = math.lcm(self.denominator, tden)
         f, shift = den // self.denominator, tuple(den // tden * x for x in tn)
-        out = Polytope(self.dim, (tuple(f * x + y for x, y in zip(v, shift))
-                                  for v in self.numerators), den=den, skip_normalization=True)
-        # facets translate exactly, no re-pruning needed
-        return _carry_facets(self, out, lambda h: h._shifted(tn, tden))
+        return self._image([tuple(f * x + y for x, y in zip(v, shift)) for v in self.numerators],
+                           den, lambda h: h._shifted(tn, tden).canonical())
 
     def negated(self) -> "Polytope":
-        out = Polytope(self.dim, (tuple(-x for x in v) for v in self.numerators),
-                       den=self.denominator, skip_normalization=True)
-        return _carry_facets(self, out, lambda h: HalfSpace._from_ints(
-            tuple(-x for x in h.coeffs), h.rhs, h._scale))
+        return self._image([tuple(-x for x in v) for v in self.numerators], self.denominator,
+                           lambda h: HalfSpace._from_ints(tuple(-x for x in h.coeffs), h.rhs),
+                           reverse=True)
 
     def volume(self) -> Fraction:
         if self._volume is None:
@@ -684,9 +703,9 @@ def _fan(nums: Sequence[IVec], on: Sequence[int], s: int, r: int) -> list[tuple[
 
 def _simplices(p: Polytope) -> list[tuple[int, ...]]:
     if p._simplices is None:
-        masks = _masks(p)
-        on = _transpose(masks, len(p.facets()))
-        p._simplices = _fan(p.numerators, on, (1 << len(masks)) - 1, p.dim)
+        masks = p._masks
+        p._simplices = _fan(p.numerators, _transpose(masks, len(p.facets())),
+                            (1 << len(masks)) - 1, p.dim)
     return p._simplices
 
 
@@ -731,51 +750,30 @@ def facets_from_vertices(p: Polytope) -> list[HalfSpace]:
     return list(p.facets())
 
 
-def _enumerate_vertices(rows: Sequence[tuple[IVec, int]], dim: int) -> list[tuple[IVec, int]]:
-    """Feasible solutions of the tight d-subsets of ``a . x <= b``, as
-    (numerator vector, positive denominator) in lowest terms."""
-    cand: dict[tuple[IVec, int], None] = {}
-    for subset in itertools.combinations(rows, dim):
-        work, pivots, _ = _eliminate([a + (b,) for a, b in subset], dim)
-        if len(pivots) < dim:
-            continue
-        q = work[0][0]
-        num = [row[dim] for row in work]
-        if q < 0:
-            q, num = -q, [-x for x in num]
-        g = math.gcd(q, *num)
-        num, q = tuple(x // g for x in num), q // g
-        if all(_dot(a, num) <= b * q for a, b in rows):
-            cand[(num, q)] = None
-    return list(cand)
-
-
-def _has_recession_direction(rows: Sequence[tuple[IVec, int]], dim: int) -> bool:
-    cone = [(a, 0) for a, _ in rows]
-    box = []
-    for i in range(dim):
-        e = tuple(1 if j == i else 0 for j in range(dim))
-        box += [(e, 1), (tuple(-x for x in e), 1)]
-    return any(any(v) for v, _ in _enumerate_vertices(cone + box, dim))
-
-
 def vertices_from_facets(halfspaces: Sequence[HalfSpace], dim: int) -> Polytope:
-    """All vertices of a bounded halfspace system, by exhaustive d-subset
-    solves of tight systems with feasibility filtering.  A full-dimensional
-    result keeps as facets the halfspaces cutting out its facets, first
-    comers first."""
-    rows = [(h.coeffs, h.rhs) for h in halfspaces]
-    verts = _enumerate_vertices(rows, dim)
-    if _has_recession_direction(rows, dim):
+    """The polytope cut out by a halfspace system: the box [-B, B]^dim
+    clipped by each halfspace in turn (the primal double description
+    method).  B is 1 plus the product of the dim largest values of
+    isqrt(|a|^2 + b^2) + 1 over the rows ``a . x <= b``; by Cramer's rule
+    and Hadamard's bound every vertex, and a point of every minimal face,
+    lies strictly inside that box, so a nonempty cut that touches it is
+    unbounded.  The inequalities kept are halfspaces of the system in its
+    order; a full-dimensional result keeps as facets those cutting out its
+    facets, first comers first."""
+    if any(len(h.coeffs) != dim for h in halfspaces):
+        raise DegenerateInput(f"halfspace of the wrong length in ambient dimension {dim}")
+    sizes = sorted((math.isqrt(_dot(h.coeffs, h.coeffs) + h.rhs * h.rhs) + 1 for h in halfspaces),
+                   reverse=True)
+    big = 1 + math.prod(sizes[:dim])
+    out = dilate(unit_cube(dim), 2 * big).translated((-big,) * dim)
+    for h in halfspaces:
+        out = clip(out, h)
+        if out.is_empty:
+            raise Infeasible("halfspace system has no solution")
+    lo, hi = out.integer_box()
+    edge = big * out.denominator
+    if -edge in lo or edge in hi:
         raise Unbounded("halfspace system admits a recession direction")
-    if not verts:
-        raise Infeasible("halfspace system has no solution")
-    nums, den = _common_den(verts)
-    out = Polytope(dim, nums, den=den, skip_normalization=True)
-    if out.is_full_dim:
-        on = [sum(1 << i for i, s in enumerate(sides(out, h)) if s == 0) for h in halfspaces]
-        out._facets = tuple(halfspaces[b].canonical()
-                            for b in _facet_sets(on, (1 << len(out.numerators)) - 1).values())
     return out
 
 
@@ -790,16 +788,6 @@ def sides(p: Polytope, h: HalfSpace) -> list[int]:
     return [sum(map(mul, a, v)) - bd for v in p.numerators]
 
 
-def _masks(p: Polytope) -> list[int]:
-    """Per vertex of nonempty p, the bitmask of the inequalities of its
-    linear description that are tight there."""
-    if p._masks is None:
-        cols = [sides(p, q) for q in p.linear_description()[1]]
-        p._masks = [sum(1 << b for b, col in enumerate(cols) if col[i] == 0)
-                    for i in range(len(p.numerators))]
-    return p._masks
-
-
 def _crossings(p: Polytope, vals: list[int]) -> list[tuple[IVec, int, int]]:
     """Vertices of p's clip on a hyperplane with side values `vals` at p's
     vertices: (numerator vector, positive denominator, in lowest terms, and
@@ -811,9 +799,8 @@ def _crossings(p: Polytope, vals: list[int]) -> list[tuple[IVec, int, int]]:
     s_i < 0 < s_j the crossing point of u_i, u_j is
     (s_j u_i - s_i u_j) / (s_j - s_i).
     """
-    nums, den = p.numerators, p.denominator
-    masks = _masks(p)
-    need = p.rank - 1
+    nums, den, masks = p.numerators, p.denominator, p._masks
+    need = p._rank - 1
     outside = [j for j, s in enumerate(vals) if s > 0]
     out = []
     for i, si in enumerate(vals):
@@ -841,8 +828,8 @@ def _piece(p: Polytope, h: HalfSpace, vals: list[int], new) -> Polytope:
     Kept vertices keep their masks re-indexed, crossing points get their
     edge's, and both get h's bit on h's hyperplane.
     """
-    eqs, ineqs = p.linear_description()
-    masks = _masks(p)
+    eqs, ineqs = p._description
+    masks = p._masks
     alive = functools.reduce(or_, (m for s, m in zip(vals, masks) if s < 0))
     dead = [b for b in reversed(range(len(ineqs))) if not alive >> b & 1]
     hbit = 1 << (len(ineqs) - len(dead))
@@ -857,18 +844,25 @@ def _piece(p: Polytope, h: HalfSpace, vals: list[int], new) -> Polytope:
     pts += [(v, q, moved(m) | hbit) for v, q, m in new]
     nums, den = _common_den([(v, q) for v, q, _ in pts])
     order = sorted(range(len(nums)), key=nums.__getitem__)
-    out = Polytope(p.dim, [nums[k] for k in order], den=den, skip_normalization=True)
-    out._masks = [pts[k][2] for k in order]
-    out._span = p._affine()
-    cut = tuple(q.canonical() for b, q in enumerate(ineqs) if alive >> b & 1) + (h.canonical(),)
-    out._description, out._facets = (eqs, cut), (None if eqs else cut)
-    return out
+    cut = tuple(q for b, q in enumerate(ineqs) if alive >> b & 1) + (h.canonical(),)
+    return Polytope._made(p.dim, [nums[k] for k in order], den, p._rank, (eqs, cut),
+                          [pts[k][2] for k in order])
 
 
 def _face(p: Polytope, keep: list[int]) -> Polytope:
-    """The polytope on p's vertices `keep`, which lie on one face of p."""
-    return Polytope(p.dim, [p.numerators[i] for i in keep], den=p.denominator,
-                    skip_normalization=True)
+    """The face of p on its vertices `keep` (possibly none).  Its facets are
+    the maximal proper sets S & on[b] of p's incidence (`_facet_sets`), each
+    cut out by its first inequality b of p; its equalities are read off its
+    own points."""
+    if not keep:
+        return Polytope.empty(p.dim)
+    nums, den = [p.numerators[i] for i in keep], p.denominator
+    ineqs = p._description[1]
+    sets = _facet_sets(_transpose(p._masks, len(ineqs)), sum(1 << i for i in keep))
+    eqs = _equalities(nums, den, p.dim)
+    masks = [sum(1 << k for k, t in enumerate(sets) if t >> i & 1) for i in keep]
+    return Polytope._made(p.dim, nums, den, p.dim - len(eqs),
+                          (eqs, tuple(ineqs[b] for b in sets.values())), masks)
 
 
 def clip(p: Polytope, h: HalfSpace) -> Polytope:
@@ -944,29 +938,14 @@ def affine_image(p: Polytope, m: Mat, t: Iterable) -> Polytope:
     den = math.lcm(mden * p.denominator, tden)
     f, g = den // (mden * p.denominator), den // tden
     return Polytope(p.dim, (tuple(f * _dot(row, v) + g * x for row, x in zip(rows, tn))
-                            for v in p.numerators), den=den, skip_normalization=True)
+                            for v in p.numerators), den=den)
 
 
 def dilate(p: Polytope, n: int) -> Polytope:
     if n <= 0:
         raise DegenerateInput("dilation factor must be positive")
-    out = Polytope(p.dim, (tuple(n * x for x in v) for v in p.numerators),
-                   den=p.denominator, skip_normalization=True)
-
-    def grow(h: HalfSpace) -> HalfSpace:
-        g = math.gcd(n * h.rhs, *h.coeffs)
-        return HalfSpace._from_ints(tuple(x // g for x in h.coeffs), n * h.rhs // g, h._scale * g)
-
-    return _carry_facets(p, out, grow)
-
-
-def _carry_facets(p: Polytope, out: Polytope, move) -> Polytope:
-    """Give `out`, the image of p under a similarity, p's rank and its facet
-    data mapped by `move`."""
-    out._span = p._span
-    if p._facets is not None:
-        out._facets = tuple(map(move, p._facets))
-    return out
+    return p._image([tuple(n * x for x in v) for v in p.numerators], p.denominator,
+                    lambda h: HalfSpace._from_ints(*_primitive(h.coeffs, n * h.rhs)))
 
 
 def bounding_box(p: Polytope) -> tuple[Vec, Vec]:
@@ -974,11 +953,12 @@ def bounding_box(p: Polytope) -> tuple[Vec, Vec]:
 
 
 def unit_cube(d: int) -> Polytope:
-    out = Polytope(d, itertools.product((0, 1), repeat=d), den=1, skip_normalization=True)
-    # -x_i <= 0 and x_i <= 1, in turn for each i
-    out._facets = tuple(HalfSpace._from_ints(tuple(s if j == i else 0 for j in range(d)), max(s, 0))
-                        for i in range(d) for s in (-1, 1))
-    return out
+    nums = list(itertools.product((0, 1), repeat=d))
+    # -x_i <= 0 and x_i <= 1 in turn for each i, so bit 2i + x_i is tight at x
+    facets = tuple(HalfSpace._from_ints(tuple(s if j == i else 0 for j in range(d)), max(s, 0))
+                   for i in range(d) for s in (-1, 1))
+    masks = [sum(1 << (2 * i + x) for i, x in enumerate(v)) for v in nums]
+    return Polytope._made(d, nums, 1, d, ((), facets), masks)
 
 
 def segment(a: Iterable, b: Iterable, dim: Optional[int] = None) -> Polytope:

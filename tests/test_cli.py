@@ -269,15 +269,22 @@ def test_output_to_file(tmp_path, capsys):
         # a Minkowski counterexample compares the deltas at two shifts
         (["verify", "--identity", "counterexample-minkowski", "--shifts", "0"], None),
         (["verify", "--identity", "counterexample-minkowski", "--shifts", "1"], None),
+        # an --out path that cannot be written: a missing directory, or a directory
+        (["volume", "--input", "simplex:2", "--out", "{dir}/missing/x.json"], None),
+        (["volume", "--input", "simplex:2", "--out", "{dir}"], None),
+        (["distribution", "--format", "csv", "--input", "simplex:2", "--out",
+          "{dir}/missing/x.csv"], None),
     ],
 )
 def test_bad_input_exits_two_with_error_payload(argv, body, tmp_path, capsys):
     path = tmp_path / "body.json"
     if body is not None:
         path.write_text(json.dumps(body))
-    code, out = run_cli([a.format(path=path) for a in argv], capsys)
+    code = main([a.format(path=path, dir=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
     assert code == 2
     assert "error" in json.loads(out)
+    assert "Traceback" not in err
 
 
 def test_broken_invariant_exits_three_with_error_payload(monkeypatch, capsys):

@@ -270,9 +270,7 @@ def test_generic_count_cube():
 
 def test_generic_count_matches_parallelepiped_index():
     gens = [(1, 1), (0, 2)]
-    para = Polytope(
-        2, [(0, 0), (1, 1), (0, 2), (1, 3)], skip_normalization=True
-    )
+    para = Polytope(2, [(0, 0), (1, 1), (0, 2), (1, 3)])
     assert parallelepiped_index(gens) == 2
     # brute-force oracle over 100 generic shifts
     stream = ShiftStream(2, seed=13)

@@ -190,6 +190,18 @@ def test_vertices_from_facets_infeasible():
         )
 
 
+def test_vertices_from_facets_rejects_rows_of_the_wrong_length():
+    with pytest.raises(DegenerateInput):
+        vertices_from_facets([halfspace((1, 0, 0), 1), halfspace((-1, 0), 0)], 2)
+
+
+def test_empty_system_with_a_recession_direction_is_infeasible():
+    # x <= -1 and -x <= 0 in R^2 is empty, though (0, 1) satisfies both
+    # rows' homogeneous parts: the cut is empty before it can touch the box
+    with pytest.raises(Infeasible):
+        vertices_from_facets([halfspace((1, 0), -1), halfspace((-1, 0), 0)], 2)
+
+
 def test_round_trip_catalog():
     bodies = [
         standard_simplex(2),
@@ -533,7 +545,8 @@ def test_halfspace_equality_is_on_normal_and_offset():
 @st.composite
 def clip_chains(draw):
     """A lattice or rational body in d = 2..4, flat half the time, and a
-    chain of clips, clip_both sides and at most one translate meet (fewer
+    chain of clips, clip_both sides, cuts to the face a direction is
+    maximal on, and at most one translate meet (fewer
     steps in R^4, where pieces gain vertices fastest and the fresh hulls
     of the oracle grow costly)."""
     d = draw(st.integers(2, 4))
@@ -548,8 +561,12 @@ def clip_chains(draw):
         pts = [p[:-1] + (1 - sum(p[:-1]),) for p in pts]
     normal = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
     offset = st.integers(-2, 2) | rationals
-    ops = draw(st.lists(st.tuples(st.sampled_from(("clip", "below", "above")), normal, offset),
-                        max_size=steps))
+    # a face op maximises a small direction, which ties on many vertices,
+    # or, given an index, the normal of one of the body's inequalities
+    direction = st.lists(st.integers(-1, 1), min_size=d, max_size=d).filter(any)
+    op = (st.tuples(st.sampled_from(("clip", "below", "above")), normal, offset)
+          | st.tuples(st.just("face"), direction, st.none() | st.integers(0, 9)))
+    ops = draw(st.lists(op, max_size=steps))
     at = draw(st.none() | st.integers(0, len(ops)))
     if at is not None or not ops:
         shift = draw(st.lists(st.integers(-1, 1) | rationals, min_size=d, max_size=d))
@@ -557,21 +574,32 @@ def clip_chains(draw):
     return Polytope(d, pts), ops
 
 
+def tight_sets(p):
+    """Per inequality of p's description, its tight vertices, sorted."""
+    return sorted(tuple(i for i, v in enumerate(p.vertices) if h.value(v) == 0)
+                  for h in p.linear_description()[1])
+
+
 def assert_incidence(p):
-    """p's vertices are extreme, each vertex mask is exactly its set of
-    tight inequalities, full-dimensional facets are those a fresh hull
-    finds, and a flat description cuts out p."""
+    """p's vertices are extreme and its rank is that of a fresh hull, each
+    vertex mask is exactly its set of tight inequalities, the inequalities
+    cut out the fresh hull's facets (relative to the affine hull), one
+    each, full-dimensional facets are the fresh hull's, and a flat
+    description cuts out p."""
     fresh = Polytope(p.dim, p.vertices)
-    assert fresh.vertices == p.vertices
+    assert fresh.vertices == p.vertices and fresh.rank == p.rank
     eqs, ineqs = p.linear_description()
-    masks = geometry._masks(p)
-    for m, v in zip(masks, p.vertices):
+    assert len(eqs) == p.dim - p.rank
+    for m, v in zip(p._masks, p.vertices, strict=True):
         assert m == sum(1 << b for b, h in enumerate(ineqs) if h.value(v) == 0)
+    assert tight_sets(p) == tight_sets(fresh)
     if p.is_full_dim:
         assert set(p.facets()) == set(fresh.facets())
     else:
-        system = list(ineqs) + list(eqs) + [e.flipped() for e in eqs]
-        assert vertices_from_facets(system, p.dim).vertices == p.vertices
+        system = [(h.coeffs, h.rhs) for h in ineqs]
+        system += [(e.coeffs, e.rhs) for e in eqs]
+        system += [(tuple(-x for x in e.coeffs), -e.rhs) for e in eqs]
+        assert enumerate_vertices(system, p.dim) == list(p.vertices)
 
 
 @given(clip_chains())
@@ -582,13 +610,19 @@ def test_clips_carry_exact_incidence(chain):
     for op, a, b in ops:
         if op == "meet":
             p = intersect(p, p.translated(a))
+        elif op == "face":
+            ineqs = p.linear_description()[1]
+            if b is not None and ineqs:
+                a = ineqs[b % len(ineqs)].coeffs
+            top = max(dot(a, v) for v in p.vertices)
+            p = clip(p, halfspace([-x for x in a], -top))
         else:
             h = halfspace(a, b)
             lo, hi = clip_both(p, h)
             cut = clip(p, h)
             assert cut == lo
             if not cut.is_empty:
-                assert geometry._masks(cut) == geometry._masks(lo)
+                assert cut._masks == lo._masks
                 assert cut.linear_description() == lo.linear_description()
             p, other = (hi, lo) if op == "above" else (lo, hi)
             if not other.is_empty:
@@ -727,13 +761,34 @@ def test_hull_matches_exhaustive_search(cloud):
             lifted[c] = den * a[j]
         halfspaces.append(HalfSpace(lifted, b).canonical())
     assert p.linear_description()[1] == tuple(halfspaces)
-    assert geometry._masks(p) == [sum(1 << b for b, m in enumerate(masks) if m >> k & 1)
-                                  for k in range(len(extreme))]
-    q = Polytope(d, p.vertices, skip_normalization=True)
+    assert p._masks == [sum(1 << b for b, m in enumerate(masks) if m >> k & 1)
+                        for k in range(len(extreme))]
     if p.is_full_dim:
-        assert q.facets() == p.facets() == tuple(halfspaces)
-    assert q.linear_description() == p.linear_description()
-    assert geometry._masks(q) == geometry._masks(p)
+        assert p.facets() == tuple(halfspaces)
+
+
+def tight_halfspaces(p):
+    """Per vertex of p, the set of inequalities its mask names."""
+    ineqs = p.linear_description()[1]
+    return [{h for b, h in enumerate(ineqs) if m >> b & 1} for m in p._masks]
+
+
+@given(hull_clouds(), st.lists(st.integers(-1, 1) | rationals, min_size=4, max_size=4),
+       st.integers(1, 3), st.lists(st.integers(-2, 2), min_size=16, max_size=16))
+@settings(max_examples=100, deadline=None)
+def test_similarity_images_carry_the_fresh_incidence(cloud, shift, n, entries):
+    d, pts = cloud
+    matrix = [entries[d * i:d * i + d] for i in range(d)]
+    assume(determinant(matrix) != 0)
+    p = Polytope(d, pts)
+    for q in (p.translated(shift[:d]), p.negated(), dilate(p, n),
+              affine_image(p, matrix, shift[:d])):
+        assert_incidence(q)
+        fresh = Polytope(d, q.vertices)
+        (eqs, ineqs), (fresh_eqs, fresh_ineqs) = q.linear_description(), fresh.linear_description()
+        assert set(eqs) == set(fresh_eqs) and len(eqs) == len(fresh_eqs)
+        assert set(ineqs) == set(fresh_ineqs) and len(ineqs) == len(fresh_ineqs)
+        assert tight_halfspaces(q) == tight_halfspaces(fresh)
 
 
 def test_points_on_facets_leave_the_facet_order_alone():
@@ -748,3 +803,94 @@ def test_points_on_facets_leave_the_facet_order_alone():
 def test_hull_of_a_five_dimensional_non_simple_body():
     pts = sorted(square_times_octahedron())
     assert geometry._hull(pts) == oracle_hull(pts)
+
+
+# ---------------------------------------------------------------------------
+# vertices_from_facets against exhaustive vertex enumeration
+
+
+def enumerate_vertices(rows, dim):
+    """Vertices of {x : a . x <= b for (a, b) in rows}, sorted: the feasible
+    solutions of the nonsingular dim-subsets of rows made tight."""
+    found = set()
+    for subset in itertools.combinations(rows, dim):
+        work, pivots, _ = geometry._eliminate([tuple(a) + (b,) for a, b in subset], dim)
+        if len(pivots) < dim:
+            continue
+        q = work[0][0]
+        num = [row[dim] for row in work]
+        if q < 0:
+            q, num = -q, [-x for x in num]
+        if all(dot(a, num) <= b * q for a, b in rows):
+            found.add(tuple(F(x, q) for x in num))
+    return sorted(found)
+
+
+def box_rows(dim, size):
+    """The rows of the box |x_i| <= size."""
+    return [(tuple(s if j == i else 0 for j in range(dim)), size)
+            for i in range(dim) for s in (1, -1)]
+
+
+def has_recession_direction(rows, dim):
+    """Some x != 0 has a . x <= 0 on every row: that cone, cut to the box
+    |x_i| <= 1, then has a vertex other than 0."""
+    cone = [(a, 0) for a, _ in rows]
+    return any(any(v) for v in enumerate_vertices(cone + box_rows(dim, 1), dim))
+
+
+def cut_oracle(rows, dim):
+    """Infeasible, Unbounded, or the sorted vertices of the system."""
+    verts = enumerate_vertices(rows, dim)
+    if not verts:
+        # a nonempty system without vertices has, by Cramer's rule, a point
+        # of a minimal face with every |x_i| below this product
+        size = 1 + math.prod(sum(map(abs, a)) + abs(b) + 1 for a, b in rows)
+        if not enumerate_vertices(rows + box_rows(dim, size), dim):
+            return Infeasible
+    if has_recession_direction(rows, dim):
+        return Unbounded
+    return verts
+
+
+@st.composite
+def halfspace_systems(draw):
+    """Integer systems ``a . x <= b`` in d = 1..4, empty to overdetermined:
+    random rows, often with a box that bounds them, with repeated rows and
+    with equalities given as pairs, in random order."""
+    d = draw(st.integers(1, 4))
+    normal = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any).map(tuple)
+    rows = draw(st.lists(st.tuples(normal, st.integers(-3, 3)), max_size=d + 3))
+    if draw(st.booleans()):
+        rows += box_rows(d, draw(st.integers(1, 2)))
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    if rows and draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows))
+        rows.append((tuple(-x for x in a), -b))
+    return d, draw(st.permutations(rows))
+
+
+@given(halfspace_systems())
+@settings(max_examples=120, deadline=None)
+def test_vertices_from_facets_matches_enumeration(system):
+    d, rows = system
+    hss = [halfspace(a, b) for a, b in rows]
+    expected = cut_oracle(rows, d)
+    if expected in (Infeasible, Unbounded):
+        with pytest.raises(expected):
+            vertices_from_facets(hss, d)
+        return
+    p = vertices_from_facets(hss, d)
+    assert list(p.vertices) == expected
+    assert_incidence(p)
+    # the kept inequalities are rows of the system in its order; a
+    # full-dimensional body keeps per facet the first row cutting it out
+    canonical = [h.canonical() for h in hss]
+    first = [canonical.index(h) for h in p.linear_description()[1]]
+    assert first == sorted(set(first))
+    if p.is_full_dim:
+        tight = [frozenset(i for i, v in enumerate(p.vertices) if h.value(v) == 0) for h in hss]
+        proper = [t for t in tight if t and len(t) < len(p.vertices)]
+        facets = {t for t in proper if not any(t < u for u in proper)}
+        assert first == sorted(tight.index(t) for t in facets)
