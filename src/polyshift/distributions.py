@@ -10,9 +10,10 @@ Three independent routes to the same quantities live here:
 
   an unfolding identity validated against brute-force grid integration
   in the test suite before being relied on exactly;
-* the full law comes from a cell decomposition of the unit cube: the
-  count is piecewise constant on the cells of the arrangement of all
-  facet hyperplanes of all relevant integer translates.
+* the full law comes from overlaying the integer translates z - P on the
+  unit cube: the count at x is the number of translates holding x, so
+  cells that start at count 0 and gain one inside each translate carry
+  the law in their volumes.
 """
 
 from __future__ import annotations
@@ -182,90 +183,79 @@ def exact_variance(p: Polytope) -> MomentReport:
 
 
 # ---------------------------------------------------------------------------
-# exact distribution by cell decomposition
+# exact distribution by overlaying the translates on the cube
 
 
-def _cutting_planes(parts: tuple[Polytope, ...], cube: Polytope) -> list[HalfSpace]:
-    """Facet hyperplanes of every integer translate z - P whose bounding box
-    meets the open unit cube, filtered to planes that actually cut it,
-    deduplicated and sorted for determinism."""
-    planes: dict[tuple, HalfSpace] = {}
-    for part in parts:
-        lo, hi = part.bounding_box()
-        # superset of the z with (z - part) reaching the open cube; planes
-        # from useless translates fall to the cube-cut filter
-        zranges = [range(math.ceil(a), math.floor(b) + 2) for a, b in zip(lo, hi)]
-        # z - part satisfies -a . x <= b - a . z: the facets of -part, moved by z
-        negated = [HalfSpace(tuple(-x for x in hs.normal), hs.offset) for hs in part.facets()]
-        for z in itertools.product(*zranges):
-            for hs in negated:
-                flipped = hs.translated(z)
-                vals = sides(cube, flipped)
-                if min(vals) < 0 < max(vals):
-                    planes[flipped.plane_key()] = flipped
-    keyed = sorted(planes.items(), key=lambda kv: kv[0])
-    return [hs for _, hs in keyed]
-
-
-def _split_cells(cube: Polytope, planes: list[HalfSpace], budget: int) -> list[Polytope]:
-    """Leaf cells of the arrangement of `planes` inside the cube.
-
-    Iterative sweep: carry the below side forward, stack the above side with
-    the next plane index (planes already processed cannot cut a child)."""
-    out: list[Polytope] = []
-    stack: list[tuple[Polytope, int]] = [(cube, 0)]
-    while stack:
-        cell, idx = stack.pop()
-        while idx < len(planes):
-            h = planes[idx]
-            vals = sides(cell, h)
-            if min(vals) < 0 < max(vals):
-                below, above = clip_both(cell, h)
-                stack.append((above, idx + 1))
-                cell = below
-            idx += 1
-        out.append(cell)
-        if len(out) + len(stack) > budget:
-            raise CellBudgetExceeded(f"cell decomposition exceeded {budget} cells")
+def _overlay(cells: list[tuple[Polytope, int]], facets: list[HalfSpace]
+             ) -> list[tuple[Polytope, int]]:
+    """Lay one translate, cut out of the cube by `facets`, over the counted
+    cells: the part of a cell inside it gains one, the parts cut away keep
+    their count.  A cell that a facet leaves wholly outside, judged first
+    on the cell's bounding box, stays whole; so does a cell whose last part
+    turns out to lie outside, as all its parts keep one count."""
+    out = []
+    for cell, count in cells:
+        (lo, hi), den = cell.integer_box(), cell.denominator
+        # a . x over the box is least at lo where a > 0 and at hi elsewhere
+        if any(sum(a * (l if a > 0 else u) for a, l, u in zip(h.coeffs, lo, hi)) >= h.rhs * den
+               for h in facets):
+            out.append((cell, count))
+            continue
+        part, cut = cell, []
+        for h in facets:
+            vals = sides(part, h)
+            if max(vals) <= 0:
+                continue
+            if min(vals) >= 0:
+                out.append((cell, count))
+                break
+            part, away = clip_both(part, h)
+            cut.append((away, count))
+        else:
+            out += cut
+            out.append((part, count + 1))
     return out
 
 
 def exact_distribution(body: Body, cell_budget: int = 10**6) -> CountDistribution:
     """Exact law of the count under a uniform unit-cube shift.
 
-    Splits the unit cube by every facet hyperplane of every lattice
-    translate that can reach it; on each full-dimensional leaf cell the
-    count is constant and is read off at the vertex centroid, which by
-    construction avoids every boundary (checked, raising InvariantViolation,
-    as a loud failure beats a silent miscount).  Probabilities are exact
-    cell-volume sums.
+    The count at x is the number of integer z with x in z - P, so the law
+    is that of the integer translates z - P laid over the unit cube.  Cells
+    carry counts, starting from the cube alone at count 0; each translate
+    that meets the open cube is overlaid by its facets that cut the cube
+    (`_overlay`).  A facet -a . x <= b - a . z that leaves the open cube
+    wholly outside rules its translate out.  Probabilities are exact sums
+    of the final cells' volumes, which must fill the cube (checked, raising
+    InvariantViolation, as a loud failure beats a silent miscount).  At
+    most `cell_budget` cells are kept.
     """
     _require_full_dim(body, "exact_distribution")
     parts = body.parts if isinstance(body, PolytopeUnion) else (body,)
-    d = parts[0].dim
-    cube = unit_cube(d)
-    planes = _cutting_planes(parts, cube)
-    cells = _split_cells(cube, planes, cell_budget)
+    cube = unit_cube(parts[0].dim)
+    cells = [(cube, 0)]
+    for part in parts:
+        lo, hi = part.bounding_box()
+        _, ineqs = part.integer_description()
+        # z - part reaches the open cube only for z in the box grown by one
+        for z in itertools.product(*(range(math.ceil(a), math.floor(b) + 2)
+                                     for a, b in zip(lo, hi))):
+            # z - part is cut out by -a . x <= b - a . z over part's facets
+            facets = [HalfSpace._from_ints(tuple(-c for c in a), b - sum(map(mul, a, z)))
+                      for a, b in ineqs]
+            vals = [sides(cube, h) for h in facets]
+            if any(min(v) >= 0 for v in vals):
+                continue
+            cells = _overlay(cells, [h for h, v in zip(facets, vals) if max(v) > 0])
+            if len(cells) > cell_budget:
+                raise CellBudgetExceeded(f"cell decomposition exceeded {cell_budget} cells")
     probs: dict[int, Fraction] = {}
-    total = ZERO
-    for cell in cells:
-        vol = cell.volume()
-        if vol == 0:
-            continue
-        k = len(cell.numerators) * cell.denominator
-        centroid = tuple(Fraction(sum(c), k) for c in zip(*cell.numerators))
-        res = count_at(body, centroid)
-        if not res.is_generic:
-            raise InvariantViolation(
-                "cell centroid landed on a translate boundary; "
-                "the splitting plane set must be incomplete"
-            )
-        probs[res.count] = probs.get(res.count, ZERO) + vol
-        total += vol
+    for cell, count in cells:
+        probs[count] = probs.get(count, ZERO) + cell.volume()
+    total = sum(probs.values(), ZERO)
     if total != 1:
         raise InvariantViolation(f"cell volumes sum to {total}, not 1")
-    probs = {m: pr for m, pr in sorted(probs.items()) if pr != 0}
-    return CountDistribution(kind="exact", probs=probs)
+    return CountDistribution(kind="exact", probs=dict(sorted(probs.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -365,18 +365,11 @@ class HalfSpace:
     def canonical(self) -> "HalfSpace":
         """Positive rescaling to coprime integer coefficients.
 
-        Only positive scalings preserve the inequality, so the sign is kept;
-        use `plane_key` for an orientation-free hyperplane identifier.
+        Only positive scalings preserve the inequality, so the sign is kept.
         """
         return self if self._scale == 1 else HalfSpace._from_ints(self.coeffs, self.rhs)
 
     def key(self) -> tuple:
-        return (self.coeffs, self.rhs)
-
-    def plane_key(self) -> tuple:
-        """Orientation-free identifier of the boundary hyperplane."""
-        if next(x for x in self.coeffs if x != 0) < 0:
-            return (tuple(-x for x in self.coeffs), -self.rhs)
         return (self.coeffs, self.rhs)
 
 
@@ -557,9 +550,11 @@ class Polytope:
     # -- membership ---------------------------------------------------------
 
     def contains(self, x: Iterable) -> bool:
+        p = as_vec(x)
+        if len(p) != self.dim:
+            raise DegenerateInput(f"point of length {len(p)} in ambient dimension {self.dim}")
         if self.is_empty:
             return False
-        p = as_vec(x)
         eqs, ineqs = self.linear_description()
         return all(h.value(p) == 0 for h in eqs) and all(h.value(p) <= 0 for h in ineqs)
 

@@ -288,15 +288,17 @@ def test_bad_input_exits_two_with_error_payload(argv, body, tmp_path, capsys):
 
 
 def test_broken_invariant_exits_three_with_error_payload(monkeypatch, capsys):
-    # a centroid count that reports a boundary hit breaks the law engine's
-    # invariant; that is a defect, not an input error or a failed identity
+    # a split that loses the cut-away side leaves cells that no longer fill
+    # the cube, which breaks the law engine's invariant; that is a defect,
+    # not an input error or a failed identity
     import polyshift.distributions as distributions
-    from polyshift.counting import CountResult
 
-    monkeypatch.setattr(distributions, "count_at", lambda body, shift: CountResult(1, ((0, 0),)))
+    real = distributions.clip_both
+    monkeypatch.setattr(distributions, "clip_both",
+                        lambda cell, h: (real(cell, h)[0], Polytope.empty(cell.dim)))
     code, out = run_cli(["distribution", "--method", "exact", "--input", "simplex:2"], capsys)
     assert code == 3
-    assert "boundary" in json.loads(out)["error"]
+    assert "not 1" in json.loads(out)["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,23 +5,27 @@ midpoint integration on a 1/512 grid (within 2%) in dimensions 1 and 2
 before the rest of the suite relies on it exactly.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import polyshift.distributions as distributions
 from polyshift.catalog import (
     central_slab,
+    cross_polytope,
     hexagon_zonotope,
     prism_over_embedded,
     random_lattice_polytope,
-    standard_simplex,
     reeve_tetrahedron,
+    scaling_decomposition,
+    standard_simplex,
 )
-from polyshift.counting import zonotope_polytope
+from polyshift.counting import count_at, zonotope_polytope
 from polyshift.distributions import (
     CountDistribution,
     _chi2_sf,
@@ -37,7 +41,16 @@ from polyshift.errors import (
     DegenerateInput,
     InsufficientSamples,
 )
-from polyshift.geometry import Polytope, dilate, unit_cube, volume
+from polyshift.geometry import (
+    HalfSpace,
+    Polytope,
+    PolytopeUnion,
+    clip_both,
+    dilate,
+    sides,
+    unit_cube,
+    volume,
+)
 
 F = Fraction
 
@@ -56,8 +69,6 @@ def riemann_variance(p, resolution=512):
     axes = [np.arange(1, den, 2, dtype=np.int64) for _ in range(d)]
     grids = np.meshgrid(*axes, indexing="ij")
     counts = np.zeros(grids[0].shape, dtype=np.int64)
-    import itertools
-
     ranges = [
         range(math.ceil(lo[i]), math.floor(hi[i]) + 2) for i in range(d)
     ]
@@ -167,38 +178,89 @@ def test_variance_matches_affine_side_lengths_on_triangles(seed):
 
 
 def test_octahedron_variance_scaling():
-    from polyshift.catalog import cross_polytope
-
     oct3 = cross_polytope(3)
     v0 = exact_variance(oct3).variance
     assert exact_variance(dilate(oct3, 2)).variance == 4 * v0
 
 
-def joint_second_moment(p, q):
-    """Independent oracle for E[N_p N_q]: decompose the cube by the
-    translate planes of BOTH bodies and sum vol * product of counts."""
-    from polyshift.counting import count_at
-    from polyshift.distributions import _cutting_planes, _split_cells
+# ---------------------------------------------------------------------------
+# the cutting-plane sweep: an independent oracle for the law engine
 
-    cube = unit_cube(p.dim)
-    planes = _cutting_planes((p, q), cube)
-    total = F(0)
-    checked = F(0)
-    for cell in _split_cells(cube, planes, 10**6):
+
+def cutting_planes(parts, cube):
+    """Facet hyperplanes of every integer translate z - P whose bounding box
+    meets the open unit cube, filtered to planes that actually cut it,
+    deduplicated regardless of orientation and sorted."""
+    planes = {}
+    for part in parts:
+        lo, hi = part.bounding_box()
+        zranges = [range(math.ceil(a), math.floor(b) + 2) for a, b in zip(lo, hi)]
+        # z - part satisfies -a . x <= b - a . z: the facets of -part, moved by z
+        negated = [HalfSpace(tuple(-x for x in hs.normal), hs.offset) for hs in part.facets()]
+        for z in itertools.product(*zranges):
+            for hs in negated:
+                flipped = hs.translated(z)
+                vals = sides(cube, flipped)
+                if min(vals) < 0 < max(vals):
+                    key = (flipped.coeffs, flipped.rhs)
+                    if next(x for x in flipped.coeffs if x != 0) < 0:
+                        key = (tuple(-x for x in flipped.coeffs), -flipped.rhs)
+                    planes[key] = flipped
+    return [planes[k] for k in sorted(planes)]
+
+
+def split_cells(cube, planes):
+    """Leaf cells of the arrangement of `planes` inside the cube.
+
+    Iterative sweep: carry the below side forward, stack the above side with
+    the next plane index (planes already processed cannot cut a child)."""
+    out = []
+    stack = [(cube, 0)]
+    while stack:
+        cell, idx = stack.pop()
+        while idx < len(planes):
+            h = planes[idx]
+            vals = sides(cell, h)
+            if min(vals) < 0 < max(vals):
+                below, above = clip_both(cell, h)
+                stack.append((above, idx + 1))
+                cell = below
+            idx += 1
+        out.append(cell)
+    return out
+
+
+def sweep_cells(*bodies):
+    """(volume, counts of each body) over the full-dimensional cells of the
+    arrangement of every body's translate planes, each count read off at
+    the cell's vertex centroid, which avoids every boundary (checked)."""
+    parts = [q for b in bodies for q in (b.parts if isinstance(b, PolytopeUnion) else (b,))]
+    cube = unit_cube(bodies[0].dim)
+    out = []
+    for cell in split_cells(cube, cutting_planes(parts, cube)):
         vol = cell.volume()
         if vol == 0:
             continue
-        centroid = tuple(
-            sum((v[i] for v in cell.vertices), F(0)) / len(cell.vertices)
-            for i in range(p.dim)
-        )
-        rp = count_at(p, centroid)
-        rq = count_at(q, centroid)
-        assert rp.is_generic and rq.is_generic
-        total += vol * rp.count * rq.count
-        checked += vol
-    assert checked == 1
-    return total
+        centroid = tuple(sum(c, F(0)) / len(cell.vertices) for c in zip(*cell.vertices))
+        results = [count_at(b, centroid) for b in bodies]
+        assert all(r.is_generic for r in results)
+        out.append((vol, [r.count for r in results]))
+    assert sum(vol for vol, _ in out) == 1
+    return out
+
+
+def sweep_law(body):
+    """The exact law of the count by the sweep, as {count: probability}."""
+    law = {}
+    for vol, (count,) in sweep_cells(body):
+        law[count] = law.get(count, F(0)) + vol
+    return dict(sorted(law.items()))
+
+
+def joint_second_moment(p, q):
+    """Independent oracle for E[N_p N_q]: decompose the cube by the
+    translate planes of BOTH bodies and sum vol * product of counts."""
+    return sum((vol * cp * cq for vol, (cp, cq) in sweep_cells(p, q)), F(0))
 
 
 @pytest.mark.parametrize(
@@ -293,8 +355,6 @@ def test_distribution_of_non_lattice_body():
 
 
 def test_distribution_union():
-    from polyshift.geometry import PolytopeUnion
-
     a = standard_simplex(2)
     b = standard_simplex(2).translated((3, 3))
     dist = exact_distribution(PolytopeUnion((a, b)))
@@ -302,6 +362,43 @@ def test_distribution_union():
     # no independence assumed; just check mean additivity and support bounds
     assert dist.mean() == 1
     assert set(dist.support()) <= {0, 1, 2}
+
+
+@st.composite
+def small_bodies(draw):
+    """Full-dimensional hulls of d + 1 .. d + 2 points in d = 1..3, with
+    integer coordinates in [-2, 2] or rational ones k / den in [-1, 1]."""
+    d = draw(st.integers(1, 3))
+    den = draw(st.sampled_from([1, 2, 3]))
+    bound = 2 if den == 1 else den
+    coord = st.integers(-bound, bound).map(lambda k: F(k, den))
+    points = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 2, unique=True))
+    p = Polytope(d, points)
+    assume(p.is_full_dim)
+    return p
+
+
+@given(small_bodies())
+@example(Polytope(4, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                      (F(1, 2), 1, 1, F(3, 2))]))
+@example(scaling_decomposition(Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                            (1, 1, 1)])).pieces[1])
+# eight of its translates z - P contain the whole cube
+@example(dilate(cross_polytope(3), 3))
+@settings(max_examples=25, deadline=None)
+def test_distribution_matches_sweep_oracle(body):
+    assert exact_distribution(body).probability_map() == sweep_law(body)
+
+
+def test_law_route_does_not_count(monkeypatch):
+    want = {0: F(14, 27), 1: F(25, 54), 2: F(1, 54)}
+    assert sweep_law(reeve_tetrahedron(3)) == want
+
+    def refuse(body, shift):
+        raise AssertionError("the exact law called count_at")
+
+    monkeypatch.setattr(distributions, "count_at", refuse)
+    assert exact_distribution(reeve_tetrahedron(3)).probability_map() == want
 
 
 def test_distribution_rejects_flat_parts():

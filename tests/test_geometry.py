@@ -282,6 +282,14 @@ def test_intersection_contained_in_both():
         assert p.contains(v) and q.contains(v)
 
 
+@pytest.mark.parametrize("point", [(0, 0, 7), (0,)])
+def test_membership_rejects_points_of_the_wrong_length(point):
+    p = Polytope(2, [(0, 0), (1, 0), (0, 1)])
+    for query in (p.contains, p.on_boundary, Polytope.empty(2).contains):
+        with pytest.raises(DegenerateInput):
+            query(point)
+
+
 # ---------------------------------------------------------------------------
 # volume
 
