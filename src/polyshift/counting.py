@@ -259,27 +259,38 @@ def is_generic(body: Body, shift) -> bool:
     return count_at(body, shift).is_generic
 
 
+def draw_generic(stream: ShiftStream, bodies: Sequence[Body], tries: int = 64
+                 ) -> tuple[Shift, list[int], int]:
+    """(a shift from `stream` generic for every body, the bodies' counts
+    there, the draws rejected on the way).  A draw is rejected at its first
+    body with a boundary hit, before the later bodies are counted.  Boundary
+    hits at dyadic shifts signal a degenerate instance rather than bad luck,
+    so after `tries` rejected draws this raises DegenerateInput."""
+    for redraws in range(tries):
+        shift = stream.draw()
+        counts = []
+        for b in bodies:
+            res = count_at(b, shift)
+            if not res.is_generic:
+                break
+            counts.append(res.count)
+        else:
+            return shift, counts, redraws
+    raise DegenerateInput(f"no shift generic for every body in {tries} draws; degenerate instance")
+
+
 def generic_count(body: Body, seed: int = 0, *, trials: int = 8, max_resamples: int = 64) -> int:
     """Almost-sure count of a body whose generic count is constant.
 
-    Draws shifts until generic (resampling on boundary hits) and checks the
-    count over several independent generic shifts; disagreement raises
-    NotConstant, flagging misuse.  Boundary events at dyadic shifts signal a
-    degenerate instance rather than bad luck, hence the hard resample cap.
+    Draws shifts until generic (`draw_generic`, up to `max_resamples`
+    resamples each) and checks the count over several independent generic
+    shifts; disagreement raises NotConstant, flagging misuse.
     """
     stream = ShiftStream(body.dim, seed)
-    values = []
-    for _ in range(trials):
-        for _ in range(max_resamples + 1):
-            res = count_at(body, stream.draw())
-            if res.is_generic:
-                values.append(res.count)
-                break
-        else:
-            raise DegenerateInput(f"no generic shift found in {max_resamples} resamples")
-    if len(set(values)) > 1:
-        raise NotConstant(f"generic counts disagree: {sorted(set(values))}")
-    return values[0]
+    values = {draw_generic(stream, [body], max_resamples + 1)[1][0] for _ in range(trials)}
+    if len(values) > 1:
+        raise NotConstant(f"generic counts disagree: {sorted(values)}")
+    return values.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .counting import ShiftStream, count_at
+from .counting import ShiftStream, draw_generic
 from .errors import (
     CellBudgetExceeded,
     DegenerateInput,
@@ -38,8 +38,8 @@ from .geometry import (
     Polytope,
     PolytopeUnion,
     ZERO,
+    clip,
     clip_both,
-    intersect,
     sides,
     unit_cube,
     volume,
@@ -144,7 +144,9 @@ def _translate_range(p: Polytope, q: Polytope) -> list[range]:
 
 def exact_covariance(p: Polytope, q: Polytope) -> Fraction:
     """cov of the counts of p and q under one common shift, via the lattice
-    sum of intersection volumes over the difference box.
+    sum of intersection volumes over the difference box.  Each cap is p
+    clipped by the translate's facets in turn and abandoned once it turns
+    flat, as only a full-dimensional cap has volume.
 
     For the self-covariance the summand is even in the translate
     (vol(P meet (P+t)) = vol(P meet (P-t))), so only half the range is
@@ -170,8 +172,12 @@ def exact_covariance(p: Polytope, q: Polytope) -> Fraction:
             continue
         if any(sum(map(mul, a, t)) < c for a, c in q_filters):
             continue
-        cap = intersect(p, q.translated(t))
-        if not cap.is_empty and cap.is_full_dim:
+        cap = p
+        for h in q.translated(t).facets():
+            cap = clip(cap, h)
+            if not cap.is_full_dim:
+                break
+        else:
             vol = cap.volume()
             second += vol if (not symmetric or t == tuple(-c for c in t)) else 2 * vol
     return second - p.volume() * q.volume()
@@ -274,15 +280,11 @@ def mc_distribution(body: Body, samples: int, seed: int = 0) -> CountDistributio
     stream = ShiftStream(dim, seed)
     freqs: dict[int, int] = {}
     redraws = 0
+    bodies = [body]
     for _ in range(samples):
-        for _ in range(64):
-            res = count_at(body, stream.draw())
-            if res.is_generic:
-                break
-            redraws += 1
-        else:
-            raise DegenerateInput("resampling failed to find a generic shift")
-        freqs[res.count] = freqs.get(res.count, 0) + 1
+        _, (count,), rejected = draw_generic(stream, bodies)
+        redraws += rejected
+        freqs[count] = freqs.get(count, 0) + 1
     return CountDistribution(
         kind="empirical",
         freqs=dict(sorted(freqs.items())),

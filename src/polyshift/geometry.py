@@ -17,7 +17,11 @@ tight points; a clip finds edges by the double description method's
 adjacency test and hands each piece, and each face it keeps, its facets
 and masks; translates, negation and dilates carry them over; and
 `vertices_from_facets` is a box clipped by each halfspace in turn.  Faces
-are vertex bitsets.  `fractions.Fraction` remains only at the boundary: the
+are vertex bitsets.  A triangulation is the pulling one from the lowest
+vertex: every face, a polygon too, cones its lowest vertex over the
+triangulations of its facets that miss it, read off the incidence, so each
+simplex lists its vertices in ascending order and simplices follow facet
+order.  `fractions.Fraction` remains only at the boundary: the
 public ``vertices``, ``normal``, ``offset``, ``bounding_box``, ``value``,
 ``volume`` and ``determinant`` results, built on demand, and rational
 inputs.  Polytopes are closed, possibly empty or flat (then of volume 0).
@@ -61,19 +65,6 @@ def as_mat(rows: Iterable[Iterable]) -> Mat:
 
 def zero_vec(d: int) -> Vec:
     return (ZERO,) * d
-
-
-def vdot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
-def identity_matrix(d: int) -> Mat:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d))
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    cols = list(zip(*b))
-    return tuple(tuple(vdot(row, as_vec(c)) for c in cols) for row in a)
 
 
 def determinant(m: Sequence[Sequence]) -> Fraction:
@@ -400,7 +391,7 @@ class Polytope:
     """
 
     __slots__ = ("dim", "numerators", "denominator", "_vertices", "_rank", "_description",
-                 "_masks", "_int_ineqs", "_volume", "_simplices", "_box", "_count_plan")
+                 "_masks", "_int_ineqs", "_volume", "_box", "_count_plan")
 
     def __init__(self, dim: int, points: Iterable[Iterable], *, den: Optional[int] = None):
         """With `den`, `points` are integer numerator vectors over that
@@ -454,7 +445,7 @@ class Polytope:
         self.denominator: int = den
         self._rank, self._description, self._masks = rank, description, masks
         self._vertices = self._int_ineqs = None
-        self._volume = self._simplices = self._box = self._count_plan = None
+        self._volume = self._box = self._count_plan = None
 
     def _image(self, nums: list[IVec], den: int, move, reverse: bool = False) -> "Polytope":
         """This body under a translation or positive dilation, or under
@@ -635,28 +626,6 @@ Body = Union[Polytope, PolytopeUnion]
 # triangulation and volume
 
 
-def _order_polygon(coords: Sequence[IVec]) -> list[int]:
-    """Indices of a planar point set in counterclockwise order around the
-    centroid (exact sign comparisons, no angles)."""
-    n = len(coords)
-    sx = sum(c[0] for c in coords)
-    sy = sum(c[1] for c in coords)
-    rel = [(n * x - sx, n * y - sy) for x, y in coords]  # n * (c - centroid)
-
-    def half(i: int) -> int:
-        x, y = rel[i]
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    def cmp(i: int, j: int) -> int:
-        hi, hj = half(i), half(j)
-        if hi != hj:
-            return -1 if hi < hj else 1
-        c = rel[i][0] * rel[j][1] - rel[j][0] * rel[i][1]
-        return 0 if c == 0 else (-1 if c > 0 else 1)
-
-    return sorted(range(n), key=functools.cmp_to_key(cmp))
-
-
 def _facet_sets(on: Sequence[int], s: int) -> dict[int, int]:
     """The facets of the face with vertex bitset `s`, as {vertex bitset:
     first b}, given the vertex bitsets `on[b]` of valid inequalities that
@@ -671,42 +640,37 @@ def _facet_sets(on: Sequence[int], s: int) -> dict[int, int]:
     return {t: b for t, b in faces.items() if not any(t & u == t != u for u in faces)}
 
 
-def _fan(nums: Sequence[IVec], on: Sequence[int], s: int, r: int) -> list[tuple[int, ...]]:
-    """Simplices (as vertex index tuples) triangulating the rank-r face with
-    vertex bitset `s`, fanned from its lowest vertex, which is its
-    lexicographically smallest since numerators are sorted; `on[b]` is the
-    vertex bitset of facet b."""
+def _fan(on: Sequence[int], s: int, r: int) -> list[tuple[int, ...]]:
+    """Simplices (as ascending vertex index tuples) triangulating the rank-r
+    face with vertex bitset `s`, given the vertex bitsets `on[b]` of
+    inequalities that include every facet: the pulling triangulation from
+    the face's lowest vertex i0, which is its lexicographically smallest
+    since numerators are sorted.  An edge is its two ends; a higher face
+    cones i0 over the fans of its facets that miss i0 (`_facet_sets`; a
+    polygon's facets are its edges), in the order of their first
+    inequality."""
     i0 = (s & -s).bit_length() - 1
     if r == 0:
         return [(i0,)]
-    idx = [i for i in range(i0, s.bit_length()) if s >> i & 1]
     if r == 1:
-        return [(i0, idx[-1])]
-    if r == 2:
-        pts = [nums[i] for i in idx]
-        # any three vertices of a polygon span its plane
-        order = _order_polygon(_project(pts, _affine_span(pts[:3])[1]))
-        lead = order.index(0)
-        order = order[lead:] + order[:lead]
-        return [(i0, idx[order[k]], idx[order[k + 1]]) for k in range(1, len(order) - 1)]
+        return [(i0, s.bit_length() - 1)]
     out: list[tuple[int, ...]] = []
     for t in _facet_sets(on, s):
         if not t >> i0 & 1:
-            out += [(i0,) + f for f in _fan(nums, on, t, r - 1)]
+            out += [(i0,) + f for f in _fan(on, t, r - 1)]
     return out
 
 
 def _simplices(p: Polytope) -> list[tuple[int, ...]]:
-    if p._simplices is None:
-        masks = p._masks
-        p._simplices = _fan(p.numerators, _transpose(masks, len(p.facets())),
-                            (1 << len(masks)) - 1, p.dim)
-    return p._simplices
+    masks = p._masks
+    return _fan(_transpose(masks, len(p.facets())), (1 << len(masks)) - 1, p.dim)
 
 
 def triangulate(p: Polytope) -> list[tuple[Vec, ...]]:
     """Full-dimensional triangulation into simplices on the polytope's own
-    vertices, fanned from the lexicographically smallest vertex."""
+    vertices: `_fan`'s pulling triangulation from the lexicographically
+    smallest vertex.  Each simplex lists its vertices in ascending
+    lexicographic order; simplices follow the facet order of each face."""
     if not p.is_full_dim:
         raise DegenerateInput("triangulate requires a full-dimensional polytope")
     verts = p.vertices

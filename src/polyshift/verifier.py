@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import catalog
-from .counting import ShiftStream, ZonotopeSpec, count_at, zonotope_constant, zonotope_polytope
+from .counting import (ShiftStream, ZonotopeSpec, draw_generic, zonotope_constant,
+                       zonotope_polytope)
 from .distributions import exact_distribution, exact_variance
 from .errors import DegenerateInput, UnknownIdentity
 from .geometry import (
@@ -91,23 +92,6 @@ def _fmt_law(dist) -> str:
     ) + "}"
 
 
-def _draw_generic(stream: ShiftStream, bodies: Sequence[Body], max_resamples: int = 64):
-    """A shift generic for every body, plus the counts computed on the way."""
-    for _ in range(max_resamples):
-        shift = stream.draw()
-        counts = []
-        ok = True
-        for b in bodies:
-            res = count_at(b, shift)
-            if not res.is_generic:
-                ok = False
-                break
-            counts.append(res.count)
-        if ok:
-            return shift, counts
-    raise DegenerateInput("no shift generic for all bodies; degenerate instance")
-
-
 def _witness(out: list[Witness], instance: str, shift, lhs, rhs):
     if len(out) < _MAX_WITNESSES:
         out.append(
@@ -173,7 +157,7 @@ def _check_scaling(tag: str, instances: int, shifts: int, n_max: int, seed: int,
         bodies: list[Body] = list(dec.pieces) + dilates
         stream = ShiftStream(d, seed + 9973 * idx + 104729 * d)
         for _ in range(shifts):
-            shift, counts = _draw_generic(stream, bodies)
+            shift, counts, _ = draw_generic(stream, bodies)
             piece_counts = counts[: d]
             if sum(piece_counts) != dec.constant_sum:
                 _witness(wit, f"{label} piece-sum", shift,
@@ -202,7 +186,7 @@ def _check_corollary_3d(instances: int, shifts: int, n_max: int, seed: int, **_)
         bodies: list[Body] = [base, neg] + [dilate(base, n) for n in n_values]
         stream = ShiftStream(3, seed + 7 * i)
         for _ in range(shifts):
-            shift, counts = _draw_generic(stream, bodies)
+            shift, counts, _ = draw_generic(stream, bodies)
             c_p, c_m = counts[0], counts[1]
             for j, n in enumerate(n_values):
                 lhs = counts[2 + j]
@@ -265,7 +249,7 @@ def _check_constancy(tag: str, instances: int, shifts: int, seed: int,
             _witness(wit, f"{label} volume", None, vol, constant)
         stream = ShiftStream(spec.dim, seed + 23 * idx + 1)
         for _ in range(shifts):
-            shift, counts = _draw_generic(stream, [poly])
+            shift, counts, _ = draw_generic(stream, [poly])
             if counts[0] != constant:
                 _witness(wit, label, shift, counts[0], constant)
         notes.append(f"{label}: constant {constant}")
@@ -316,7 +300,7 @@ def _minkowski_delta_witnesses(label, trio, shifts, seed, wit):
     stream = ShiftStream(p.dim, seed)
     seen: dict[int, object] = {}
     for _ in range(shifts):
-        shift, counts = _draw_generic(stream, [p, q, s])
+        shift, counts, _ = draw_generic(stream, [p, q, s])
         delta = counts[2] - counts[0] - counts[1]
         if delta not in seen:
             seen[delta] = shift
@@ -387,7 +371,7 @@ def _check_counterexample_slab(shifts: int, seed: int, **_):
     stream = ShiftStream(3, seed)
     seen = {}
     for _ in range(shifts):
-        shift, counts = _draw_generic(stream, [body])
+        shift, counts, _ = draw_generic(stream, [body])
         seen.setdefault(counts[0], shift)
         if len(seen) > 1:
             break

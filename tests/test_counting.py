@@ -20,6 +20,7 @@ from polyshift.counting import (
     ShiftStream,
     ZonotopeSpec,
     count_at,
+    draw_generic,
     generic_count,
     is_generic,
     parallelepiped_index,
@@ -29,7 +30,7 @@ from polyshift.counting import (
     zonotope_spec_to_json,
 )
 from polyshift.errors import DegenerateInput, NotConstant
-from polyshift.geometry import Polytope, PolytopeUnion, unit_cube, volume
+from polyshift.geometry import Polytope, PolytopeUnion, dilate, unit_cube, volume
 
 F = Fraction
 
@@ -297,6 +298,30 @@ def test_parallelepiped_index_degenerate():
 def test_generic_count_detects_nonconstant():
     with pytest.raises(NotConstant):
         generic_count(standard_simplex(2), seed=3, trials=32)
+
+
+class ScriptedStream:
+    """Hands out the given shifts in turn and counts the draws."""
+
+    def __init__(self, shifts):
+        self.shifts = list(shifts)
+        self.drawn = 0
+
+    def draw(self):
+        self.drawn += 1
+        return self.shifts.pop(0)
+
+
+def test_draw_generic_redraws_on_boundary_hits_then_gives_up():
+    cube, corner, inside = unit_cube(2), Shift((0, 0)), Shift((F(1, 2), F(1, 3)))
+    # the corner shift is rejected at the first body, the inside one taken
+    stream = ScriptedStream([corner, corner, inside])
+    assert draw_generic(stream, [cube, dilate(cube, 2)]) == (inside, [1, 4], 2)
+    assert stream.drawn == 3
+    stream = ScriptedStream([corner] * 5)
+    with pytest.raises(DegenerateInput, match="no shift generic for every body in 5 draws"):
+        draw_generic(stream, [cube], tries=5)
+    assert stream.drawn == 5
 
 
 def test_zonotope_constant_hexagon():

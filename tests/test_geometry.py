@@ -2,10 +2,11 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyshift import geometry
@@ -15,6 +16,7 @@ from polyshift.catalog import (
     reeve_tetrahedron,
     standard_simplex,
 )
+from polyshift.counting import ZonotopeSpec, zonotope_polytope
 from polyshift.errors import DegenerateInput, Infeasible, SingularMatrix, Unbounded
 from polyshift.geometry import (
     HalfSpace,
@@ -28,7 +30,6 @@ from polyshift.geometry import (
     dilate,
     facets_from_vertices,
     halfspace,
-    identity_matrix,
     intersect,
     minkowski_sum,
     polytope_from_json,
@@ -65,7 +66,7 @@ def shoelace(points):
 
 
 def test_determinant_identity():
-    assert determinant(identity_matrix(3)) == 1
+    assert determinant([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
 
 
 def test_determinant_2x2_by_hand():
@@ -93,9 +94,7 @@ small_mats = st.integers(-4, 4).flatmap(
 @given(small_mats, small_mats)
 @settings(max_examples=60, deadline=None)
 def test_determinant_is_multiplicative(a, b):
-    from polyshift.geometry import mat_mul, as_mat
-
-    prod = mat_mul(as_mat(a), as_mat(b))
+    prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
     assert determinant(prod) == determinant(a) * determinant(b)
 
 
@@ -378,7 +377,7 @@ def test_minkowski_commutative_associative():
 
 def test_affine_identity():
     p = reeve_tetrahedron(2)
-    assert affine_image(p, identity_matrix(3), (0, 0, 0)) == p
+    assert affine_image(p, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], (0, 0, 0)) == p
 
 
 def test_affine_simplex_transform():
@@ -658,19 +657,20 @@ def test_clip_skips_diagonals_of_non_simple_faces():
 
 
 # simplex lists of triangulate(), in order, as the rank-tested face search
-# made them; catalog.scaling_decomposition consumes this order
+# made them up to the vertex order inside each simplex, now ascending;
+# catalog.scaling_decomposition consumes this order
 CROSS4_X2_SIMPLICES = [
-    ((-2, 0, 0, 0), (0, -2, 0, 0), (0, 0, -2, 0), (2, 0, 0, 0), (0, 0, 0, -2)),
-    ((-2, 0, 0, 0), (0, -2, 0, 0), (0, 0, -2, 0), (2, 0, 0, 0), (0, 0, 0, 2)),
-    ((-2, 0, 0, 0), (0, -2, 0, 0), (0, 0, 0, -2), (2, 0, 0, 0), (0, 0, 2, 0)),
-    ((-2, 0, 0, 0), (0, -2, 0, 0), (0, 0, 0, 2), (2, 0, 0, 0), (0, 0, 2, 0)),
-    ((-2, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2), (2, 0, 0, 0), (0, 2, 0, 0)),
-    ((-2, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, 2), (2, 0, 0, 0), (0, 2, 0, 0)),
-    ((-2, 0, 0, 0), (0, 0, 0, -2), (0, 0, 2, 0), (2, 0, 0, 0), (0, 2, 0, 0)),
-    ((-2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 2, 0), (2, 0, 0, 0), (0, 2, 0, 0)),
+    ((-2, 0, 0, 0), (0, -2, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2), (2, 0, 0, 0)),
+    ((-2, 0, 0, 0), (0, -2, 0, 0), (0, 0, -2, 0), (0, 0, 0, 2), (2, 0, 0, 0)),
+    ((-2, 0, 0, 0), (0, -2, 0, 0), (0, 0, 0, -2), (0, 0, 2, 0), (2, 0, 0, 0)),
+    ((-2, 0, 0, 0), (0, -2, 0, 0), (0, 0, 0, 2), (0, 0, 2, 0), (2, 0, 0, 0)),
+    ((-2, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2), (0, 2, 0, 0), (2, 0, 0, 0)),
+    ((-2, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, 2), (0, 2, 0, 0), (2, 0, 0, 0)),
+    ((-2, 0, 0, 0), (0, 0, 0, -2), (0, 0, 2, 0), (0, 2, 0, 0), (2, 0, 0, 0)),
+    ((-2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 2, 0), (0, 2, 0, 0), (2, 0, 0, 0)),
 ]
 RANDOM_SEED5_SIMPLICES = [
-    ((-3, -1, 0), (-1, 3, 2), (3, 2, 2), (0, 3, -2)),
+    ((-3, -1, 0), (-1, 3, 2), (0, 3, -2), (3, 2, 2)),
     ((-3, -1, 0), (-1, 3, 2), (1, -3, 3), (3, 2, 2)),
     ((-3, -1, 0), (0, 3, -2), (2, -3, -2), (3, -2, 0)),
     ((-3, -1, 0), (0, 3, -2), (3, -2, 0), (3, 2, 2)),
@@ -685,6 +685,62 @@ RANDOM_SEED5_SIMPLICES = [
 ], ids=["cross4-x2", "random3d-seed5"])
 def test_triangulation_order_is_pinned(body, expected):
     assert triangulate(body()) == [tuple(as_vec(v) for v in s) for s in expected]
+
+
+@st.composite
+def tiled_bodies(draw):
+    """A full-dimensional lattice or rational body in d = 2..4, cut by one
+    halfspace half the time (a clip piece), and a seed for sample points."""
+    d = draw(st.integers(2, 4))
+    entries = st.integers(-2, 2).map(F) if draw(st.booleans()) else rationals
+    pts = draw(st.lists(st.tuples(*[entries] * d), min_size=d + 1,
+                        max_size=d + (5 if d < 4 else 3), unique=True))
+    p = Polytope(d, pts)
+    if draw(st.booleans()):
+        normal = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any))
+        p = clip(p, halfspace(normal, draw(st.integers(-1, 1) | rationals)))
+    assume(p.is_full_dim)
+    return p, draw(st.integers(0, 2**16))
+
+
+def barycentric(simplex, x):
+    """Coordinates of x in the simplex's vertices (Cramer's rule)."""
+    v0 = simplex[0]
+    cols = [[a - b for a, b in zip(v, v0)] for v in simplex[1:]]
+    rhs = [a - b for a, b in zip(x, v0)]
+    det = laplace([list(r) for r in zip(*cols)])
+    lam = [laplace([list(r) for r in zip(*(cols[:i] + [rhs] + cols[i + 1:]))]) / det
+           for i in range(len(cols))]
+    return [1 - sum(lam)] + lam
+
+
+# a 3-D zonotope whose two horizontal 2-faces are octagons
+@example((zonotope_polytope(ZonotopeSpec(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0),
+                                                 (0, 0, 1)])), 0))
+@given(tiled_bodies())
+@settings(max_examples=80, deadline=None)
+def test_triangulation_tiles_the_body(case):
+    p, seed = case
+    d, verts = p.dim, p.vertices
+    simplices = triangulate(p)
+    total = F(0)
+    for s in simplices:
+        assert len(s) == d + 1 and list(s) == sorted(set(s)) and set(s) <= set(verts)
+        assert s[0] == verts[0]
+        vol = abs(laplace([[a - b for a, b in zip(v, s[0])] for v in s[1:]])) / math.factorial(d)
+        assert vol > 0
+        total += vol
+    assert total == volume(p)
+    # interior points, from positive weights on p's vertices, each lie in
+    # exactly one simplex; a point on a simplex's boundary is not generic
+    rng = random.Random(seed)
+    for _ in range(6):
+        w = [rng.randint(1, 2**20) for _ in verts]
+        x = [sum(c * v[i] for c, v in zip(w, verts)) / sum(w) for i in range(d)]
+        coords = [barycentric(s, x) for s in simplices]
+        if any(min(c) == 0 for c in coords):
+            continue
+        assert sum(min(c) > 0 for c in coords) == 1
 
 
 # ---------------------------------------------------------------------------
