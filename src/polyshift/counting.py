@@ -16,6 +16,13 @@ takes its range from the rows of the body's projection onto coordinates
 0..k, which the shift moves by ``s[:k+1]``: z_k ranges exactly over that
 projection's fiber above the prefix, so every visited fiber meets the body
 and no lattice point is lost.
+
+So at a generic shift the count is a function of the floor vector
+``floor(a . s)`` over the body's rows, which names the cell of s in the
+arrangement ``a . x in Z``.  Each body memoizes its generic counts by that
+vector, whatever the shift's denominator; a count at a shift where some
+row is tight, and so every count of a flat body, neither reads nor writes
+the memo, and a memo holds at most ``_MEMO_CAP`` cells.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .geometry import (Body, IVec, Polytope, PolytopeUnion, Vec, _homogenize, as
 
 DYADIC_BITS = 64
 _DYADIC_DEN = 1 << DYADIC_BITS
+_MEMO_CAP = 4096  # cells memoized per body; later cells are counted but not stored
 
 
 class Shift:
@@ -118,11 +126,12 @@ class _CountPlan:
     The body's rows follow, ordered by the sign of a_last: positive below
     ``npos``, negative below ``nnz``, then zero; ``divs`` holds their |a_last|
     unless all are 1, ``eq_rows`` the folded equalities.  ``cols[k]`` is
-    column k of the rows after level k; ``shared`` maps a count to its generic result.
+    column k of the rows after level k; ``memo`` maps the floor vector of the body's
+    rows at a shift with none of them tight to the count's result there.
     """
 
     __slots__ = ("rows", "rhs", "nlev", "cols", "levels", "npos", "nnz", "divs", "eq_rows",
-                 "shared")
+                 "memo")
 
     def __init__(self, p: Polytope):
         rows, self.levels, ends = [], [], []
@@ -144,7 +153,7 @@ class _CountPlan:
         divs = [abs(c) for c in last if c]
         self.npos, self.nnz = sum(c > 0 for c in last), len(divs)
         self.divs = None if set(divs) == {1} else (divs[:self.npos], divs[self.npos:])
-        self.shared = {0: _NONE}
+        self.memo: dict = {}
 
 
 def _fiber_hits(R, tight, last, lo, hi, prefix) -> list:
@@ -171,13 +180,19 @@ def _count_polytope(p: Polytope, m: IVec, D: int, off: Optional[IVec]) -> CountR
     plan = p._count_plan
     if plan is None:
         plan = p._count_plan = _CountPlan(p)
-    am = [sum(map(mul, a, m)) for a in plan.rows]
-    R = [b + x // D for b, x in zip(plan.rhs, am)]
+    nlev, rhs = plan.nlev, plan.rhs
+    am = [sum(map(mul, a, m)) for a in plan.rows[nlev:]]
     # a body row can be tight only when D | a . m, and an equality must be
-    am = am[plan.nlev:]
     if any(am[j] % D for j in plan.eq_rows):
         return _NONE
     tight = [j for j, x in enumerate(am) if not x % D]
+    if not tight:
+        key = tuple(x // D for x in am)
+        res = plan.memo.get(key)
+        if res is not None:
+            return res
+    R = [b + sum(map(mul, a, m)) // D for a, b in zip(plan.rows[:nlev], rhs)]
+    R += [b + x // D for b, x in zip(rhs[nlev:], am)]
     cols, levels, npos, nnz, divs = plan.cols, plan.levels, plan.npos, plan.nnz, plan.divs
     count = 0
     hits: list = []
@@ -228,9 +243,9 @@ def _count_polytope(p: Polytope, m: IVec, D: int, off: Optional[IVec]) -> CountR
         if off is not None:
             hits = [tuple(map(add, z, off)) for z in hits]
         return CountResult(count, tuple(hits))
-    res = plan.shared.get(count)
-    if res is None:
-        res = plan.shared[count] = CountResult(count)
+    res = CountResult(count)
+    if not tight and len(plan.memo) < _MEMO_CAP:
+        plan.memo[key] = res
     return res
 
 

@@ -1,5 +1,7 @@
 """Shifted lattice-point counting, genericity, parallelepipeds, zonotopes."""
 
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -12,8 +14,10 @@ from polyshift.catalog import (
     embed_with_zero_last,
     hexagon_zonotope,
     random_lattice_polytope,
+    reeve_tetrahedron,
     standard_simplex,
 )
+from polyshift import counting
 from polyshift.counting import (
     CountResult,
     Shift,
@@ -240,6 +244,93 @@ def test_union_count_equals_oracle_exactly(s):
     b = standard_simplex(2).translated((F(1, 2), F(-1, 3)))
     u = PolytopeUnion((a, b, a.translated((1, 0))))
     assert count_at(u, s) == brute_count_body(u, s)
+
+
+# ---------------------------------------------------------------------------
+# the per-body count memo, keyed by the floor vector of the body's rows
+
+
+def fresh_copy(body):
+    """The same body with no count plan, hence an empty memo."""
+    if isinstance(body, PolytopeUnion):
+        return PolytopeUnion(tuple(map(fresh_copy, body.parts)))
+    return Polytope(body.dim, body.numerators, den=body.denominator)
+
+
+def body_floors(p, s):
+    """The memo key of shift s on p: floor(a . s) over p's counted rows."""
+    plan = p._count_plan
+    return tuple(math.floor(sum(map(operator.mul, a, s))) for a in plan.rows[plan.nlev:])
+
+
+@st.composite
+def same_cell_shifts(draw, d):
+    """Shifts near one k/8 grid point, most sharing its floor vector: the
+    grid point plus dyadic offsets below 1/32, the first one repeated."""
+    base = draw(st.tuples(*[st.integers(0, 7)] * d))
+    offset = st.tuples(*[st.integers(0, 7)] * d)
+    offsets = draw(st.lists(offset, min_size=2, max_size=6))
+    shifts = [tuple(F(k, 8) + F(j, 256) for k, j in zip(base, o)) for o in offsets]
+    return shifts + shifts[:1]
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_memo_hits_equal_oracle_and_fresh_counts(data):
+    p = data.draw(oracle_bodies())
+    if data.draw(st.booleans()):
+        p = PolytopeUnion((p, p.translated((F(1, 2),) + (0,) * (p.dim - 1))))
+    for s in data.draw(same_cell_shifts(p.dim)):
+        res = count_at(p, s)
+        assert res == brute_count_body(p, s)
+        assert res == count_at(fresh_copy(p), s)
+
+
+def test_memo_keys_on_rows_with_zero_last_coefficient():
+    # [0, 1/2] x [0, 1]: the rows on y agree at both shifts, 2x <= 1 does not
+    p = Polytope(2, [(0, 0), (F(1, 2), 0), (0, 1), (F(1, 2), 1)])
+    assert count_at(p, (F(1, 4), F(1, 2))).count == 0
+    assert count_at(p, (F(3, 4), F(1, 2))).count == 1
+    assert len(p._count_plan.memo) == 2
+
+
+def test_tight_shift_in_a_cached_cell_reports_its_boundary_hits():
+    p = reeve_tetrahedron(3)
+    generic, tight = (F(1, 64), F(1, 2), F(33, 64)), (F(0), F(1, 2), F(1, 2))
+    assert count_at(p, generic) == CountResult(1)
+    assert body_floors(p, tight) in p._count_plan.memo
+    assert count_at(p, tight) == CountResult(1, ((1, 1, 2),)) == brute_count(p, tight)
+    # translated back by the shift's integer part, as at a fresh body
+    far = (F(-1), F(5, 2), F(1, 2))
+    assert count_at(p, far) == CountResult(1, ((0, 3, 2),)) == count_at(fresh_copy(p), far)
+    # the tight count wrote nothing, so the generic shift is still served clean
+    assert len(p._count_plan.memo) == 1
+    assert count_at(p, generic) == CountResult(1)
+
+
+def test_flat_bodies_never_touch_the_memo():
+    stream = ShiftStream(4, seed=3)
+    for p in FLAT_BODIES:
+        for _ in range(40):
+            s = stream.draw()
+            count_at(p, s.coords[:p.dim])
+        count_at(p, (0,) * p.dim)
+        assert p._count_plan.memo == {}
+
+
+def test_memo_stops_growing_at_its_cap_and_counts_stay_exact(monkeypatch):
+    monkeypatch.setattr(counting, "_MEMO_CAP", 3)
+    p = random_lattice_polytope(3, 8, 3, seed=7)
+    stream = ShiftStream(3, seed=5)
+    shifts = [stream.draw() for _ in range(30)]
+    for s in shifts + shifts:
+        assert count_at(p, s) == brute_count(p, s.coords)
+    memo = p._count_plan.memo
+    assert len(memo) == 3
+    # a full memo still serves its cells
+    first = shifts[0]
+    assert count_at(p, first) is memo[body_floors(p, first.coords)]
+    assert len({body_floors(p, s.coords) for s in shifts}) > 3
 
 
 def test_count_matches_brute_force_rational_shift():
