@@ -4,7 +4,8 @@ Three independent routes to the same quantities live here:
 
 * the mean is the volume;
 * the variance/covariance comes from a lattice sum of intersection
-  volumes over integer translates,
+  volumes over the integer translates in the interior of the difference
+  body P - Q, the only ones whose intersection has volume,
 
       cov(X_P, X_Q) = sum_t vol(P meet (Q + t)) - vol(P) vol(Q),
 
@@ -40,6 +41,7 @@ from .geometry import (
     ZERO,
     clip,
     clip_both,
+    minkowski_sum,
     sides,
     unit_cube,
     volume,
@@ -144,9 +146,12 @@ def _translate_range(p: Polytope, q: Polytope) -> list[range]:
 
 def exact_covariance(p: Polytope, q: Polytope) -> Fraction:
     """cov of the counts of p and q under one common shift, via the lattice
-    sum of intersection volumes over the difference box.  Each cap is p
-    clipped by the translate's facets in turn and abandoned once it turns
-    flat, as only a full-dimensional cap has volume.
+    sum of intersection volumes over the interior of the difference body
+    p - q.  An integer t has a full-dimensional cap p meet (q + t) exactly
+    when it lies strictly inside p - q, so only those translates are
+    clipped, each cap being p clipped by q's integer rows moved by t,
+    ``a . x <= b + a . t``.  A cap that turns flat on the way is a kernel
+    fault and raises InvariantViolation.
 
     For the self-covariance the summand is even in the translate
     (vol(P meet (P+t)) = vol(P meet (P-t))), so only half the range is
@@ -159,27 +164,23 @@ def exact_covariance(p: Polytope, q: Polytope) -> Fraction:
     _require_full_dim(p, "exact_covariance")
     _require_full_dim(q, "exact_covariance")
     symmetric = p == q
-    # per-facet linear filters, cheap certificates of empty intersection in
-    # integers: for a facet a . x <= b of p, a . t > floor(b - min_q a . w)
-    # rules t out; for a facet of q, a . t < ceil(min_p a . v - b) does
-    p_filters = [(h.coeffs, -min(sides(q, h)) // q.denominator) for h in p.facets()]
-    q_filters = [(h.coeffs, -(-min(sides(p, h)) // p.denominator)) for h in q.facets()]
+    _, inside = minkowski_sum(p, q.negated()).integer_description()
+    _, rows = q.integer_description()
     second = ZERO
     for t in itertools.product(*_translate_range(p, q)):
         if symmetric and t < tuple(-c for c in t):
             continue
-        if any(sum(map(mul, a, t)) > c for a, c in p_filters):
-            continue
-        if any(sum(map(mul, a, t)) < c for a, c in q_filters):
+        if any(sum(map(mul, a, t)) >= b for a, b in inside):
             continue
         cap = p
-        for h in q.translated(t).facets():
-            cap = clip(cap, h)
+        # gcd(a, b + a . t) = gcd(a, b) = 1: the moved row stays primitive
+        for a, b in rows:
+            cap = clip(cap, HalfSpace._from_ints(a, b + sum(map(mul, a, t))))
             if not cap.is_full_dim:
-                break
-        else:
-            vol = cap.volume()
-            second += vol if (not symmetric or t == tuple(-c for c in t)) else 2 * vol
+                raise InvariantViolation(
+                    f"cap at translate {list(t)} inside the difference body turned flat")
+        vol = cap.volume()
+        second += vol if (not symmetric or t == tuple(-c for c in t)) else 2 * vol
     return second - p.volume() * q.volume()
 
 

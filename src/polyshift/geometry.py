@@ -631,13 +631,22 @@ def _facet_sets(on: Sequence[int], s: int) -> dict[int, int]:
     first b}, given the vertex bitsets `on[b]` of valid inequalities that
     include every facet.  Every face is cut out by the facets containing
     it, so the facets of s are the maximal proper nonempty sets s & on[b].
+    Taken largest first, a set is maximal exactly when no maximal set kept
+    so far contains it; the result keeps the order of first inequalities.
     """
     faces: dict[int, int] = {}
     for b, v in enumerate(on):
         t = s & v
         if t and t != s:
             faces.setdefault(t, b)
-    return {t: b for t, b in faces.items() if not any(t & u == t != u for u in faces)}
+    kept: list[int] = []
+    for t in sorted(faces, key=int.bit_count, reverse=True):
+        for u in kept:
+            if t & u == t:
+                break
+        else:
+            kept.append(t)
+    return faces if len(kept) == len(faces) else {t: b for t, b in faces.items() if t in kept}
 
 
 def _fan(on: Sequence[int], s: int, r: int) -> list[tuple[int, ...]]:

@@ -301,6 +301,18 @@ def test_broken_invariant_exits_three_with_error_payload(monkeypatch, capsys):
     assert "not 1" in json.loads(out)["error"]
 
 
+def test_flat_cap_inside_the_difference_body_exits_three(monkeypatch, capsys):
+    # every translate the covariance clips lies strictly inside p - q, so
+    # its cap is full-dimensional; a clip that flattens it is a kernel fault
+    import polyshift.distributions as distributions
+
+    real = distributions.clip
+    monkeypatch.setattr(distributions, "clip", lambda cap, h: real(real(cap, h), h.flipped()))
+    code, out = run_cli(["moments", "--input", "simplex:2"], capsys)
+    assert code == 3
+    assert "turned flat" in json.loads(out)["error"]
+
+
 # ---------------------------------------------------------------------------
 # malformed input never crashes: exit 0 or 2, never a traceback
 

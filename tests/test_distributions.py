@@ -46,8 +46,11 @@ from polyshift.geometry import (
     HalfSpace,
     Polytope,
     PolytopeUnion,
+    clip,
     clip_both,
     dilate,
+    intersect,
+    minkowski_sum,
     sides,
     unit_cube,
     volume,
@@ -176,6 +179,92 @@ def test_variance_matches_affine_side_lengths_on_triangles(seed):
         sum(math.gcd(int(dx), int(dy)) ** 2 for dx, dy in sides), 12
     )
     assert exact_variance(tri).variance == oracle
+
+
+# ---------------------------------------------------------------------------
+# the box enumeration: an independent oracle for the covariance engine
+
+
+def translate_box(p, q):
+    """The integer translates t in the bounding box of p - q."""
+    (plo, phi), (qlo, qhi) = p.bounding_box(), q.bounding_box()
+    return itertools.product(*[range(math.ceil(a - d), math.floor(c - b) + 1)
+                               for a, b, c, d in zip(plo, qlo, phi, qhi)])
+
+
+def box_covariance(p, q):
+    """cov(X_p, X_q) by the lattice sum over the whole bounding box of
+    p - q.  A translate t is skipped when a facet of p or of q certifies an
+    empty meet in integers; otherwise p is clipped by every facet of the
+    whole translate q + t, and a cap that turns flat adds nothing."""
+    # a facet a . x <= b of p rules t out when a . t > floor(b - min_q a . w);
+    # a facet of q does when a . t < ceil(min_p a . v - b)
+    p_filters = [(h.coeffs, -min(sides(q, h)) // q.denominator) for h in p.facets()]
+    q_filters = [(h.coeffs, -(-min(sides(p, h)) // p.denominator)) for h in q.facets()]
+    second = F(0)
+    for t in translate_box(p, q):
+        if any(sum(x * y for x, y in zip(a, t)) > c for a, c in p_filters):
+            continue
+        if any(sum(x * y for x, y in zip(a, t)) < c for a, c in q_filters):
+            continue
+        cap = p
+        for h in q.translated(t).facets():
+            cap = clip(cap, h)
+            if not cap.is_full_dim:
+                break
+        else:
+            second += cap.volume()
+    return second - p.volume() * q.volume()
+
+
+@st.composite
+def covariance_pairs(draw):
+    """(p, q) full-dimensional in d = 2 or 3, lattice or rational, with
+    q = p or drawn on its own."""
+    d = draw(st.sampled_from([2, 3]))
+    den = draw(st.sampled_from([1, 2, 3]))
+    bound = 2 if den == 1 else den
+    coord = st.integers(-bound, bound).map(lambda k: F(k, den))
+
+    def body():
+        points = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 3,
+                               unique=True))
+        p = Polytope(d, points)
+        assume(p.is_full_dim)
+        return p
+
+    p = body()
+    return p, p if draw(st.booleans()) else body()
+
+
+@given(covariance_pairs())
+@example((reeve_tetrahedron(3), reeve_tetrahedron(3)))
+@example((cross_polytope(3), standard_simplex(3).translated((F(1, 2), 0, F(-1, 3)))))
+@settings(max_examples=40, deadline=None)
+def test_covariance_matches_box_oracle(pair):
+    p, q = pair
+    assert exact_covariance(p, q) == box_covariance(p, q)
+
+
+RATIONAL_3D = Polytope(3, [(F(-4, 3), -2, F(1, 3)), (F(-1, 3), F(-1, 3), 0), (F(1, 3), F(2, 3), 2),
+                           (F(2, 3), F(-2, 3), -1), (F(5, 3), 2, F(2, 3))])
+
+
+@pytest.mark.parametrize("p, q", [
+    (reeve_tetrahedron(8), reeve_tetrahedron(8)),
+    (cross_polytope(3), cross_polytope(3)),
+    (RATIONAL_3D, RATIONAL_3D),
+    (RATIONAL_3D, cross_polytope(3)),
+], ids=["reeve8", "cross3", "rational3", "rational3-cross3"])
+def test_full_caps_are_the_interior_of_the_difference_body(p, q):
+    # the covariogram is positive exactly on the interior of p - q
+    diff = minkowski_sum(p, q.negated())
+    full = 0
+    for t in translate_box(p, q):
+        inside = diff.contains(t) and not diff.on_boundary(t)
+        assert intersect(p, q.translated(t)).is_full_dim == inside, t
+        full += inside
+    assert full > 1
 
 
 def test_octahedron_variance_scaling():

@@ -743,6 +743,26 @@ def test_triangulation_tiles_the_body(case):
         assert sum(min(c) > 0 for c in coords) == 1
 
 
+def quadratic_facet_sets(on, s):
+    """The maximal proper nonempty sets s & on[b], each with its first b,
+    by testing every candidate against every other, in first-b order."""
+    faces = {}
+    for b, v in enumerate(on):
+        t = s & v
+        if t and t != s:
+            faces.setdefault(t, b)
+    return {t: b for t, b in faces.items() if not any(t & u == t != u for u in faces)}
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 2**n - 1), max_size=16), st.integers(0, 2**n - 1))))
+@example(([0b0011, 0b0111, 0b1100, 0b0001, 0b1111], 0b1111))
+@settings(max_examples=300, deadline=None)
+def test_facet_sets_match_the_quadratic_definition(case):
+    on, s = case
+    assert list(geometry._facet_sets(on, s).items()) == list(quadratic_facet_sets(on, s).items())
+
+
 # ---------------------------------------------------------------------------
 # the insertion hull against an exhaustive facet search
 
