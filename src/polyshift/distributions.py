@@ -133,15 +133,96 @@ def exact_mean(body: Body) -> Fraction:
     return volume(body)
 
 
-def _translate_range(p: Polytope, q: Polytope) -> list[range]:
-    plo, phi = p.bounding_box()
-    qlo, qhi = q.bounding_box()
-    out = []
-    for i in range(p.dim):
-        lo = math.ceil(plo[i] - qhi[i])
-        hi = math.floor(phi[i] - qlo[i])
-        out.append(range(lo, hi + 1))
-    return out
+# A signed permutation x -> (s_0 x_{j_0}, ..., s_{d-1} x_{j_{d-1}}), as the
+# pairs (j_i, s_i) of its output coordinates.
+SignedPermutation = tuple[tuple[int, int], ...]
+
+
+def _shape(points) -> list[tuple[int, ...]]:
+    """A multiset of integer points up to translation: sorted, less its
+    lexicographically least point."""
+    points = sorted(points)
+    least = points[0]
+    return [tuple(x - y for x, y in zip(v, least)) for v in points]
+
+
+def _symmetries(p: Polytope) -> list[list[SignedPermutation]]:
+    """The group G of signed permutations M with M p a translate of p,
+    closed under x -> -x, as levels 0..d: the elements of G are the
+    products m_d ... m_1 m_0 with m_k from level k.  Level k < d holds, for
+    each value that the elements fixing the coordinates before k take at
+    coordinate k, one such element; level d is {I, -I}.
+
+    M p is a translate of p when M maps p's vertex numerators onto a
+    translate of them.  A partial map fixes the first k output coordinates,
+    each to a signed column whose sorted values match the target column's up
+    to translation, and is kept only while the projection of its image onto
+    those coordinates is a translate of p's; so asymmetric bodies prune at
+    the first coordinate and never meet the d! 2^d candidates, and only one
+    completion is searched per level element.
+    """
+    nums, d = p.numerators, p.dim
+    cols = list(zip(*nums))
+    profiles = [_shape((x,) for x in col) for col in cols]
+    options = [[(j, s) for j in range(d) for s in (1, -1)
+                if _shape((s * x,) for x in cols[j]) == profiles[i]] for i in range(d)]
+    targets = [_shape(v[:k] for v in nums) for k in range(d + 1)]
+
+    def complete(m: SignedPermutation) -> Optional[SignedPermutation]:
+        """A symmetry beginning with the partial map m, if there is one."""
+        if _shape(tuple(s * v[j] for j, s in m) for v in nums) != targets[len(m)]:
+            return None
+        if len(m) == d:
+            return m
+        for c in options[len(m)]:
+            if all(c[0] != j for j, _ in m) and (found := complete(m + (c,))):
+                return found
+        return None
+
+    identity = tuple((i, 1) for i in range(d))
+    levels = [[found for c in options[k] if c[0] >= k and (found := complete(identity[:k] + (c,)))]
+              for k in range(d)]
+    return levels + [[identity, tuple((i, -1) for i in range(d))]]
+
+
+def _orbit(t: tuple[int, ...], levels: list[list[SignedPermutation]]) -> set[tuple[int, ...]]:
+    """The images of t under the products of one element per level."""
+    orbit = {t}
+    for level in levels:
+        orbit = {tuple(s * u[j] for j, s in m) for u in orbit for m in level}
+    return orbit
+
+
+def _interior_translates(diff: Polytope):
+    """The integer points strictly inside the full-dimensional `diff`, in
+    lexicographic order, fiber by fiber: each prefix of the first d - 1
+    coordinates strictly inside the bounding box carries ``b - a . prefix``
+    for every integer row of `diff`, and the last coordinate runs over the
+    range where ``a . t < b`` holds for all of them."""
+    _, rows = diff.integer_description()
+    lo, hi = diff.integer_box()
+    den = diff.denominator
+    ranges = [range(x // den + 1, -(-y // den)) for x, y in zip(lo, hi)]
+    cols = list(zip(*(a for a, _ in rows)))
+
+    def fibers(prefix: tuple[int, ...], rest: list[int]):
+        k = len(prefix)
+        if k < len(ranges) - 1:
+            for x in ranges[k]:
+                yield from fibers(prefix + (x,), [r - c * x for r, c in zip(rest, cols[k])])
+            return
+        start, stop = ranges[k].start, ranges[k].stop
+        for r, c in zip(rest, cols[k]):
+            if c > 0:  # c x < r
+                stop = min(stop, (r - 1) // c + 1)
+            elif c < 0:
+                start = max(start, r // c + 1)
+            elif r <= 0:
+                return
+        for x in range(start, stop):
+            yield prefix + (x,)
+
+    return fibers((), [b for _, b in rows])
 
 
 def exact_covariance(p: Polytope, q: Polytope) -> Fraction:
@@ -153,9 +234,14 @@ def exact_covariance(p: Polytope, q: Polytope) -> Fraction:
     ``a . x <= b + a . t``.  A cap that turns flat on the way is a kernel
     fault and raises InvariantViolation.
 
-    For the self-covariance the summand is even in the translate
-    (vol(P meet (P+t)) = vol(P meet (P-t))), so only half the range is
-    enumerated.
+    For the self-covariance the sum runs over the orbits of the group G of
+    signed permutations M with M p a translate p - c of p, closed under
+    x -> -x: then p meet (p + M t) = M(p meet (p + t)) + c and
+    p meet (p - t) = (p meet (p + t)) - t have the cap's volume, and p - p
+    is G-invariant.  The first translate of each orbit reached in
+    lexicographic order adds |orbit| times its cap; the orbits must cover
+    the interior translates exactly once, or InvariantViolation is raised.
+    For p != q, G holds the identity alone.
     """
     if not isinstance(p, Polytope) or not isinstance(q, Polytope):
         raise DegenerateInput("covariance is defined for single polytopes")
@@ -163,15 +249,17 @@ def exact_covariance(p: Polytope, q: Polytope) -> Fraction:
         raise DegenerateInput("covariance requires equal ambient dimensions")
     _require_full_dim(p, "exact_covariance")
     _require_full_dim(q, "exact_covariance")
-    symmetric = p == q
-    _, inside = minkowski_sum(p, q.negated()).integer_description()
+    levels = _symmetries(p) if p == q else []
     _, rows = q.integer_description()
-    second = ZERO
-    for t in itertools.product(*_translate_range(p, q)):
-        if symmetric and t < tuple(-c for c in t):
+    second, seen, inside, covered = ZERO, set(), 0, 0
+    for t in _interior_translates(minkowski_sum(p, q.negated())):
+        inside += 1
+        if t in seen:
+            seen.remove(t)  # each translate is reached once
             continue
-        if any(sum(map(mul, a, t)) >= b for a, b in inside):
-            continue
+        orbit = _orbit(t, levels)
+        covered += len(orbit)
+        seen |= orbit - {t}
         cap = p
         # gcd(a, b + a . t) = gcd(a, b) = 1: the moved row stays primitive
         for a, b in rows:
@@ -179,8 +267,11 @@ def exact_covariance(p: Polytope, q: Polytope) -> Fraction:
             if not cap.is_full_dim:
                 raise InvariantViolation(
                     f"cap at translate {list(t)} inside the difference body turned flat")
-        vol = cap.volume()
-        second += vol if (not symmetric or t == tuple(-c for c in t)) else 2 * vol
+        second += len(orbit) * cap.volume()
+    if covered != inside:
+        raise InvariantViolation(
+            f"symmetry orbits cover {covered} translates, but {inside} lie inside "
+            "the difference body")
     return second - p.volume() * q.volume()
 
 

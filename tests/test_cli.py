@@ -313,6 +313,21 @@ def test_flat_cap_inside_the_difference_body_exits_three(monkeypatch, capsys):
     assert "turned flat" in json.loads(out)["error"]
 
 
+def test_non_symmetry_in_the_orbit_sum_exits_three(monkeypatch, capsys, tmp_path):
+    # swapping x and y is no symmetry of the 3 x 1 box: it moves the
+    # interior translate (2, 0) of the difference body (-3, 3) x (-1, 1) to
+    # (0, 2) outside it, so the orbits overcount the interior translates
+    import polyshift.distributions as distributions
+
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [3, 0], [0, 1], [3, 1]]}))
+    swap = [[((0, 1), (1, 1)), ((1, 1), (0, 1))]]
+    monkeypatch.setattr(distributions, "_symmetries", lambda p: swap)
+    code, out = run_cli(["moments", "--input", f"file:{path}"], capsys)
+    assert code == 3
+    assert "orbits cover" in json.loads(out)["error"]
+
+
 # ---------------------------------------------------------------------------
 # malformed input never crashes: exit 0 or 2, never a traceback
 

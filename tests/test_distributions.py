@@ -18,6 +18,7 @@ import polyshift.counting as counting
 import polyshift.distributions as distributions
 from polyshift.catalog import (
     central_slab,
+    centrally_symmetric_polytope,
     cross_polytope,
     hexagon_zonotope,
     prism_over_embedded,
@@ -46,6 +47,7 @@ from polyshift.geometry import (
     HalfSpace,
     Polytope,
     PolytopeUnion,
+    affine_image,
     clip,
     clip_both,
     dilate,
@@ -244,6 +246,127 @@ def covariance_pairs(draw):
 def test_covariance_matches_box_oracle(pair):
     p, q = pair
     assert exact_covariance(p, q) == box_covariance(p, q)
+
+
+# ---------------------------------------------------------------------------
+# the self-covariance over the orbits of the body's signed permutations
+
+
+def shear(d):
+    """x -> x + x_1 e_0: unimodular, and it breaks most of a body's
+    signed-permutation symmetries."""
+    return [[int(i == j or (i, j) == (0, 1)) for j in range(d)] for i in range(d)]
+
+
+@st.composite
+def symmetric_bodies(draw):
+    """Bodies with many signed-permutation symmetries, as they are, moved
+    by a nonzero rational vector (which keeps the symmetries up to
+    translation) or sheared (which loses most of them)."""
+    kind = draw(st.sampled_from(["cross", "cube", "central", "reeve", "simplex"]))
+    d = 3 if kind == "reeve" else draw(st.sampled_from([2, 3]))
+    if kind == "cross":
+        p = cross_polytope(d, draw(st.integers(1, 2)))
+    elif kind == "cube":
+        p = dilate(unit_cube(d), draw(st.integers(1, 2)))
+    elif kind == "central":
+        p = centrally_symmetric_polytope(d, 3, 1, draw(st.integers(0, 99)))
+    elif kind == "reeve":
+        p = reeve_tetrahedron(draw(st.integers(1, 4)))
+    else:
+        p = standard_simplex(d)
+    move = draw(st.sampled_from(["none", "translate", "shear"]))
+    if move == "translate":
+        c = draw(st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * d).filter(any))
+        p = p.translated(c)
+    elif move == "shear":
+        p = affine_image(p, shear(d), [0] * d)
+    return p
+
+
+@given(symmetric_bodies())
+@example(dilate(cross_polytope(3), 2).translated((F(1, 2), F(1, 3), 0)))
+@example(affine_image(dilate(cross_polytope(3), 2), shear(3), [0, 0, 0]))
+@example(reeve_tetrahedron(3).translated((F(-1, 2), 0, F(2, 3))))
+@settings(max_examples=30, deadline=None)
+def test_symmetric_variance_matches_box_oracle(p):
+    assert exact_covariance(p, p) == box_covariance(p, p)
+
+
+def compose(h, t):
+    """The signed permutation h after t, each as its (column, sign) pairs."""
+    return tuple((t[j][0], s * t[j][1]) for j, s in h)
+
+
+def expand(levels, d):
+    """The products of one element per level, the first level applied first."""
+    group = {tuple((i, 1) for i in range(d))}
+    for level in levels:
+        group = {compose(m, g) for g in group for m in level}
+    return group
+
+
+def maps_onto_a_translate(m, p):
+    image = {tuple(s * v[j] for j, s in m) for v in p.vertices}
+    c = [x - y for x, y in zip(min(image), min(p.vertices))]
+    return image == {tuple(x + y for x, y in zip(v, c)) for v in p.vertices}
+
+
+def brute_force_symmetries(p):
+    """Every signed permutation mapping p onto a translate, and its negation."""
+    d = p.dim
+    found = {tuple(zip(perm, signs))
+             for perm in itertools.permutations(range(d))
+             for signs in itertools.product((1, -1), repeat=d)
+             if maps_onto_a_translate(tuple(zip(perm, signs)), p)}
+    return found | {tuple((j, -s) for j, s in m) for m in found}
+
+
+@st.composite
+def small_bodies(draw):
+    """Hulls of points in [-1, 1]^d, d <= 4: small enough to be symmetric
+    now and then."""
+    d = draw(st.integers(1, 4))
+    points = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * d), min_size=d + 1,
+                           max_size=d + 4, unique=True))
+    p = Polytope(d, points)
+    assume(p.is_full_dim)
+    if draw(st.booleans()):
+        p = p.translated(draw(st.tuples(*[st.fractions(-1, 1, max_denominator=2)] * d)))
+    return p
+
+
+@given(small_bodies())
+@example(cross_polytope(4))
+@example(dilate(unit_cube(3), 2).translated((F(1, 3), 0, 0)))
+@example(standard_simplex(4))
+@example(reeve_tetrahedron(3))
+@example(centrally_symmetric_polytope(4, 4, 1, 0))
+@example(affine_image(cross_polytope(3), shear(3), [0, 0, 0]))
+@example(random_lattice_polytope(4, 7, 2, seed=1))
+@settings(max_examples=40, deadline=None)
+def test_symmetry_search_finds_the_group(p):
+    d = p.dim
+    identity, negation = tuple((i, 1) for i in range(d)), tuple((i, -1) for i in range(d))
+    group = expand(distributions._symmetries(p), d)
+    assert identity in group and negation in group
+    assert all(compose(g, h) in group for g in group for h in group)
+    assert all(maps_onto_a_translate(m, p) or maps_onto_a_translate(compose(negation, m), p)
+               for m in group)
+    assert group == brute_force_symmetries(p)
+
+
+def test_symmetry_search_prunes_an_asymmetric_body(monkeypatch):
+    # a 6-D body with no symmetry but x -> -x: the search compares about a
+    # hundred shapes (72 of them to match single columns), not one per each
+    # of the 6! 2^6 = 46,080 candidates
+    p = Polytope(6, [(0,) * 6] + [tuple(int(i == j) * (j + 1) for j in range(6))
+                                  for i in range(6)])
+    calls = []
+    real = distributions._shape
+    monkeypatch.setattr(distributions, "_shape", lambda points: calls.append(1) or real(points))
+    assert len(expand(distributions._symmetries(p), 6)) == 2
+    assert len(calls) < 200
 
 
 RATIONAL_3D = Polytope(3, [(F(-4, 3), -2, F(1, 3)), (F(-1, 3), F(-1, 3), 0), (F(1, 3), F(2, 3), 2),
