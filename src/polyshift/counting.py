@@ -9,9 +9,11 @@ with integer ``m``: exact, and almost surely generic.
 The counter works on integer rows ``a . x <= b``: as ``a . z`` is an
 integer, ``a . (z - m/D) <= b`` iff ``a . z <= b + floor(a . m / D)``, so
 residuals are small ints and a row can be tight only when ``D | a . m``
-(for a generic dyadic shift, never).  Lattice points are enumerated depth
-first, one coordinate per level, counting whole fibers along the last;
-stepping a coordinate subtracts its column from the residuals.  Level k
+(for a generic dyadic shift, never).  One ``divmod(a . m, D)`` per body
+row gives both the floor and, by a zero remainder, the tightness.  Lattice
+points are enumerated depth first, one coordinate per level, counting whole
+fibers along the last; stepping a coordinate subtracts its column from the
+residuals.  Level k
 takes its range from the rows of the body's projection onto coordinates
 0..k, which the shift moves by ``s[:k+1]``: z_k ranges exactly over that
 projection's fiber above the prefix, so every visited fiber meets the body
@@ -23,6 +25,10 @@ arrangement ``a . x in Z``.  Each body memoizes its generic counts by that
 vector, whatever the shift's denominator; a count at a shift where some
 row is tight, and so every count of a flat body, neither reads nor writes
 the memo, and a memo holds at most ``_MEMO_CAP`` cells.
+
+Sampling goes through one generator, `generic_draws`: it yields the
+numerators of each stream shift that is generic for every body, with the
+bodies' counts there, so no `Shift` is built per draw.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, floordiv, mul, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DegenerateInput, NotConstant
 from .geometry import (Body, IVec, Polytope, PolytopeUnion, Vec, _homogenize, as_vec, determinant,
@@ -80,16 +86,23 @@ class Shift:
 
 
 class ShiftStream:
-    """Deterministic stream of dyadic shifts for one generator seed."""
+    """Deterministic stream of dyadic shifts for one nonnegative generator seed."""
 
     def __init__(self, dim: int, seed: int = 0):
+        if seed < 0:
+            # random.seed takes |seed|, so a negative seed would replay another stream
+            raise DegenerateInput(f"seed must be nonnegative, got {seed}")
         self.dim = dim
         self.seed = seed
         self._rng = random.Random(seed)
         self._bits = (DYADIC_BITS,) * dim
 
+    def numerators(self) -> IVec:
+        """The next shift's numerators over ``2**DYADIC_BITS``."""
+        return tuple(map(self._rng.getrandbits, self._bits))
+
     def draw(self) -> Shift:
-        return Shift._from_ints(tuple(map(self._rng.getrandbits, self._bits)), _DYADIC_DEN)
+        return Shift._from_ints(self.numerators(), _DYADIC_DEN)
 
 
 @dataclass(frozen=True)
@@ -172,27 +185,31 @@ def _fiber_hits(R, tight, last, lo, hi, prefix) -> list:
 def _count_polytope(p: Polytope, m: IVec, D: int, off: Optional[IVec]) -> CountResult:
     """Exact count of z in Z^d with z in p + m/D, for m in [0, D)^d; boundary
     hits are reported translated by the integer vector ``off``."""
-    if p.is_empty:
-        return _NONE
+    plan = p._count_plan
+    if plan is None:
+        if p.is_empty:
+            return _NONE
+        plan = p._count_plan = _CountPlan(p)
     d = p.dim
     if len(m) != d:
         raise DegenerateInput("shift dimension does not match the polytope")
-    plan = p._count_plan
-    if plan is None:
-        plan = p._count_plan = _CountPlan(p)
     nlev, rhs = plan.nlev, plan.rhs
-    am = [sum(map(mul, a, m)) for a in plan.rows[nlev:]]
-    # a body row can be tight only when D | a . m, and an equality must be
-    if any(am[j] % D for j in plan.eq_rows):
-        return _NONE
-    tight = [j for j, x in enumerate(am) if not x % D]
-    if not tight:
-        key = tuple(x // D for x in am)
+    # floor and remainder of a . m / D per body row: a row is tight when the
+    # remainder is 0, and an equality must be, or the flat body misses Z^d
+    key, rems = zip(*[divmod(sum(map(mul, a, m)), D) for a in plan.rows[nlev:]])
+    if 0 in rems:
+        if any(rems[j] for j in plan.eq_rows):
+            return _NONE
+        tight = [j for j, r in enumerate(rems) if not r]
+    else:
+        if plan.eq_rows:
+            return _NONE
         res = plan.memo.get(key)
         if res is not None:
             return res
+        tight = ()
     R = [b + sum(map(mul, a, m)) // D for a, b in zip(plan.rows[:nlev], rhs)]
-    R += [b + x // D for b, x in zip(rhs[nlev:], am)]
+    R += map(add, rhs[nlev:], key)
     cols, levels, npos, nnz, divs = plan.cols, plan.levels, plan.npos, plan.nnz, plan.divs
     count = 0
     hits: list = []
@@ -249,6 +266,14 @@ def _count_polytope(p: Polytope, m: IVec, D: int, off: Optional[IVec]) -> CountR
     return res
 
 
+def _count_body(body: Body, m: IVec, D: int, off: Optional[IVec]) -> CountResult:
+    """`_count_polytope` over a body; a union adds up its parts' counts."""
+    if not isinstance(body, PolytopeUnion):
+        return _count_polytope(body, m, D, off)
+    res = [_count_polytope(part, m, D, off) for part in body.parts]
+    return CountResult(sum(r.count for r in res), tuple(z for r in res for z in r.boundary_hits))
+
+
 def count_at(body: Body, shift) -> CountResult:
     """Number of lattice points inside ``body + shift`` (closed count).
 
@@ -258,15 +283,10 @@ def count_at(body: Body, shift) -> CountResult:
     counts over interior-disjoint families.
     """
     if isinstance(shift, Shift):
-        m, D, off = shift.nums, shift.den, None
-    else:
-        (full,), D = _homogenize([as_vec(shift)])
-        m = tuple(x % D for x in full)
-        off = tuple(x // D for x in full) if m != full else None
-    if not isinstance(body, PolytopeUnion):
-        return _count_polytope(body, m, D, off)
-    res = [_count_polytope(part, m, D, off) for part in body.parts]
-    return CountResult(sum(r.count for r in res), tuple(z for r in res for z in r.boundary_hits))
+        return _count_body(body, shift.nums, shift.den, None)
+    (full,), D = _homogenize([as_vec(shift)])
+    m = tuple(x % D for x in full)
+    return _count_body(body, m, D, tuple(x // D for x in full) if m != full else None)
 
 
 def is_generic(body: Body, shift) -> bool:
@@ -274,35 +294,41 @@ def is_generic(body: Body, shift) -> bool:
     return count_at(body, shift).is_generic
 
 
-def draw_generic(stream: ShiftStream, bodies: Sequence[Body], tries: int = 64
-                 ) -> tuple[Shift, list[int], int]:
-    """(a shift from `stream` generic for every body, the bodies' counts
-    there, the draws rejected on the way).  A draw is rejected at its first
-    body with a boundary hit, before the later bodies are counted.  Boundary
-    hits at dyadic shifts signal a degenerate instance rather than bad luck,
-    so after `tries` rejected draws this raises DegenerateInput."""
-    for redraws in range(tries):
-        shift = stream.draw()
-        counts = []
-        for b in bodies:
-            res = count_at(b, shift)
-            if not res.is_generic:
+def generic_draws(stream: ShiftStream, bodies: Sequence[Body], tries: int = 64
+                  ) -> Iterator[tuple[IVec, list[int], int]]:
+    """Yields, for each draw from `stream` generic for every body, (its
+    numerators over ``2**DYADIC_BITS``, the bodies' counts there, the draws
+    rejected before it).  A draw is rejected at its first body with a
+    boundary hit, before the later bodies are counted.  Boundary hits at
+    dyadic shifts signal a degenerate instance rather than bad luck, so
+    after `tries` rejected draws in a row this raises DegenerateInput."""
+    draw = stream.numerators
+    while True:
+        for redraws in range(tries):
+            m = draw()
+            counts = []
+            for b in bodies:
+                res = _count_body(b, m, _DYADIC_DEN, None)
+                if res.boundary_hits:
+                    break
+                counts.append(res.count)
+            else:
+                yield m, counts, redraws
                 break
-            counts.append(res.count)
         else:
-            return shift, counts, redraws
-    raise DegenerateInput(f"no shift generic for every body in {tries} draws; degenerate instance")
+            raise DegenerateInput(
+                f"no shift generic for every body in {tries} draws; degenerate instance")
 
 
 def generic_count(body: Body, seed: int = 0, *, trials: int = 8, max_resamples: int = 64) -> int:
     """Almost-sure count of a body whose generic count is constant.
 
-    Draws shifts until generic (`draw_generic`, up to `max_resamples`
+    Draws shifts until generic (`generic_draws`, up to `max_resamples`
     resamples each) and checks the count over several independent generic
     shifts; disagreement raises NotConstant, flagging misuse.
     """
-    stream = ShiftStream(body.dim, seed)
-    values = {draw_generic(stream, [body], max_resamples + 1)[1][0] for _ in range(trials)}
+    draws = generic_draws(ShiftStream(body.dim, seed), [body], max_resamples + 1)
+    values = {counts[0] for _, counts, _ in itertools.islice(draws, trials)}
     if len(values) > 1:
         raise NotConstant(f"generic counts disagree: {sorted(values)}")
     return values.pop()

@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .counting import ShiftStream, draw_generic
+from .counting import ShiftStream, generic_draws
 from .errors import (
     CellBudgetExceeded,
     DegenerateInput,
@@ -368,13 +368,10 @@ def mc_distribution(body: Body, samples: int, seed: int = 0) -> CountDistributio
     """
     if samples < 1:
         raise DegenerateInput("need at least one sample")
-    dim = body.dim
-    stream = ShiftStream(dim, seed)
+    draws = generic_draws(ShiftStream(body.dim, seed), [body])
     freqs: dict[int, int] = {}
     redraws = 0
-    bodies = [body]
-    for _ in range(samples):
-        _, (count,), rejected = draw_generic(stream, bodies)
+    for _, (count,), rejected in itertools.islice(draws, samples):
         redraws += rejected
         freqs[count] = freqs.get(count, 0) + 1
     return CountDistribution(

@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from . import catalog
-from .counting import (ShiftStream, ZonotopeSpec, draw_generic, zonotope_constant,
+from .counting import (DYADIC_BITS, ShiftStream, ZonotopeSpec, generic_draws, zonotope_constant,
                        zonotope_polytope)
 from .distributions import exact_distribution, exact_variance
 from .errors import DegenerateInput, UnknownIdentity
@@ -82,8 +83,9 @@ class VerificationReport:
 _MAX_WITNESSES = 16
 
 
-def _fmt_shift(shift) -> tuple[str, ...]:
-    return tuple(str(c) for c in shift.coords)
+def _fmt_shift(nums) -> tuple[str, ...]:
+    """A stream shift, given by its numerators over ``2**DYADIC_BITS``."""
+    return tuple(str(Fraction(x, 1 << DYADIC_BITS)) for x in nums)
 
 
 def _fmt_law(dist) -> str:
@@ -156,8 +158,7 @@ def _check_scaling(tag: str, instances: int, shifts: int, n_max: int, seed: int,
         dilates = [dilate(base, n) for n in range(1, n_max + 1)]
         bodies: list[Body] = list(dec.pieces) + dilates
         stream = ShiftStream(d, seed + 9973 * idx + 104729 * d)
-        for _ in range(shifts):
-            shift, counts, _ = draw_generic(stream, bodies)
+        for shift, counts, _ in islice(generic_draws(stream, bodies), shifts):
             piece_counts = counts[: d]
             if sum(piece_counts) != dec.constant_sum:
                 _witness(wit, f"{label} piece-sum", shift,
@@ -185,8 +186,7 @@ def _check_corollary_3d(instances: int, shifts: int, n_max: int, seed: int, **_)
         label = f"poly3d-#{i}"
         bodies: list[Body] = [base, neg] + [dilate(base, n) for n in n_values]
         stream = ShiftStream(3, seed + 7 * i)
-        for _ in range(shifts):
-            shift, counts, _ = draw_generic(stream, bodies)
+        for shift, counts, _ in islice(generic_draws(stream, bodies), shifts):
             c_p, c_m = counts[0], counts[1]
             for j, n in enumerate(n_values):
                 lhs = counts[2 + j]
@@ -248,8 +248,7 @@ def _check_constancy(tag: str, instances: int, shifts: int, seed: int,
         if vol != constant:
             _witness(wit, f"{label} volume", None, vol, constant)
         stream = ShiftStream(spec.dim, seed + 23 * idx + 1)
-        for _ in range(shifts):
-            shift, counts, _ = draw_generic(stream, [poly])
+        for shift, counts, _ in islice(generic_draws(stream, [poly]), shifts):
             if counts[0] != constant:
                 _witness(wit, label, shift, counts[0], constant)
         notes.append(f"{label}: constant {constant}")
@@ -299,8 +298,7 @@ def _minkowski_delta_witnesses(label, trio, shifts, seed, wit):
     p, q, s = trio
     stream = ShiftStream(p.dim, seed)
     seen: dict[int, object] = {}
-    for _ in range(shifts):
-        shift, counts, _ = draw_generic(stream, [p, q, s])
+    for shift, counts, _ in islice(generic_draws(stream, [p, q, s]), shifts):
         delta = counts[2] - counts[0] - counts[1]
         if delta not in seen:
             seen[delta] = shift
@@ -370,8 +368,7 @@ def _check_counterexample_slab(shifts: int, seed: int, **_):
     notes.append(f"distribution {_fmt_law(dist)}")
     stream = ShiftStream(3, seed)
     seen = {}
-    for _ in range(shifts):
-        shift, counts, _ = draw_generic(stream, [body])
+    for shift, counts, _ in islice(generic_draws(stream, [body]), shifts):
         seen.setdefault(counts[0], shift)
         if len(seen) > 1:
             break

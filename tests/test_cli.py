@@ -386,6 +386,17 @@ def test_malformed_body_json_exits_zero_or_two(kind, body, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--input", "simplex:3", "--shifts", "3", "--seed", "-1"],
+    ["distribution", "--method", "mc", "--samples", "10", "--seed", "-5", "--input", "reeve:3"],
+])
+def test_negative_seed_exits_two_with_error_payload(argv, capsys):
+    # random.seed takes |seed|, so a negative seed would replay another stream
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert "seed must be nonnegative" in json.loads(out)["error"]
+
+
 # out-of-range values: nonpositive sizes and dimensions, unknown names and
 # non-integers; large positive sizes are left out, as they only cost time
 sizes = st.one_of(st.integers(-2, 2), st.just(-10**6), st.sampled_from(["", "x", "1.5"])).map(str)
@@ -394,6 +405,9 @@ argument_lists = st.one_of(
     st.builds(lambda n: ["distribution", "--method", "mc", "--samples", n, "--input", "simplex:2"],
               sizes),
     st.builds(lambda n: ["distribution", "--cell-budget", n, "--input", "simplex:2"], sizes),
+    st.builds(lambda n: ["count", "--input", "simplex:2", "--shifts", "2", "--seed", n], sizes),
+    st.builds(lambda n: ["distribution", "--method", "mc", "--samples", "5", "--seed", n,
+                         "--input", "simplex:2"], sizes),
     st.builds(lambda n, m: ["reeve-audit", "--n", n, "--max-distribution-n", m], sizes, sizes),
     st.builds(lambda t, i, s, n: ["verify", "--identity", t, "--instances", i, "--shifts", s,
                                   "--n", n],

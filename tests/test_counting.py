@@ -1,5 +1,6 @@
 """Shifted lattice-point counting, genericity, parallelepipeds, zonotopes."""
 
+import itertools
 import math
 import operator
 import random
@@ -18,13 +19,14 @@ from polyshift.catalog import (
     standard_simplex,
 )
 from polyshift import counting
+from polyshift.cli import main
 from polyshift.counting import (
     CountResult,
     Shift,
     ShiftStream,
     ZonotopeSpec,
     count_at,
-    draw_generic,
+    generic_draws,
     generic_count,
     is_generic,
     parallelepiped_index,
@@ -392,27 +394,82 @@ def test_generic_count_detects_nonconstant():
 
 
 class ScriptedStream:
-    """Hands out the given shifts in turn and counts the draws."""
+    """Hands out the numerators of the given shifts in turn, over 2**64, and
+    counts the draws."""
 
     def __init__(self, shifts):
-        self.shifts = list(shifts)
+        self.shifts = [tuple(int(c * 2**64) for c in s) for s in shifts]
         self.drawn = 0
 
-    def draw(self):
+    def numerators(self):
         self.drawn += 1
         return self.shifts.pop(0)
 
 
-def test_draw_generic_redraws_on_boundary_hits_then_gives_up():
-    cube, corner, inside = unit_cube(2), Shift((0, 0)), Shift((F(1, 2), F(1, 3)))
+def test_generic_draws_redraw_on_boundary_hits_then_give_up():
+    cube, corner, inside = unit_cube(2), (0, 0), (F(1, 2), F(1, 4))
     # the corner shift is rejected at the first body, the inside one taken
     stream = ScriptedStream([corner, corner, inside])
-    assert draw_generic(stream, [cube, dilate(cube, 2)]) == (inside, [1, 4], 2)
+    assert next(generic_draws(stream, [cube, dilate(cube, 2)])) == ((2**63, 2**62), [1, 4], 2)
     assert stream.drawn == 3
     stream = ScriptedStream([corner] * 5)
     with pytest.raises(DegenerateInput, match="no shift generic for every body in 5 draws"):
-        draw_generic(stream, [cube], tries=5)
+        next(generic_draws(stream, [cube], tries=5))
     assert stream.drawn == 5
+    # tries bounds the rejections in a row: a generic draw starts the count again
+    stream = ScriptedStream([corner, corner, inside] * 2 + [corner] * 3)
+    draws = generic_draws(stream, [cube], tries=3)
+    assert [redraws for _, _, redraws in itertools.islice(draws, 2)] == [2, 2]
+    with pytest.raises(DegenerateInput, match="in 3 draws"):
+        next(draws)
+    assert stream.drawn == 9
+
+
+def _flat_body(d):
+    """A segment for d >= 2, a rational point for d = 1."""
+    if d == 1:
+        return Polytope(1, [(F(1, 3),)])
+    return Polytope(d, [(0,) * d, (2,) + (1,) * (d - 1)])
+
+
+@given(oracle_bodies(), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_generic_draws_match_the_stream_and_count_at(body, seed):
+    d = body.dim
+    union = PolytopeUnion((body, body.translated((F(1, 2),) * d)))
+    bodies = [body, _flat_body(d), union]
+    reference = ShiftStream(d, seed)
+    for m, counts, redraws in itertools.islice(generic_draws(ShiftStream(d, seed), bodies), 4):
+        for _ in range(redraws):
+            s = reference.draw()
+            assert not all(count_at(b, s).is_generic for b in bodies)
+        s = reference.draw()
+        assert m == s.nums
+        assert counts == [count_at(b, s).count for b in bodies]
+        assert all(count_at(b, s).is_generic for b in bodies)
+
+
+# golden stdout of `count --input simplex:3 --shifts 5 --seed 2`: the
+# stream's shifts and the counts there must not move
+COUNT_SIMPLEX3_SEED2 = (
+    '{"command":"count","counts":[0,0,0,0,1],"generic":[true,true,true,true,true],'
+    '"input":"simplex:3","seed":2,"shifts":['
+    '["15921556852572072307/18446744073709551616","15662305406710239867/18446744073709551616",'
+    '"1689441204489037471/18446744073709551616"],'
+    '["6660334802794327005/18446744073709551616","779760526190760009/4611686018427387904",'
+    '"1865339480883138799/2305843009213693952"],'
+    '["15750464385269855119/18446744073709551616","580111590634569983/2305843009213693952",'
+    '"1957373065894532119/9223372036854775808"],'
+    '["659184109953178577/18446744073709551616","785423381042076821/1152921504606846976",'
+    '"18441556806163220353/18446744073709551616"],'
+    '["11777717384603786643/18446744073709551616","14825084521627418697/18446744073709551616",'
+    '"7934351388934121709/9223372036854775808"]]}\n'
+)
+
+
+def test_count_command_output_is_pinned(capsys):
+    assert main(["count", "--input", "simplex:3", "--shifts", "5", "--seed", "2"]) == 0
+    assert capsys.readouterr().out == COUNT_SIMPLEX3_SEED2
 
 
 def test_zonotope_constant_hexagon():

@@ -665,6 +665,14 @@ def test_mc_deterministic_per_seed():
     assert a.freqs != c.freqs
 
 
+def test_mc_laws_are_pinned():
+    # golden tallies: the stream's shifts and the counts there must not move
+    reeve = mc_distribution(reeve_tetrahedron(3), samples=2000, seed=1)
+    assert (reeve.freqs, reeve.redraws) == ({0: 1029, 1: 933, 2: 38}, 0)
+    cross = mc_distribution(dilate(cross_polytope(4), 2), samples=300, seed=4)
+    assert cross.freqs == {8: 157, 12: 104, 16: 39}
+
+
 def test_mc_simplex2_frequency_window():
     n = 100000
     dist = mc_distribution(standard_simplex(2), samples=n, seed=5)
