@@ -4,12 +4,10 @@ scaling laws and counterexamples that govern them."""
 
 from .counting import (
     CountResult,
-    Shift,
     ShiftStream,
     ZonotopeSpec,
     count_at,
     generic_count,
-    is_generic,
     parallelepiped_index,
     zonotope_constant,
     zonotope_polytope,

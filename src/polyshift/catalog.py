@@ -65,19 +65,11 @@ def slab_pieces(d: int) -> list[Polytope]:
     return pieces
 
 
-@dataclass(frozen=True)
-class ReeveParams:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DegenerateInput("Reeve parameter must be positive")
-
-
-def reeve_tetrahedron(params) -> Polytope:
+def reeve_tetrahedron(n: int) -> Polytope:
     """Tetrahedron (0,0,0), (0,1,0), (1,0,0), (1,1,n): only its four
     vertices are lattice points, yet translates can capture many."""
-    n = params.n if isinstance(params, ReeveParams) else ReeveParams(params).n
+    if n < 1:
+        raise DegenerateInput("Reeve parameter must be positive")
     verts = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, n)]
     return Polytope(3, verts)
 
@@ -132,7 +124,6 @@ class ScalingDecomposition:
     shift-independent constant equal to d! * vol(base).
     """
 
-    base: Polytope
     dim: int
     pieces: list[PolytopeUnion]
     transforms: list[tuple[tuple[IVec, ...], IVec]]
@@ -177,9 +168,9 @@ def scaling_decomposition(base: Polytope, kind: str = "polyhedron") -> ScalingDe
     pieces = []
     for k in range(1, d + 1):
         parts = [affine_image(slabs[k - 1], m, t) for m, t in transforms]
-        pieces.append(PolytopeUnion(tuple(parts), meta=f"piece-{k}-of-{d}"))
+        pieces.append(PolytopeUnion(tuple(parts)))
     constant = sum(abs(int(determinant(m))) for m, _ in transforms)
-    return ScalingDecomposition(base, d, pieces, transforms, constant)
+    return ScalingDecomposition(d, pieces, transforms, constant)
 
 
 # ---------------------------------------------------------------------------

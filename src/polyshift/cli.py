@@ -144,7 +144,7 @@ def _run_count(args) -> int:
         res = count_at(poly, s)
         counts.append(res.count)
         generic.append(res.is_generic)
-        shifts.append([str(c) for c in s.coords])
+        shifts.append([str(c) for c in s])
     _emit_json(
         {
             "command": "count",
@@ -316,6 +316,10 @@ def main(argv=None) -> int:
     internal invariant; codes 2 and 3 print a JSON ``error`` payload."""
     args = _parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            # random.Random takes |seed|, so a negative seed would replay the
+            # shifts and catalog instances of another seed
+            raise InputError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except (GeometryError, InvariantViolation) as exc:
         sys.stdout.write(

@@ -6,6 +6,10 @@ points on the boundary are counted *and* reported, so callers can detect
 non-generic shifts and resample.  Stream shifts are dyadic, ``m / 2**64``
 with integer ``m``: exact, and almost surely generic.
 
+A shift is a rational vector at `count_at`, which reduces it modulo Z^d
+and translates the boundary hits back; inside the kernel it is integer
+numerators ``m`` over one denominator ``D``.
+
 The counter works on integer rows ``a . x <= b``: as ``a . z`` is an
 integer, ``a . (z - m/D) <= b`` iff ``a . z <= b + floor(a . m / D)``, so
 residuals are small ints and a row can be tight only when ``D | a . m``
@@ -28,7 +32,7 @@ the memo, and a memo holds at most ``_MEMO_CAP`` cells.
 
 Sampling goes through one generator, `generic_draws`: it yields the
 numerators of each stream shift that is generic for every body, with the
-bodies' counts there, so no `Shift` is built per draw.
+bodies' counts there.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, floordiv, mul, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInput, NotConstant
 from .geometry import (Body, IVec, Polytope, PolytopeUnion, Vec, _homogenize, as_vec, determinant,
@@ -47,42 +51,6 @@ from .geometry import (Body, IVec, Polytope, PolytopeUnion, Vec, _homogenize, as
 DYADIC_BITS = 64
 _DYADIC_DEN = 1 << DYADIC_BITS
 _MEMO_CAP = 4096  # cells memoized per body; later cells are counted but not stored
-
-
-class Shift:
-    """Translation vector with coordinates in [0, 1), held as integer
-    numerators ``nums`` over one positive denominator ``den``."""
-
-    __slots__ = ("nums", "den", "_coords")
-
-    def __init__(self, coords: Iterable):
-        coords = as_vec(coords)
-        if any(c < 0 or c >= 1 for c in coords):
-            raise DegenerateInput("shift coordinates must lie in [0, 1)")
-        (self.nums,), self.den = _homogenize([coords])
-        self._coords = coords
-
-    @classmethod
-    def _from_ints(cls, nums: IVec, den: int) -> "Shift":
-        out = object.__new__(cls)
-        out.nums, out.den, out._coords = nums, den, None
-        return out
-
-    @property
-    def coords(self) -> Vec:
-        if self._coords is None:
-            self._coords = tuple(Fraction(x, self.den) for x in self.nums)
-        return self._coords
-
-    @property
-    def dim(self) -> int:
-        return len(self.nums)
-
-    def __eq__(self, other):
-        return self.coords == other.coords if isinstance(other, Shift) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.coords)
 
 
 class ShiftStream:
@@ -101,8 +69,9 @@ class ShiftStream:
         """The next shift's numerators over ``2**DYADIC_BITS``."""
         return tuple(map(self._rng.getrandbits, self._bits))
 
-    def draw(self) -> Shift:
-        return Shift._from_ints(self.numerators(), _DYADIC_DEN)
+    def draw(self) -> Vec:
+        """The next shift as a rational vector."""
+        return tuple(Fraction(x, _DYADIC_DEN) for x in self.numerators())
 
 
 @dataclass(frozen=True)
@@ -182,9 +151,8 @@ def _fiber_hits(R, tight, last, lo, hi, prefix) -> list:
     return [prefix + (z,) for z in sorted(vals) if lo <= z <= hi]
 
 
-def _count_polytope(p: Polytope, m: IVec, D: int, off: Optional[IVec]) -> CountResult:
-    """Exact count of z in Z^d with z in p + m/D, for m in [0, D)^d; boundary
-    hits are reported translated by the integer vector ``off``."""
+def _count_polytope(p: Polytope, m: IVec, D: int) -> CountResult:
+    """Exact count of z in Z^d with z in p + m/D, for m in [0, D)^d."""
     plan = p._count_plan
     if plan is None:
         if p.is_empty:
@@ -257,8 +225,6 @@ def _count_polytope(p: Polytope, m: IVec, D: int, off: Optional[IVec]) -> CountR
     else:
         walk(0, R, ())
     if hits:
-        if off is not None:
-            hits = [tuple(map(add, z, off)) for z in hits]
         return CountResult(count, tuple(hits))
     res = CountResult(count)
     if not tight and len(plan.memo) < _MEMO_CAP:
@@ -266,32 +232,29 @@ def _count_polytope(p: Polytope, m: IVec, D: int, off: Optional[IVec]) -> CountR
     return res
 
 
-def _count_body(body: Body, m: IVec, D: int, off: Optional[IVec]) -> CountResult:
+def _count_body(body: Body, m: IVec, D: int) -> CountResult:
     """`_count_polytope` over a body; a union adds up its parts' counts."""
     if not isinstance(body, PolytopeUnion):
-        return _count_polytope(body, m, D, off)
-    res = [_count_polytope(part, m, D, off) for part in body.parts]
+        return _count_polytope(body, m, D)
+    res = [_count_polytope(part, m, D) for part in body.parts]
     return CountResult(sum(r.count for r in res), tuple(z for r in res for z in r.boundary_hits))
 
 
 def count_at(body: Body, shift) -> CountResult:
     """Number of lattice points inside ``body + shift`` (closed count).
 
-    ``shift`` is a `Shift` or any rational vector; the latter is reduced
-    modulo Z^d and the boundary hits are translated back.  Unions count
-    additively over their parts, matching the almost-sure additivity of
-    counts over interior-disjoint families.
+    ``shift`` is any rational vector; it is reduced modulo Z^d and the
+    boundary hits are translated back.  Unions count additively over their
+    parts, matching the almost-sure additivity of counts over
+    interior-disjoint families.
     """
-    if isinstance(shift, Shift):
-        return _count_body(body, shift.nums, shift.den, None)
     (full,), D = _homogenize([as_vec(shift)])
     m = tuple(x % D for x in full)
-    return _count_body(body, m, D, tuple(x // D for x in full) if m != full else None)
-
-
-def is_generic(body: Body, shift) -> bool:
-    """True when no lattice point lies on the boundary of ``body + shift``."""
-    return count_at(body, shift).is_generic
+    res = _count_body(body, m, D)
+    if m == full or not res.boundary_hits:
+        return res
+    off = [x // D for x in full]
+    return CountResult(res.count, tuple(tuple(map(add, z, off)) for z in res.boundary_hits))
 
 
 def generic_draws(stream: ShiftStream, bodies: Sequence[Body], tries: int = 64
@@ -308,7 +271,7 @@ def generic_draws(stream: ShiftStream, bodies: Sequence[Body], tries: int = 64
             m = draw()
             counts = []
             for b in bodies:
-                res = _count_body(b, m, _DYADIC_DEN, None)
+                res = _count_body(b, m, _DYADIC_DEN)
                 if res.boundary_hits:
                     break
                 counts.append(res.count)

@@ -52,7 +52,6 @@ from .geometry import (
 class MomentReport:
     mean: Fraction
     variance: Fraction
-    covariance: Optional[Fraction] = None
 
     def __post_init__(self):
         if self.variance < 0:
@@ -67,7 +66,6 @@ class CountDistribution:
     probs: Optional[dict[int, Fraction]] = None
     freqs: Optional[dict[int, int]] = None
     samples: Optional[int] = None
-    sample_seed: Optional[int] = None
     redraws: int = 0
 
     def __post_init__(self):
@@ -378,7 +376,6 @@ def mc_distribution(body: Body, samples: int, seed: int = 0) -> CountDistributio
         kind="empirical",
         freqs=dict(sorted(freqs.items())),
         samples=samples,
-        sample_seed=seed,
         redraws=redraws,
     )
 

@@ -605,7 +605,6 @@ class PolytopeUnion:
     """
 
     parts: tuple[Polytope, ...]
-    meta: str = ""
 
     def __post_init__(self):
         if not self.parts:

@@ -438,13 +438,14 @@ def verify(
 
     Identity tags pass when no witness violates them; counterexample tags
     require at least one violating witness (expected-failure-confirmed).
-    A negative size, fewer than two shifts for counterexample-minkowski
+    A negative size or seed, fewer than two shifts for counterexample-minkowski
     (its witness compares two), or a `body` on a tag other than the two
     constancy tags or other than a zonotope spec, raises DegenerateInput.
     """
     if kind not in _CHECKERS:
         raise UnknownIdentity(f"unknown identity tag: {kind!r}")
-    for name, value in (("instances", instances), ("shifts", shifts), ("n_max", n_max)):
+    for name, value in (("instances", instances), ("shifts", shifts), ("n_max", n_max),
+                        ("seed", seed)):
         if value is not None and value < 0:
             raise DegenerateInput(f"{name} must be nonnegative, got {value}")
     if body is not None:

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from polyshift.catalog import (
-    ReeveParams,
     central_slab,
     centrally_symmetric_polytope,
     cross_polytope,
@@ -214,13 +213,15 @@ def test_decomposition_rejects_bad_input():
 
 
 def test_reeve_vertices():
-    t4 = reeve_tetrahedron(ReeveParams(4))
+    t4 = reeve_tetrahedron(4)
     assert set(t4.vertices) == {
         (F(0), F(0), F(0)),
         (F(0), F(1), F(0)),
         (F(1), F(0), F(0)),
         (F(1), F(1), F(4)),
     }
+    with pytest.raises(DegenerateInput):
+        reeve_tetrahedron(0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])

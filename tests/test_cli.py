@@ -389,6 +389,10 @@ def test_malformed_body_json_exits_zero_or_two(kind, body, command):
 @pytest.mark.parametrize("argv", [
     ["count", "--input", "simplex:3", "--shifts", "3", "--seed", "-1"],
     ["distribution", "--method", "mc", "--samples", "10", "--seed", "-5", "--input", "reeve:3"],
+    # these two never build a stream from the seed: the catalog's draws and
+    # the exact moments would otherwise run with it
+    ["verify", "--identity", "symmetric-distribution-2d", "--seed", "-3"],
+    ["moments", "--input", "reeve:2", "--seed", "-4"],
 ])
 def test_negative_seed_exits_two_with_error_payload(argv, capsys):
     # random.seed takes |seed|, so a negative seed would replay another stream
@@ -408,6 +412,9 @@ argument_lists = st.one_of(
     st.builds(lambda n: ["count", "--input", "simplex:2", "--shifts", "2", "--seed", n], sizes),
     st.builds(lambda n: ["distribution", "--method", "mc", "--samples", "5", "--seed", n,
                          "--input", "simplex:2"], sizes),
+    st.builds(lambda n: ["verify", "--identity", "symmetric-distribution-2d", "--instances", "2",
+                         "--seed", n], sizes),
+    st.builds(lambda n: ["moments", "--input", "reeve:2", "--seed", n], sizes),
     st.builds(lambda n, m: ["reeve-audit", "--n", n, "--max-distribution-n", m], sizes, sizes),
     st.builds(lambda t, i, s, n: ["verify", "--identity", t, "--instances", i, "--shifts", s,
                                   "--n", n],

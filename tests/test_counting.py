@@ -1,6 +1,7 @@
 """Shifted lattice-point counting, genericity, parallelepipeds, zonotopes."""
 
 import itertools
+import json
 import math
 import operator
 import random
@@ -22,13 +23,11 @@ from polyshift import counting
 from polyshift.cli import main
 from polyshift.counting import (
     CountResult,
-    Shift,
     ShiftStream,
     ZonotopeSpec,
     count_at,
     generic_draws,
     generic_count,
-    is_generic,
     parallelepiped_index,
     zonotope_constant,
     zonotope_polytope,
@@ -144,7 +143,7 @@ def test_flat_body_counted_points_are_boundary():
     res = count_at(seg, (0, 0))
     assert res.count == 4
     assert len(res.boundary_hits) == 4
-    assert not is_generic(seg, (0, 0))
+    assert not res.is_generic
 
 
 def test_embedded_slab_counts_zero_generically():
@@ -155,17 +154,12 @@ def test_embedded_slab_counts_zero_generically():
 
 
 def test_is_generic_cases():
-    assert is_generic(unit_cube(3), (F(1, 2), F(1, 2), F(1, 2)))
-    assert not is_generic(unit_cube(3), (0, 0, 0))
+    assert count_at(unit_cube(3), (F(1, 2), F(1, 2), F(1, 2))).is_generic
+    assert not count_at(unit_cube(3), (0, 0, 0)).is_generic
     # (1,1) lies exactly on the long side: 1 + 1 == 1 + 1/2 + 1/2
     res = count_at(standard_simplex(2), (F(1, 2), F(1, 2)))
     assert (1, 1) in res.boundary_hits
     assert not res.is_generic
-
-
-def test_shift_range_validation():
-    with pytest.raises(DegenerateInput):
-        Shift((F(3, 2), F(0)))
 
 
 def test_union_counts_add():
@@ -219,7 +213,7 @@ def test_count_matches_brute_force(seed, d):
     stream = ShiftStream(d, seed=seed + 1)
     s = stream.draw()
     fast = count_at(p, s)
-    slow = brute_count(p, s.coords)
+    slow = brute_count(p, s)
     assert fast.count == slow.count
     assert set(fast.boundary_hits) == set(slow.boundary_hits)
 
@@ -246,6 +240,23 @@ def test_union_count_equals_oracle_exactly(s):
     b = standard_simplex(2).translated((F(1, 2), F(-1, 3)))
     u = PolytopeUnion((a, b, a.translated((1, 0))))
     assert count_at(u, s) == brute_count_body(u, s)
+
+
+def half_step_union(p):
+    """p and its copy moved by 1/2 along the first axis, as a two-part union."""
+    return PolytopeUnion((p, p.translated((F(1, 2),) + (0,) * (p.dim - 1))))
+
+
+@given(st.one_of(oracle_bodies(), st.sampled_from(FLAT_BODIES),
+                 oracle_bodies().map(half_step_union)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_move_of_the_shift_moves_the_hits(body, data):
+    # count_at reduces the shift modulo Z^d and translates the hits back
+    s = data.draw(oracle_shifts(body.dim))
+    k = data.draw(st.tuples(*[st.integers(-3, 3)] * body.dim))
+    res = count_at(body, s)
+    moved = tuple(tuple(map(operator.add, z, k)) for z in res.boundary_hits)
+    assert count_at(body, tuple(map(operator.add, s, k))) == CountResult(res.count, moved)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +292,7 @@ def same_cell_shifts(draw, d):
 def test_memo_hits_equal_oracle_and_fresh_counts(data):
     p = data.draw(oracle_bodies())
     if data.draw(st.booleans()):
-        p = PolytopeUnion((p, p.translated((F(1, 2),) + (0,) * (p.dim - 1))))
+        p = half_step_union(p)
     for s in data.draw(same_cell_shifts(p.dim)):
         res = count_at(p, s)
         assert res == brute_count_body(p, s)
@@ -315,7 +326,7 @@ def test_flat_bodies_never_touch_the_memo():
     for p in FLAT_BODIES:
         for _ in range(40):
             s = stream.draw()
-            count_at(p, s.coords[:p.dim])
+            count_at(p, s[:p.dim])
         count_at(p, (0,) * p.dim)
         assert p._count_plan.memo == {}
 
@@ -326,13 +337,13 @@ def test_memo_stops_growing_at_its_cap_and_counts_stay_exact(monkeypatch):
     stream = ShiftStream(3, seed=5)
     shifts = [stream.draw() for _ in range(30)]
     for s in shifts + shifts:
-        assert count_at(p, s) == brute_count(p, s.coords)
+        assert count_at(p, s) == brute_count(p, s)
     memo = p._count_plan.memo
     assert len(memo) == 3
     # a full memo still serves its cells
     first = shifts[0]
-    assert count_at(p, first) is memo[body_floors(p, first.coords)]
-    assert len({body_floors(p, s.coords) for s in shifts}) > 3
+    assert count_at(p, first) is memo[body_floors(p, first)]
+    assert len({body_floors(p, s) for s in shifts}) > 3
 
 
 def test_count_matches_brute_force_rational_shift():
@@ -444,16 +455,15 @@ def test_generic_draws_match_the_stream_and_count_at(body, seed):
             s = reference.draw()
             assert not all(count_at(b, s).is_generic for b in bodies)
         s = reference.draw()
-        assert m == s.nums
+        assert s == tuple(Fraction(x, 2**64) for x in m)
         assert counts == [count_at(b, s).count for b in bodies]
         assert all(count_at(b, s).is_generic for b in bodies)
 
 
-# golden stdout of `count --input simplex:3 --shifts 5 --seed 2`: the
-# stream's shifts and the counts there must not move
-COUNT_SIMPLEX3_SEED2 = (
-    '{"command":"count","counts":[0,0,0,0,1],"generic":[true,true,true,true,true],'
-    '"input":"simplex:3","seed":2,"shifts":['
+# golden stdout of `count --input <body> --shifts 5 --seed 2` on three 3-D
+# bodies, one of them rational: the stream's shifts and the counts there
+# must not move
+SHIFTS_SEED2 = (
     '["15921556852572072307/18446744073709551616","15662305406710239867/18446744073709551616",'
     '"1689441204489037471/18446744073709551616"],'
     '["6660334802794327005/18446744073709551616","779760526190760009/4611686018427387904",'
@@ -463,13 +473,23 @@ COUNT_SIMPLEX3_SEED2 = (
     '["659184109953178577/18446744073709551616","785423381042076821/1152921504606846976",'
     '"18441556806163220353/18446744073709551616"],'
     '["11777717384603786643/18446744073709551616","14825084521627418697/18446744073709551616",'
-    '"7934351388934121709/9223372036854775808"]]}\n'
+    '"7934351388934121709/9223372036854775808"]'
 )
+RATIONAL_3D = {"dim": 3, "vertices": [["-4/3", "-2", "1/3"], ["-1/3", "-1/3", "0"],
+                                      ["1/3", "2/3", "2"], ["2/3", "-2/3", "-1"],
+                                      ["5/3", "2", "2/3"]]}
 
 
-def test_count_command_output_is_pinned(capsys):
-    assert main(["count", "--input", "simplex:3", "--shifts", "5", "--seed", "2"]) == 0
-    assert capsys.readouterr().out == COUNT_SIMPLEX3_SEED2
+def test_count_command_output_is_pinned(tmp_path, capsys):
+    path = tmp_path / "rational3.json"
+    path.write_text(json.dumps(RATIONAL_3D))
+    for body, counts in (("simplex:3", "[0,0,0,0,1]"), ("central-slab:3", "[1,1,1,1,0]"),
+                         (f"file:{path}", "[1,1,1,1,1]")):
+        assert main(["count", "--input", body, "--shifts", "5", "--seed", "2"]) == 0
+        assert capsys.readouterr().out == (
+            '{"command":"count","counts":' + counts + ',"generic":[true,true,true,true,true],'
+            '"input":"' + body + '","seed":2,"shifts":[' + SHIFTS_SEED2 + ']}\n'
+        )
 
 
 def test_zonotope_constant_hexagon():
@@ -524,18 +544,10 @@ def test_shift_stream_pins_the_dyadic_mt19937_stream():
     stream = ShiftStream(3, seed=42)
     for _ in range(5):
         expected = tuple(Fraction(rng.getrandbits(64), 2**64) for _ in range(3))
-        assert stream.draw().coords == expected
-
-
-def test_shift_holds_integer_numerators():
-    s = Shift((F(1, 2), F(1, 3), F(0)))
-    assert (s.nums, s.den) == ((3, 2, 0), 6)
-    assert s.coords == (F(1, 2), F(1, 3), F(0)) and s.dim == 3
-    assert s == Shift((F(3, 6), F(2, 6), F(0))) and hash(s) == hash(Shift(s.coords))
-    assert count_at(standard_simplex(3), s) == count_at(standard_simplex(3), s.coords)
+        assert stream.draw() == expected
 
 
 def test_shift_stream_deterministic():
-    a = [ShiftStream(3, seed=42).draw().coords for _ in range(1)]
-    b = [ShiftStream(3, seed=42).draw().coords for _ in range(1)]
+    a = [ShiftStream(3, seed=42).draw() for _ in range(1)]
+    b = [ShiftStream(3, seed=42).draw() for _ in range(1)]
     assert a == b

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyshift.errors import UnknownIdentity
+from polyshift.errors import DegenerateInput, UnknownIdentity
 from polyshift.geometry import volume
 from polyshift.verifier import (
     EXPECTED_FAILURE,
@@ -139,6 +139,12 @@ def test_audit_json_shape():
 def test_unknown_identity():
     with pytest.raises(UnknownIdentity):
         verify("no-such-identity")
+
+
+def test_negative_seed_is_rejected():
+    # random.Random takes |seed|: the catalog would draw the instances of -seed
+    with pytest.raises(DegenerateInput, match="seed must be nonnegative"):
+        verify("symmetric-distribution-2d", seed=-3)
 
 
 @pytest.mark.parametrize(
