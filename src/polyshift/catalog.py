@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 
-from .counting import ZonotopeSpec
+from .counting import ZonotopeSpec, seeded_random
 from .errors import DegenerateInput
 from .geometry import (
     IVec,
@@ -201,7 +200,7 @@ def random_unimodular(
     """
     if d < 2:
         raise DegenerateInput("unimodular sampling needs dimension >= 2")
-    rng = random.Random(seed)
+    rng = seeded_random(seed)
     rows = [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
     done = 0
     guard = 0
@@ -233,7 +232,7 @@ def random_lattice_polytope(
     redrawn until full-dimensional."""
     if point_count < d + 1:
         raise DegenerateInput("need at least d+1 points")
-    rng = random.Random(seed)
+    rng = seeded_random(seed)
     for _ in range(max_rejections):
         pts = {
             tuple(rng.randint(-box, box) for _ in range(d))
@@ -263,7 +262,7 @@ def random_zonotope(
     seed: int = 0,
 ) -> ZonotopeSpec:
     """Random integer zonotope generators spanning R^d."""
-    rng = random.Random(seed)
+    rng = seeded_random(seed)
     for _ in range(100):
         gens = []
         for _ in range(n_generators):
@@ -280,7 +279,7 @@ def random_zonotope(
 
 def centrally_symmetric_polytope(d: int, point_count: int, box: int, seed: int = 0) -> Polytope:
     """Hull of V united with -V: an integer polytope symmetric about 0."""
-    rng = random.Random(seed)
+    rng = seeded_random(seed)
     for _ in range(100):
         pts = [
             tuple(rng.randint(-box, box) for _ in range(d))

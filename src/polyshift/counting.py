@@ -30,18 +30,23 @@ vector, whatever the shift's denominator; a count at a shift where some
 row is tight, and so every count of a flat body, neither reads nor writes
 the memo, and a memo holds at most ``_MEMO_CAP`` cells.
 
-Sampling goes through one generator, `generic_draws`: it yields the
-numerators of each stream shift that is generic for every body, with the
-bodies' counts there.
+Sampling goes through one generator, `generic_draws`, which draws and
+counts in blocks of at most ``_BLOCK`` stream shifts: one pass over the
+block per body row gives every draw's floor vector, and each distinct cell
+in the block is read from the memo or counted once, at its first draw.  A
+draw where some row is tight, and every draw of a flat or empty body, goes
+through the scalar counter instead, in draw order.  Blocks are yielded one
+at a time, so memory is bounded by ``_BLOCK`` draws, not by the sample size.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, floordiv, mul, sub
+from operator import add, and_, floordiv, mul, neg, rshift, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInput, NotConstant
@@ -50,24 +55,38 @@ from .geometry import (Body, IVec, Polytope, PolytopeUnion, Vec, _homogenize, as
 
 DYADIC_BITS = 64
 _DYADIC_DEN = 1 << DYADIC_BITS
+_DYADIC_MASK = _DYADIC_DEN - 1
 _MEMO_CAP = 4096  # cells memoized per body; later cells are counted but not stored
+_BLOCK = 256  # stream draws counted together by generic_draws
+
+
+def seeded_random(seed: int) -> random.Random:
+    """``random.Random(seed)`` for a nonnegative seed."""
+    if seed < 0:
+        # random.seed takes |seed|, so a negative seed would replay another stream
+        raise DegenerateInput(f"seed must be nonnegative, got {seed}")
+    return random.Random(seed)
 
 
 class ShiftStream:
     """Deterministic stream of dyadic shifts for one nonnegative generator seed."""
 
     def __init__(self, dim: int, seed: int = 0):
-        if seed < 0:
-            # random.seed takes |seed|, so a negative seed would replay another stream
-            raise DegenerateInput(f"seed must be nonnegative, got {seed}")
         self.dim = dim
         self.seed = seed
-        self._rng = random.Random(seed)
+        self._rng = seeded_random(seed)
         self._bits = (DYADIC_BITS,) * dim
 
     def numerators(self) -> IVec:
         """The next shift's numerators over ``2**DYADIC_BITS``."""
         return tuple(map(self._rng.getrandbits, self._bits))
+
+    def block(self, k: int) -> list[list[int]]:
+        """The numerators of the next k shifts, column by column: entry i
+        lists coordinate i of each draw.  Consumes the generator exactly as
+        k calls of `numerators` do."""
+        flat = list(map(self._rng.getrandbits, itertools.repeat(DYADIC_BITS, k * self.dim)))
+        return [flat[i::self.dim] for i in range(self.dim)]
 
     def draw(self) -> Vec:
         """The next shift as a rational vector."""
@@ -257,30 +276,101 @@ def count_at(body: Body, shift) -> CountResult:
     return CountResult(res.count, tuple(tuple(map(add, z, off)) for z in res.boundary_hits))
 
 
-def generic_draws(stream: ShiftStream, bodies: Sequence[Body], tries: int = 64
-                  ) -> Iterator[tuple[IVec, list[int], int]]:
-    """Yields, for each draw from `stream` generic for every body, (its
-    numerators over ``2**DYADIC_BITS``, the bodies' counts there, the draws
-    rejected before it).  A draw is rejected at its first body with a
-    boundary hit, before the later bodies are counted.  Boundary hits at
-    dyadic shifts signal a degenerate instance rather than bad luck, so
-    after `tries` rejected draws in a row this raises DegenerateInput."""
-    draw = stream.numerators
-    while True:
-        for redraws in range(tries):
-            m = draw()
-            counts = []
-            for b in bodies:
+def _cell_counts(p: Polytope, cols: list[list[int]], nums: list[IVec], tight: set) -> list | None:
+    """p's count at each draw of a block given column by column (`cols`) and
+    row by row (`nums`), valid where no row of p is tight; adds the draws
+    where one is to `tight`.  Each cell of the block is read from p's memo
+    or counted once, at its first draw.  None when p is flat or empty."""
+    plan = p._count_plan
+    if plan is None:
+        if p.is_empty:
+            return None
+        plan = p._count_plan = _CountPlan(p)
+    if plan.eq_rows:
+        return None
+    if len(cols) != p.dim:
+        raise DegenerateInput("shift dimension does not match the polytope")
+    floors = []
+    for a in plan.rows[plan.nlev:]:
+        # a . m for every draw: the floor over 2**64 is a shift, and the row
+        # is tight where the low 64 bits are 0
+        terms = [col if c == 1 else map(neg, col) if c == -1 else map(c.__mul__, col)
+                 for c, col in zip(a, cols) if c]
+        dots = list(functools.reduce(functools.partial(map, add), terms))
+        if 0 in map(and_, dots, itertools.repeat(_DYADIC_MASK)):
+            tight.update(j for j, x in enumerate(dots) if not x & _DYADIC_MASK)
+        floors.append(map(rshift, dots, itertools.repeat(DYADIC_BITS)))
+    keys = list(zip(*floors))
+    # each cell with the numerators of its first draw, then with its count
+    cells = dict(zip(reversed(keys), reversed(nums)))
+    memo = plan.memo
+    for key, m in cells.items():
+        res = memo.get(key)
+        cells[key] = (res if res is not None else _count_polytope(p, m, _DYADIC_DEN)).count
+    return list(map(cells.__getitem__, keys))
+
+
+def _block_counts(body: Body, cols: list[list[int]], nums: list[IVec], tight: set) -> list | None:
+    """`_cell_counts` over a body; a union adds up its parts' counts."""
+    if not isinstance(body, PolytopeUnion):
+        return _cell_counts(body, cols, nums, tight)
+    parts = [_cell_counts(part, cols, nums, tight) for part in body.parts]
+    if None in parts:
+        return None
+    return list(map(sum, zip(*parts)))
+
+
+def generic_draws(stream: ShiftStream, bodies: Sequence[Body], n: int, tries: int = 64
+                  ) -> Iterator[tuple[list[IVec], list[list[int]], list[int]]]:
+    """The first n draws from `stream` generic for every body, in blocks of
+    at most ``_BLOCK``: each block is (the draws' numerators over
+    ``2**DYADIC_BITS``, per body the counts at those draws, per draw the
+    draws rejected just before it).  A draw is rejected at its first body
+    with a boundary hit, before the later bodies are counted; the stream
+    is read no further than the n-th generic draw.  Boundary hits at dyadic
+    shifts signal a degenerate instance rather than bad luck, so after
+    `tries` rejected draws in a row this yields the draws taken so far and
+    raises DegenerateInput."""
+    run = 0  # draws rejected since the last one taken
+    while n > 0:
+        k = min(n, _BLOCK)
+        cols = stream.block(k)
+        nums = list(zip(*cols))
+        tight: set = set()
+        counts = [_block_counts(b, cols, nums, tight) for b in bodies]
+        if not tight and None not in counts:
+            yield nums, counts, [run] + [0] * (k - 1)
+            run = 0
+            n -= k
+            continue
+        taken: list[IVec] = []
+        redraws: list[int] = []
+        rows = []
+        for j, m in enumerate(nums):
+            row = []
+            for b, c in zip(bodies, counts):
+                if c is not None and j not in tight:
+                    row.append(c[j])
+                    continue
                 res = _count_body(b, m, _DYADIC_DEN)
                 if res.boundary_hits:
                     break
-                counts.append(res.count)
+                row.append(res.count)
             else:
-                yield m, counts, redraws
-                break
-        else:
-            raise DegenerateInput(
-                f"no shift generic for every body in {tries} draws; degenerate instance")
+                taken.append(m)
+                redraws.append(run)
+                rows.append(row)
+                run = 0
+                continue
+            run += 1
+            if run >= tries:
+                if taken:
+                    yield taken, [list(c) for c in zip(*rows)], redraws
+                raise DegenerateInput(
+                    f"no shift generic for every body in {tries} draws; degenerate instance")
+        if taken:
+            yield taken, [list(c) for c in zip(*rows)], redraws
+            n -= len(taken)
 
 
 def generic_count(body: Body, seed: int = 0, *, trials: int = 8, max_resamples: int = 64) -> int:
@@ -290,8 +380,8 @@ def generic_count(body: Body, seed: int = 0, *, trials: int = 8, max_resamples: 
     resamples each) and checks the count over several independent generic
     shifts; disagreement raises NotConstant, flagging misuse.
     """
-    draws = generic_draws(ShiftStream(body.dim, seed), [body], max_resamples + 1)
-    values = {counts[0] for _, counts, _ in itertools.islice(draws, trials)}
+    draws = generic_draws(ShiftStream(body.dim, seed), [body], trials, max_resamples + 1)
+    values = {c for _, (counts,), _ in draws for c in counts}
     if len(values) > 1:
         raise NotConstant(f"generic counts disagree: {sorted(values)}")
     return values.pop()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -366,12 +367,11 @@ def mc_distribution(body: Body, samples: int, seed: int = 0) -> CountDistributio
     """
     if samples < 1:
         raise DegenerateInput("need at least one sample")
-    draws = generic_draws(ShiftStream(body.dim, seed), [body])
-    freqs: dict[int, int] = {}
+    freqs: Counter = Counter()
     redraws = 0
-    for _, (count,), rejected in itertools.islice(draws, samples):
-        redraws += rejected
-        freqs[count] = freqs.get(count, 0) + 1
+    for _, (counts,), rejected in generic_draws(ShiftStream(body.dim, seed), [body], samples):
+        freqs.update(counts)
+        redraws += sum(rejected)
     return CountDistribution(
         kind="empirical",
         freqs=dict(sorted(freqs.items())),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from operator import add, sub
 from typing import Optional
 
 from . import catalog
@@ -158,19 +158,20 @@ def _check_scaling(tag: str, instances: int, shifts: int, n_max: int, seed: int,
         dilates = [dilate(base, n) for n in range(1, n_max + 1)]
         bodies: list[Body] = list(dec.pieces) + dilates
         stream = ShiftStream(d, seed + 9973 * idx + 104729 * d)
-        for shift, counts, _ in islice(generic_draws(stream, bodies), shifts):
-            piece_counts = counts[: d]
-            if sum(piece_counts) != dec.constant_sum:
-                _witness(wit, f"{label} piece-sum", shift,
-                         sum(piece_counts), dec.constant_sum)
-            for n in range(1, n_max + 1):
-                lhs = counts[d + n - 1]
-                rhs = sum(
-                    dec.multiplicity(k, n) * piece_counts[k - 1]
-                    for k in range(1, d + 1)
-                )
-                if lhs != rhs:
-                    _witness(wit, f"{label} n={n}", shift, lhs, rhs)
+        for nums, block, _ in generic_draws(stream, bodies, shifts):
+            for shift, counts in zip(nums, zip(*block)):
+                piece_counts = counts[: d]
+                if sum(piece_counts) != dec.constant_sum:
+                    _witness(wit, f"{label} piece-sum", shift,
+                             sum(piece_counts), dec.constant_sum)
+                for n in range(1, n_max + 1):
+                    lhs = counts[d + n - 1]
+                    rhs = sum(
+                        dec.multiplicity(k, n) * piece_counts[k - 1]
+                        for k in range(1, d + 1)
+                    )
+                    if lhs != rhs:
+                        _witness(wit, f"{label} n={n}", shift, lhs, rhs)
         notes.append(f"{label}: piece-count sum constant {dec.constant_sum}")
     return len(cases), shifts, wit, notes
 
@@ -186,17 +187,18 @@ def _check_corollary_3d(instances: int, shifts: int, n_max: int, seed: int, **_)
         label = f"poly3d-#{i}"
         bodies: list[Body] = [base, neg] + [dilate(base, n) for n in n_values]
         stream = ShiftStream(3, seed + 7 * i)
-        for shift, counts, _ in islice(generic_draws(stream, bodies), shifts):
-            c_p, c_m = counts[0], counts[1]
-            for j, n in enumerate(n_values):
-                lhs = counts[2 + j]
-                rhs = (
-                    math.comb(n + 1, 2) * c_p
-                    - math.comb(n, 2) * c_m
-                    + math.comb(n + 1, 3) * vol6
-                )
-                if lhs != rhs:
-                    _witness(wit, f"{label} n={n}", shift, lhs, rhs)
+        for nums, block, _ in generic_draws(stream, bodies, shifts):
+            for shift, counts in zip(nums, zip(*block)):
+                c_p, c_m = counts[0], counts[1]
+                for j, n in enumerate(n_values):
+                    lhs = counts[2 + j]
+                    rhs = (
+                        math.comb(n + 1, 2) * c_p
+                        - math.comb(n, 2) * c_m
+                        + math.comb(n + 1, 3) * vol6
+                    )
+                    if lhs != rhs:
+                        _witness(wit, f"{label} n={n}", shift, lhs, rhs)
         notes.append(f"{label}: constant term factor 6*vol = {vol6}")
     return instances, shifts, wit, notes
 
@@ -248,9 +250,10 @@ def _check_constancy(tag: str, instances: int, shifts: int, seed: int,
         if vol != constant:
             _witness(wit, f"{label} volume", None, vol, constant)
         stream = ShiftStream(spec.dim, seed + 23 * idx + 1)
-        for shift, counts, _ in islice(generic_draws(stream, [poly]), shifts):
-            if counts[0] != constant:
-                _witness(wit, label, shift, counts[0], constant)
+        for nums, (counts,), _ in generic_draws(stream, [poly], shifts):
+            for shift, count in zip(nums, counts):
+                if count != constant:
+                    _witness(wit, label, shift, count, constant)
         notes.append(f"{label}: constant {constant}")
     return len(cases), shifts, wit, notes
 
@@ -298,10 +301,9 @@ def _minkowski_delta_witnesses(label, trio, shifts, seed, wit):
     p, q, s = trio
     stream = ShiftStream(p.dim, seed)
     seen: dict[int, object] = {}
-    for shift, counts, _ in islice(generic_draws(stream, [p, q, s]), shifts):
-        delta = counts[2] - counts[0] - counts[1]
-        if delta not in seen:
-            seen[delta] = shift
+    for nums, (cp, cq, cs), _ in generic_draws(stream, [p, q, s], shifts):
+        for shift, delta in zip(nums, map(sub, cs, map(add, cp, cq))):
+            seen.setdefault(delta, shift)
     if len(seen) > 1:
         deltas = sorted(seen)
         _witness(wit, label, seen[deltas[-1]], deltas[-1], deltas[0])
@@ -367,12 +369,12 @@ def _check_counterexample_slab(shifts: int, seed: int, **_):
         )
     notes.append(f"distribution {_fmt_law(dist)}")
     stream = ShiftStream(3, seed)
-    seen = {}
-    for shift, counts, _ in islice(generic_draws(stream, [body]), shifts):
-        seen.setdefault(counts[0], shift)
+    seen: dict[int, None] = {}
+    for _, (counts,), _ in generic_draws(stream, [body], shifts):
+        seen.update(dict.fromkeys(counts))
         if len(seen) > 1:
             break
-    notes.append(f"observed counts {sorted(seen)}")
+    notes.append(f"observed counts {sorted(list(seen)[:2])}")
     return 1, shifts, wit, notes
 
 

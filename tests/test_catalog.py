@@ -325,6 +325,20 @@ def test_centrally_symmetric_random_body():
     assert p.is_lattice and p.is_full_dim
 
 
+@pytest.mark.parametrize("make", [
+    lambda seed: random_lattice_polytope(3, 6, 2, seed=seed),
+    lambda seed: random_lattice_simplex(3, 3, seed=seed),
+    lambda seed: random_unimodular(3, seed=seed),
+    lambda seed: random_zonotope(3, 4, 3, seed=seed),
+    lambda seed: centrally_symmetric_polytope(3, 3, 2, seed=seed),
+], ids=["lattice-polytope", "lattice-simplex", "unimodular", "zonotope", "centrally-symmetric"])
+def test_seeded_constructions_reject_a_negative_seed(make):
+    # random.seed takes |seed|, so -3 would replay the instance of seed 3
+    make(3)
+    with pytest.raises(DegenerateInput, match="seed must be nonnegative, got -3"):
+        make(-3)
+
+
 def test_cross_polytope():
     q = cross_polytope(3)
     assert len(q.vertices) == 6

@@ -111,6 +111,31 @@ def test_distribution_mc_deterministic(capsys):
     assert data["distribution"]["samples"] == 2000
 
 
+# golden stdout of `distribution --method mc --samples 700 --seed 3`: 700
+# samples fill two blocks of generic_draws and part of a third, and the
+# tallies must not move
+MC_SEED3 = {
+    "reeve:3": '{"command":"distribution","distribution":{"entries":{"0":"53/100","1":"31/70",'
+               '"2":"19/700"},"kind":"empirical","redraws":0,"samples":700},"input":"reeve:3",'
+               '"method":"mc","seed":3}\n',
+    "cross4x2": '{"command":"distribution","distribution":{"entries":{"12":"221/700",'
+                '"16":"107/700","8":"93/175"},"kind":"empirical","redraws":0,"samples":700},'
+                '"input":"{input}","method":"mc","seed":3}\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_SEED3))
+def test_distribution_mc_golden_across_blocks(name, tmp_path, capsys):
+    spec = name
+    if name == "cross4x2":  # dilate(cross_polytope(4), 2)
+        path = tmp_path / "cross4x2.json"
+        path.write_text(json.dumps({"dim": 4, "vertices": [
+            [s * 2 if j == i else 0 for j in range(4)] for i in range(4) for s in (1, -1)]}))
+        spec = f"file:{path}"
+    argv = ["distribution", "--method", "mc", "--samples", "700", "--seed", "3", "--input", spec]
+    assert run_cli(argv, capsys) == (0, MC_SEED3[name].replace("{input}", spec))
+
+
 def test_count_command(capsys):
     code, out = run_cli(
         ["count", "--input", "simplex:2", "--shifts", "5", "--seed", "3"], capsys

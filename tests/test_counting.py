@@ -412,28 +412,56 @@ class ScriptedStream:
         self.shifts = [tuple(int(c * 2**64) for c in s) for s in shifts]
         self.drawn = 0
 
-    def numerators(self):
-        self.drawn += 1
-        return self.shifts.pop(0)
+    def block(self, k):
+        self.drawn += k
+        return [list(c) for c in zip(*[self.shifts.pop(0) for _ in range(k)])]
 
 
 def test_generic_draws_redraw_on_boundary_hits_then_give_up():
     cube, corner, inside = unit_cube(2), (0, 0), (F(1, 2), F(1, 4))
     # the corner shift is rejected at the first body, the inside one taken
     stream = ScriptedStream([corner, corner, inside])
-    assert next(generic_draws(stream, [cube, dilate(cube, 2)])) == ((2**63, 2**62), [1, 4], 2)
+    assert next(generic_draws(stream, [cube, dilate(cube, 2)], 1)) == ([(2**63, 2**62)], [[1], [4]], [2])
     assert stream.drawn == 3
     stream = ScriptedStream([corner] * 5)
     with pytest.raises(DegenerateInput, match="no shift generic for every body in 5 draws"):
-        next(generic_draws(stream, [cube], tries=5))
+        next(generic_draws(stream, [cube], 1, tries=5))
     assert stream.drawn == 5
-    # tries bounds the rejections in a row: a generic draw starts the count again
+    # tries bounds the rejections in a row, across blocks: a generic draw
+    # starts the count again
     stream = ScriptedStream([corner, corner, inside] * 2 + [corner] * 3)
-    draws = generic_draws(stream, [cube], tries=3)
-    assert [redraws for _, _, redraws in itertools.islice(draws, 2)] == [2, 2]
+    draws = generic_draws(stream, [cube], 3, tries=3)
+    assert [r for _, _, redraws in itertools.islice(draws, 2) for r in redraws] == [2, 2]
     with pytest.raises(DegenerateInput, match="in 3 draws"):
         next(draws)
     assert stream.drawn == 9
+    # the draws taken before the limit in the same block come first
+    stream = ScriptedStream([inside] + [corner] * 3)
+    draws = generic_draws(stream, [cube], 4, tries=3)
+    assert next(draws) == ([(2**63, 2**62)], [[1]], [0])
+    with pytest.raises(DegenerateInput, match="in 3 draws"):
+        next(draws)
+    assert stream.drawn == 4
+
+
+def test_generic_draws_keep_a_tight_draw_without_boundary_hits():
+    # 2x + 2y <= 1 is tight at (1/8, 3/8), but no lattice point lands on the
+    # shifted triangle's edge there, so the scalar counter keeps the draw
+    tri = Polytope(2, [(0, 0), (F(1, 2), 0), (0, F(1, 2))])
+    shifts = [(F(1, 8), F(3, 8)), (0, 0), (F(1, 2), F(1, 4))]
+    # the first block of two keeps one draw, so a block of one follows
+    assert list(generic_draws(ScriptedStream(shifts), [tri], 2)) == [
+        ([(2**61, 3 * 2**61)], [[count_at(tri, shifts[0]).count]], [0]),
+        ([(2**63, 2**62)], [[count_at(tri, shifts[2]).count]], [1]),
+    ]
+    assert count_at(tri, shifts[0]).is_generic and not count_at(tri, shifts[1]).is_generic
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_stream_block_reads_the_generator_as_numerators_does(k):
+    block, reference = ShiftStream(3, 11), ShiftStream(3, 11)
+    for _ in range(2):
+        assert list(zip(*block.block(k))) == [reference.numerators() for _ in range(k)]
 
 
 def _flat_body(d):
@@ -443,21 +471,29 @@ def _flat_body(d):
     return Polytope(d, [(0,) * d, (2,) + (1,) * (d - 1)])
 
 
-@given(oracle_bodies(), st.integers(0, 2**32))
+@given(oracle_bodies(), st.integers(0, 2**32), st.sampled_from((1, counting._BLOCK, counting._BLOCK + 1)))
 @settings(max_examples=60, deadline=None)
-def test_generic_draws_match_the_stream_and_count_at(body, seed):
+def test_generic_draws_match_the_stream_and_count_at(body, seed, n):
     d = body.dim
     union = PolytopeUnion((body, body.translated((F(1, 2),) * d)))
-    bodies = [body, _flat_body(d), union]
-    reference = ShiftStream(d, seed)
-    for m, counts, redraws in itertools.islice(generic_draws(ShiftStream(d, seed), bodies), 4):
-        for _ in range(redraws):
-            s = reference.draw()
-            assert not all(count_at(b, s).is_generic for b in bodies)
-        s = reference.draw()
-        assert s == tuple(Fraction(x, 2**64) for x in m)
-        assert counts == [count_at(b, s).count for b in bodies]
-        assert all(count_at(b, s).is_generic for b in bodies)
+    # without a flat body every block may take the block path; with one,
+    # every draw also goes through the scalar counter
+    for bodies in ([body, union], [body, _flat_body(d), union]):
+        reference = ShiftStream(d, seed)
+        taken = 0
+        for nums, counts, redraws in generic_draws(ShiftStream(d, seed), bodies, n):
+            assert 0 < len(nums) <= counting._BLOCK
+            assert len(redraws) == len(nums) and all(len(c) == len(nums) for c in counts)
+            for m, row, rejected in zip(nums, zip(*counts), redraws):
+                for _ in range(rejected):
+                    s = reference.draw()
+                    assert not all(count_at(b, s).is_generic for b in bodies)
+                s = reference.draw()
+                assert s == tuple(Fraction(x, 2**64) for x in m)
+                assert list(row) == [count_at(b, s).count for b in bodies]
+                assert all(count_at(b, s).is_generic for b in bodies)
+            taken += len(nums)
+        assert taken == n
 
 
 # golden stdout of `count --input <body> --shifts 5 --seed 2` on three 3-D
