@@ -33,9 +33,10 @@ the memo, and a memo holds at most ``_MEMO_CAP`` cells.
 Sampling goes through one generator, `generic_draws`, which draws and
 counts in blocks of at most ``_BLOCK`` stream shifts: one pass over the
 block per body row gives every draw's floor vector, and each distinct cell
-in the block is read from the memo or counted once, at its first draw.  A
-draw where some row is tight, and every draw of a flat or empty body, goes
-through the scalar counter instead, in draw order.  Blocks are yielded one
+in the block is read from the memo or counted once, at its first draw.  An
+empty body counts 0 at every draw, and so does a flat one, whose equality
+rows miss Z^d unless tight.  A draw where some row is tight goes through
+the scalar counter instead, in draw order.  Blocks are yielded one
 at a time, so memory is bounded by ``_BLOCK`` draws, not by the sample size.
 """
 
@@ -170,13 +171,18 @@ def _fiber_hits(R, tight, last, lo, hi, prefix) -> list:
     return [prefix + (z,) for z in sorted(vals) if lo <= z <= hi]
 
 
+def _plan(p: Polytope) -> _CountPlan | None:
+    """p's counting data, built on its first count; None when p is empty."""
+    if p._count_plan is None and not p.is_empty:
+        p._count_plan = _CountPlan(p)
+    return p._count_plan
+
+
 def _count_polytope(p: Polytope, m: IVec, D: int) -> CountResult:
     """Exact count of z in Z^d with z in p + m/D, for m in [0, D)^d."""
-    plan = p._count_plan
+    plan = _plan(p)
     if plan is None:
-        if p.is_empty:
-            return _NONE
-        plan = p._count_plan = _CountPlan(p)
+        return _NONE
     d = p.dim
     if len(m) != d:
         raise DegenerateInput("shift dimension does not match the polytope")
@@ -276,18 +282,16 @@ def count_at(body: Body, shift) -> CountResult:
     return CountResult(res.count, tuple(tuple(map(add, z, off)) for z in res.boundary_hits))
 
 
-def _cell_counts(p: Polytope, cols: list[list[int]], nums: list[IVec], tight: set) -> list | None:
+def _cell_counts(p: Polytope, cols: list[list[int]], nums: list[IVec], tight: set) -> list:
     """p's count at each draw of a block given column by column (`cols`) and
     row by row (`nums`), valid where no row of p is tight; adds the draws
     where one is to `tight`.  Each cell of the block is read from p's memo
-    or counted once, at its first draw.  None when p is flat or empty."""
-    plan = p._count_plan
+    or counted once, at its first draw.  An empty body counts 0 everywhere,
+    and so does a flat one where none of its rows is tight: an equality
+    with a nonzero remainder misses Z^d."""
+    plan = _plan(p)
     if plan is None:
-        if p.is_empty:
-            return None
-        plan = p._count_plan = _CountPlan(p)
-    if plan.eq_rows:
-        return None
+        return [0] * len(nums)
     if len(cols) != p.dim:
         raise DegenerateInput("shift dimension does not match the polytope")
     floors = []
@@ -300,6 +304,8 @@ def _cell_counts(p: Polytope, cols: list[list[int]], nums: list[IVec], tight: se
         if 0 in map(and_, dots, itertools.repeat(_DYADIC_MASK)):
             tight.update(j for j, x in enumerate(dots) if not x & _DYADIC_MASK)
         floors.append(map(rshift, dots, itertools.repeat(DYADIC_BITS)))
+    if plan.eq_rows:
+        return [0] * len(nums)
     keys = list(zip(*floors))
     # each cell with the numerators of its first draw, then with its count
     cells = dict(zip(reversed(keys), reversed(nums)))
@@ -310,14 +316,11 @@ def _cell_counts(p: Polytope, cols: list[list[int]], nums: list[IVec], tight: se
     return list(map(cells.__getitem__, keys))
 
 
-def _block_counts(body: Body, cols: list[list[int]], nums: list[IVec], tight: set) -> list | None:
+def _block_counts(body: Body, cols: list[list[int]], nums: list[IVec], tight: set) -> list:
     """`_cell_counts` over a body; a union adds up its parts' counts."""
     if not isinstance(body, PolytopeUnion):
         return _cell_counts(body, cols, nums, tight)
-    parts = [_cell_counts(part, cols, nums, tight) for part in body.parts]
-    if None in parts:
-        return None
-    return list(map(sum, zip(*parts)))
+    return list(map(sum, zip(*[_cell_counts(part, cols, nums, tight) for part in body.parts])))
 
 
 def generic_draws(stream: ShiftStream, bodies: Sequence[Body], n: int, tries: int = 64
@@ -338,7 +341,7 @@ def generic_draws(stream: ShiftStream, bodies: Sequence[Body], n: int, tries: in
         nums = list(zip(*cols))
         tight: set = set()
         counts = [_block_counts(b, cols, nums, tight) for b in bodies]
-        if not tight and None not in counts:
+        if not tight:
             yield nums, counts, [run] + [0] * (k - 1)
             run = 0
             n -= k
@@ -349,7 +352,7 @@ def generic_draws(stream: ShiftStream, bodies: Sequence[Body], n: int, tries: in
         for j, m in enumerate(nums):
             row = []
             for b, c in zip(bodies, counts):
-                if c is not None and j not in tight:
+                if j not in tight:
                     row.append(c[j])
                     continue
                 res = _count_body(b, m, _DYADIC_DEN)

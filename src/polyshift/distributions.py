@@ -14,12 +14,13 @@ Three independent routes to the same quantities live here:
 * the full law comes from overlaying the integer translates z - P on the
   unit cube: the count at x is the number of translates holding x, so
   cells that start at count 0 and gain one inside each translate carry
-  the law in their volumes.
+  the law in their volumes.  The translates that meet the open cube are
+  those at the lattice points strictly inside P + [0, 1]^d, enumerated
+  like the covariance's translates strictly inside P - Q.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -318,11 +319,13 @@ def exact_distribution(body: Body, cell_budget: int = 10**6) -> CountDistributio
     """Exact law of the count under a uniform unit-cube shift.
 
     The count at x is the number of integer z with x in z - P, so the law
-    is that of the integer translates z - P laid over the unit cube.  Cells
-    carry counts, starting from the cube alone at count 0; each translate
-    that meets the open cube is overlaid by its facets that cut the cube
-    (`_overlay`).  A facet -a . x <= b - a . z that leaves the open cube
-    wholly outside rules its translate out.  Probabilities are exact sums
+    is that of the integer translates z - P laid over the unit cube.  As P
+    is full-dimensional, z - P meets the open cube exactly when z lies
+    strictly inside P + [0, 1]^d (`_interior_translates`); the other
+    translates touch the cube at most on its boundary and change no cell.
+    Cells carry counts, starting from the cube alone at count 0; each
+    translate that meets the open cube is overlaid by its facets that cut
+    the cube (`_overlay`).  Probabilities are exact sums
     of the final cells' volumes, which must fill the cube (checked, raising
     InvariantViolation, as a loud failure beats a silent miscount).  At
     most `cell_budget` cells are kept.
@@ -332,18 +335,12 @@ def exact_distribution(body: Body, cell_budget: int = 10**6) -> CountDistributio
     cube = unit_cube(parts[0].dim)
     cells = [(cube, 0)]
     for part in parts:
-        lo, hi = part.bounding_box()
         _, ineqs = part.integer_description()
-        # z - part reaches the open cube only for z in the box grown by one
-        for z in itertools.product(*(range(math.ceil(a), math.floor(b) + 2)
-                                     for a, b in zip(lo, hi))):
+        for z in _interior_translates(minkowski_sum(part, cube)):
             # z - part is cut out by -a . x <= b - a . z over part's facets
             facets = [HalfSpace._from_ints(tuple(-c for c in a), b - sum(map(mul, a, z)))
                       for a, b in ineqs]
-            vals = [sides(cube, h) for h in facets]
-            if any(min(v) >= 0 for v in vals):
-                continue
-            cells = _overlay(cells, [h for h, v in zip(facets, vals) if max(v) > 0])
+            cells = _overlay(cells, [h for h in facets if max(sides(cube, h)) > 0])
             if len(cells) > cell_budget:
                 raise CellBudgetExceeded(f"cell decomposition exceeded {cell_budget} cells")
     probs: dict[int, Fraction] = {}

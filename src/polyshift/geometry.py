@@ -360,9 +360,6 @@ class HalfSpace:
         """
         return self if self._scale == 1 else HalfSpace._from_ints(self.coeffs, self.rhs)
 
-    def key(self) -> tuple:
-        return (self.coeffs, self.rhs)
-
 
 def halfspace(normal: Iterable, offset) -> HalfSpace:
     n = as_vec(normal)

@@ -476,9 +476,10 @@ def _flat_body(d):
 def test_generic_draws_match_the_stream_and_count_at(body, seed, n):
     d = body.dim
     union = PolytopeUnion((body, body.translated((F(1, 2),) * d)))
-    # without a flat body every block may take the block path; with one,
-    # every draw also goes through the scalar counter
-    for bodies in ([body, union], [body, _flat_body(d), union]):
+    # a flat body and an empty one count 0 on the block path like any body;
+    # a draw where one of the flat body's rows is tight goes through the
+    # scalar counter, which decides whether the draw is taken
+    for bodies in ([body, union], [body, _flat_body(d), Polytope.empty(d), union]):
         reference = ShiftStream(d, seed)
         taken = 0
         for nums, counts, redraws in generic_draws(ShiftStream(d, seed), bodies, n):

@@ -42,6 +42,7 @@ from polyshift.errors import (
     CellBudgetExceeded,
     DegenerateInput,
     InsufficientSamples,
+    InvariantViolation,
 )
 from polyshift.geometry import (
     HalfSpace,
@@ -378,16 +379,34 @@ RATIONAL_3D = Polytope(3, [(F(-4, 3), -2, F(1, 3)), (F(-1, 3), F(-1, 3), 0), (F(
     (cross_polytope(3), cross_polytope(3)),
     (RATIONAL_3D, RATIONAL_3D),
     (RATIONAL_3D, cross_polytope(3)),
-], ids=["reeve8", "cross3", "rational3", "rational3-cross3"])
+    (unit_cube(3), reeve_tetrahedron(8).negated()),
+    (unit_cube(3), RATIONAL_3D.negated()),
+], ids=["reeve8", "cross3", "rational3", "rational3-cross3", "cube-reeve8", "cube-rational3"])
 def test_full_caps_are_the_interior_of_the_difference_body(p, q):
-    # the covariogram is positive exactly on the interior of p - q
+    # the covariogram is positive exactly on the interior of p - q, which the
+    # enumerator shared by both exact routes lists in lexicographic order;
+    # for p the cube and q = -P it is the set of translates the law overlays
     diff = minkowski_sum(p, q.negated())
-    full = 0
+    full = []
     for t in translate_box(p, q):
         inside = diff.contains(t) and not diff.on_boundary(t)
         assert intersect(p, q.translated(t)).is_full_dim == inside, t
-        full += inside
-    assert full > 1
+        if inside:
+            full.append(t)
+    assert len(full) > 1
+    assert list(distributions._interior_translates(diff)) == sorted(full)
+
+
+def test_dropping_an_interior_translate_breaks_both_exact_routes(monkeypatch):
+    # with the enumerator's first point gone, the law's mean leaves the
+    # volume and the symmetry orbits no longer cover the difference body
+    real = distributions._interior_translates
+    monkeypatch.setattr(distributions, "_interior_translates",
+                        lambda diff: itertools.islice(real(diff), 1, None))
+    body = reeve_tetrahedron(3)
+    assert exact_distribution(body).mean() != volume(body)
+    with pytest.raises(InvariantViolation, match="orbits cover"):
+        exact_variance(body)
 
 
 def test_octahedron_variance_scaling():
