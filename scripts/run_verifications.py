@@ -28,15 +28,11 @@ def main() -> int:
             "scaling-polyhedron": dict(instances=1, shifts=40, n_max=3),
             "corollary-3d": dict(instances=2, shifts=40),
             "sl-invariance": dict(instances=5),
-            "corollary-4d-symmetric": dict(n_max=0),
         }
 
     worst = 0
     print(f"{'identity':36s} {'status':28s} {'inst':>4s} {'time':>8s}")
     for tag in IDENTITY_TAGS:
-        if args.quick and tag == "corollary-4d-symmetric":
-            print(f"{tag:36s} {'skipped (quick mode)':28s}")
-            continue
         start = time.time()
         report = verify(tag, seed=args.seed, **overrides.get(tag, {}))
         elapsed = time.time() - start

@@ -226,14 +226,13 @@ def random_lattice_polytope(
     point_count: int,
     box: int,
     seed: int = 0,
-    max_rejections: int = 100,
 ) -> Polytope:
     """Hull of point_count uniform integer points in [-box, box]^d,
     redrawn until full-dimensional."""
     if point_count < d + 1:
         raise DegenerateInput("need at least d+1 points")
     rng = seeded_random(seed)
-    for _ in range(max_rejections):
+    for _ in range(100):
         pts = {
             tuple(rng.randint(-box, box) for _ in range(d))
             for _ in range(point_count)

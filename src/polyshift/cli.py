@@ -284,21 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=None)
     p.add_argument("--shifts", type=int, default=None)
     p.add_argument("--n", type=int, default=None, help="maximum dilation factor")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    common(p, with_input=False)
     p.set_defaults(func=_run_verify)
 
     p = sub.add_parser("reeve-audit", help="four-way tetrahedron variance audit")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--max-distribution-n", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    common(p, with_input=False)
     p.set_defaults(func=_run_reeve_audit)
 
     p = sub.add_parser("catalog", help="list constructions or dump one as JSON")
     p.add_argument("--dump", default=None, help="construction to serialize")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    common(p, with_input=False)
     p.set_defaults(func=_run_catalog)
 
     return parser

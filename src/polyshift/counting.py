@@ -23,21 +23,21 @@ takes its range from the rows of the body's projection onto coordinates
 projection's fiber above the prefix, so every visited fiber meets the body
 and no lattice point is lost.
 
-So at a generic shift the count is a function of the floor vector
-``floor(a . s)`` over the body's rows, which names the cell of s in the
-arrangement ``a . x in Z``.  Each body memoizes its generic counts by that
-vector, whatever the shift's denominator; a count at a shift where some
-row is tight, and so every count of a flat body, neither reads nor writes
-the memo, and a memo holds at most ``_MEMO_CAP`` cells.
+So the count is a function of the floor vector ``floor(a . s)`` over the
+body's rows, which names the cell of s in the arrangement ``a . x in Z``,
+whether or not a row is tight at s; only the boundary hits need the shift
+itself.  The scalar counter, `count_at`, walks every shift afresh.
 
 Sampling goes through one generator, `generic_draws`, which draws and
 counts in blocks of at most ``_BLOCK`` stream shifts: one pass over the
 block per body row gives every draw's floor vector, and each distinct cell
-in the block is read from the memo or counted once, at its first draw.  An
-empty body counts 0 at every draw, and so does a flat one, whose equality
-rows miss Z^d unless tight.  A draw where some row is tight goes through
-the scalar counter instead, in draw order.  Blocks are yielded one
-at a time, so memory is bounded by ``_BLOCK`` draws, not by the sample size.
+in the block is read from the body's memo or walked once, at its first
+draw, and then memoized, up to ``_MEMO_CAP`` cells per body.  An empty
+body counts 0 at every draw, and so does a flat one, whose equality rows
+miss Z^d unless tight.  A draw where some row is tight is also walked on
+its own, which finds its boundary hits, and the generator drops it.
+Blocks are yielded one at a time, so memory is bounded by ``_BLOCK``
+draws, not by the sample size.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class ShiftStream:
 
     def __init__(self, dim: int, seed: int = 0):
         self.dim = dim
-        self.seed = seed
         self._rng = seeded_random(seed)
         self._bits = (DYADIC_BITS,) * dim
 
@@ -128,8 +127,9 @@ class _CountPlan:
     The body's rows follow, ordered by the sign of a_last: positive below
     ``npos``, negative below ``nnz``, then zero; ``divs`` holds their |a_last|
     unless all are 1, ``eq_rows`` the folded equalities.  ``cols[k]`` is
-    column k of the rows after level k; ``memo`` maps the floor vector of the body's
-    rows at a shift with none of them tight to the count's result there.
+    column k of the rows after level k; ``memo`` maps the floor vector of the
+    body's rows to the count in that cell, and only the block sampler,
+    `_cell_counts`, reads or writes it.
     """
 
     __slots__ = ("rows", "rhs", "nlev", "cols", "levels", "npos", "nnz", "divs", "eq_rows",
@@ -189,20 +189,12 @@ def _count_polytope(p: Polytope, m: IVec, D: int) -> CountResult:
     nlev, rhs = plan.nlev, plan.rhs
     # floor and remainder of a . m / D per body row: a row is tight when the
     # remainder is 0, and an equality must be, or the flat body misses Z^d
-    key, rems = zip(*[divmod(sum(map(mul, a, m)), D) for a in plan.rows[nlev:]])
-    if 0 in rems:
-        if any(rems[j] for j in plan.eq_rows):
-            return _NONE
-        tight = [j for j, r in enumerate(rems) if not r]
-    else:
-        if plan.eq_rows:
-            return _NONE
-        res = plan.memo.get(key)
-        if res is not None:
-            return res
-        tight = ()
+    floors, rems = zip(*[divmod(sum(map(mul, a, m)), D) for a in plan.rows[nlev:]])
+    if any(rems[j] for j in plan.eq_rows):
+        return _NONE
+    tight = [j for j, r in enumerate(rems) if not r]
     R = [b + sum(map(mul, a, m)) // D for a, b in zip(plan.rows[:nlev], rhs)]
-    R += map(add, rhs[nlev:], key)
+    R += map(add, rhs[nlev:], floors)
     cols, levels, npos, nnz, divs = plan.cols, plan.levels, plan.npos, plan.nnz, plan.divs
     count = 0
     hits: list = []
@@ -249,20 +241,7 @@ def _count_polytope(p: Polytope, m: IVec, D: int) -> CountResult:
         fibers(R, (), ((),), cols[0])
     else:
         walk(0, R, ())
-    if hits:
-        return CountResult(count, tuple(hits))
-    res = CountResult(count)
-    if not tight and len(plan.memo) < _MEMO_CAP:
-        plan.memo[key] = res
-    return res
-
-
-def _count_body(body: Body, m: IVec, D: int) -> CountResult:
-    """`_count_polytope` over a body; a union adds up its parts' counts."""
-    if not isinstance(body, PolytopeUnion):
-        return _count_polytope(body, m, D)
-    res = [_count_polytope(part, m, D) for part in body.parts]
-    return CountResult(sum(r.count for r in res), tuple(z for r in res for z in r.boundary_hits))
+    return CountResult(count, tuple(hits))
 
 
 def count_at(body: Body, shift) -> CountResult:
@@ -271,30 +250,36 @@ def count_at(body: Body, shift) -> CountResult:
     ``shift`` is any rational vector; it is reduced modulo Z^d and the
     boundary hits are translated back.  Unions count additively over their
     parts, matching the almost-sure additivity of counts over
-    interior-disjoint families.
+    interior-disjoint families.  Every call walks the body afresh; it
+    neither reads nor writes the memo that `generic_draws` keeps.
     """
     (full,), D = _homogenize([as_vec(shift)])
     m = tuple(x % D for x in full)
-    res = _count_body(body, m, D)
-    if m == full or not res.boundary_hits:
-        return res
-    off = [x // D for x in full]
-    return CountResult(res.count, tuple(tuple(map(add, z, off)) for z in res.boundary_hits))
+    parts = body.parts if isinstance(body, PolytopeUnion) else (body,)
+    res = [_count_polytope(part, m, D) for part in parts]
+    hits = tuple(z for r in res for z in r.boundary_hits)
+    if m != full and hits:
+        off = [x // D for x in full]
+        hits = tuple(tuple(map(add, z, off)) for z in hits)
+    return CountResult(sum(r.count for r in res), hits)
 
 
-def _cell_counts(p: Polytope, cols: list[list[int]], nums: list[IVec], tight: set) -> list:
+def _cell_counts(p: Polytope, cols: list[list[int]], nums: list[IVec]) -> list:
     """p's count at each draw of a block given column by column (`cols`) and
-    row by row (`nums`), valid where no row of p is tight; adds the draws
-    where one is to `tight`.  Each cell of the block is read from p's memo
-    or counted once, at its first draw.  An empty body counts 0 everywhere,
-    and so does a flat one where none of its rows is tight: an equality
-    with a nonzero remainder misses Z^d."""
+    row by row (`nums`), None at a draw where p has a boundary hit.  Each
+    cell of the block is read from p's memo or walked once, at its first
+    draw, and memoized: the count depends only on the cell, even where a
+    row is tight.  An empty body counts 0 everywhere, and so does a flat
+    one where none of its rows is tight: an equality with a nonzero
+    remainder misses Z^d.  A draw where a row is tight is walked on its
+    own for its boundary hits."""
     plan = _plan(p)
     if plan is None:
         return [0] * len(nums)
     if len(cols) != p.dim:
         raise DegenerateInput("shift dimension does not match the polytope")
     floors = []
+    tight: set = set()
     for a in plan.rows[plan.nlev:]:
         # a . m for every draw: the floor over 2**64 is a shift, and the row
         # is tight where the low 64 bits are 0
@@ -305,22 +290,33 @@ def _cell_counts(p: Polytope, cols: list[list[int]], nums: list[IVec], tight: se
             tight.update(j for j, x in enumerate(dots) if not x & _DYADIC_MASK)
         floors.append(map(rshift, dots, itertools.repeat(DYADIC_BITS)))
     if plan.eq_rows:
-        return [0] * len(nums)
-    keys = list(zip(*floors))
-    # each cell with the numerators of its first draw, then with its count
-    cells = dict(zip(reversed(keys), reversed(nums)))
-    memo = plan.memo
-    for key, m in cells.items():
-        res = memo.get(key)
-        cells[key] = (res if res is not None else _count_polytope(p, m, _DYADIC_DEN)).count
-    return list(map(cells.__getitem__, keys))
+        counts = [0] * len(nums)
+    else:
+        keys = list(zip(*floors))
+        # each cell with the numerators of its first draw, then with its count
+        cells = dict(zip(reversed(keys), reversed(nums)))
+        memo = plan.memo
+        for key, m in cells.items():
+            count = memo.get(key)
+            if count is None:
+                count = _count_polytope(p, m, _DYADIC_DEN).count
+                if len(memo) < _MEMO_CAP:
+                    memo[key] = count
+            cells[key] = count
+        counts = list(map(cells.__getitem__, keys))
+    for j in tight:
+        res = _count_polytope(p, nums[j], _DYADIC_DEN)
+        counts[j] = None if res.boundary_hits else res.count
+    return counts
 
 
-def _block_counts(body: Body, cols: list[list[int]], nums: list[IVec], tight: set) -> list:
-    """`_cell_counts` over a body; a union adds up its parts' counts."""
+def _block_counts(body: Body, cols: list[list[int]], nums: list[IVec]) -> list:
+    """`_cell_counts` over a body; a union adds up its parts' counts, and
+    has a boundary hit where a part has one."""
     if not isinstance(body, PolytopeUnion):
-        return _cell_counts(body, cols, nums, tight)
-    return list(map(sum, zip(*[_cell_counts(part, cols, nums, tight) for part in body.parts])))
+        return _cell_counts(body, cols, nums)
+    parts = zip(*[_cell_counts(part, cols, nums) for part in body.parts])
+    return [None if None in c else sum(c) for c in parts]
 
 
 def generic_draws(stream: ShiftStream, bodies: Sequence[Body], n: int, tries: int = 64
@@ -328,62 +324,50 @@ def generic_draws(stream: ShiftStream, bodies: Sequence[Body], n: int, tries: in
     """The first n draws from `stream` generic for every body, in blocks of
     at most ``_BLOCK``: each block is (the draws' numerators over
     ``2**DYADIC_BITS``, per body the counts at those draws, per draw the
-    draws rejected just before it).  A draw is rejected at its first body
-    with a boundary hit, before the later bodies are counted; the stream
-    is read no further than the n-th generic draw.  Boundary hits at dyadic
-    shifts signal a degenerate instance rather than bad luck, so after
-    `tries` rejected draws in a row this yields the draws taken so far and
-    raises DegenerateInput."""
+    draws rejected just before it).  Every body is counted at every draw of
+    a block, and a draw where some body has a boundary hit is dropped; the
+    stream is read no further than the n-th generic draw.  Boundary hits at
+    dyadic shifts signal a degenerate instance rather than bad luck, so
+    after `tries` rejected draws in a row this yields the draws taken so far
+    and raises DegenerateInput."""
     run = 0  # draws rejected since the last one taken
     while n > 0:
         k = min(n, _BLOCK)
         cols = stream.block(k)
         nums = list(zip(*cols))
-        tight: set = set()
-        counts = [_block_counts(b, cols, nums, tight) for b in bodies]
-        if not tight:
+        counts = [_block_counts(b, cols, nums) for b in bodies]
+        if not any(None in c for c in counts):
             yield nums, counts, [run] + [0] * (k - 1)
             run = 0
             n -= k
             continue
-        taken: list[IVec] = []
+        taken: list[int] = []
         redraws: list[int] = []
-        rows = []
-        for j, m in enumerate(nums):
-            row = []
-            for b, c in zip(bodies, counts):
-                if j not in tight:
-                    row.append(c[j])
-                    continue
-                res = _count_body(b, m, _DYADIC_DEN)
-                if res.boundary_hits:
-                    break
-                row.append(res.count)
-            else:
-                taken.append(m)
+        for j, row in enumerate(zip(*counts)):
+            if None not in row:
+                taken.append(j)
                 redraws.append(run)
-                rows.append(row)
                 run = 0
                 continue
             run += 1
             if run >= tries:
-                if taken:
-                    yield taken, [list(c) for c in zip(*rows)], redraws
-                raise DegenerateInput(
-                    f"no shift generic for every body in {tries} draws; degenerate instance")
+                break
         if taken:
-            yield taken, [list(c) for c in zip(*rows)], redraws
+            yield [nums[j] for j in taken], [[c[j] for j in taken] for c in counts], redraws
             n -= len(taken)
+        if run >= tries:
+            raise DegenerateInput(
+                f"no shift generic for every body in {tries} draws; degenerate instance")
 
 
-def generic_count(body: Body, seed: int = 0, *, trials: int = 8, max_resamples: int = 64) -> int:
+def generic_count(body: Body, seed: int = 0, *, trials: int = 8) -> int:
     """Almost-sure count of a body whose generic count is constant.
 
-    Draws shifts until generic (`generic_draws`, up to `max_resamples`
-    resamples each) and checks the count over several independent generic
-    shifts; disagreement raises NotConstant, flagging misuse.
+    Draws shifts until generic (`generic_draws`, with its default `tries`)
+    and checks the count over several independent generic shifts;
+    disagreement raises NotConstant, flagging misuse.
     """
-    draws = generic_draws(ShiftStream(body.dim, seed), [body], trials, max_resamples + 1)
+    draws = generic_draws(ShiftStream(body.dim, seed), [body], trials)
     values = {c for _, (counts,), _ in draws for c in counts}
     if len(values) > 1:
         raise NotConstant(f"generic counts disagree: {sorted(values)}")

@@ -389,16 +389,6 @@ class ComparisonReport:
     p_value: Optional[float] = None
     dof: Optional[int] = None
 
-    def to_json(self) -> dict:
-        out: dict = {"method": self.method}
-        if self.equal is not None:
-            out["equal"] = self.equal
-        if self.chi2 is not None:
-            out["chi2"] = self.chi2
-            out["pValue"] = self.p_value
-            out["dof"] = self.dof
-        return out
-
 
 def _chi2_sf(stat: float, dof: int) -> float:
     """Upper tail of the chi-square law with integer ``dof`` >= 1.

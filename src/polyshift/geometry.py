@@ -925,9 +925,9 @@ def unit_cube(d: int) -> Polytope:
     return Polytope._made(d, nums, 1, d, ((), facets), masks)
 
 
-def segment(a: Iterable, b: Iterable, dim: Optional[int] = None) -> Polytope:
+def segment(a: Iterable, b: Iterable) -> Polytope:
     av, bv = as_vec(a), as_vec(b)
-    return Polytope(dim if dim is not None else len(av), [av, bv])
+    return Polytope(len(av), [av, bv])
 
 
 # ---------------------------------------------------------------------------

@@ -152,9 +152,7 @@ def _check_scaling(tag: str, instances: int, shifts: int, n_max: int, seed: int,
     cases = _scaling_instances(kind, instances, seed)
     for idx, (label, base) in enumerate(cases):
         d = base.dim
-        dec = catalog.scaling_decomposition(
-            base, "simplex" if kind == "simplex" else "polyhedron"
-        )
+        dec = catalog.scaling_decomposition(base, kind)
         dilates = [dilate(base, n) for n in range(1, n_max + 1)]
         bodies: list[Body] = list(dec.pieces) + dilates
         stream = ShiftStream(d, seed + 9973 * idx + 104729 * d)
@@ -209,14 +207,12 @@ def _check_symmetric_scaling(tag: str, instances: int, n_max: int, seed: int, **
     if tag == "corollary-3d-symmetric":
         cases = _symmetric_3d_instances(instances, seed)
         exponent = 2
-        n_values = list(range(1, n_max + 1))
     else:
         cases = [("cross-4d", catalog.cross_polytope(4))]
         exponent = 4
-        n_values = [2]
     for label, body in cases:
         base_var = exact_variance(body).variance
-        for n in n_values:
+        for n in range(1, n_max + 1):
             lhs = exact_variance(dilate(body, n)).variance
             rhs = Fraction(n) ** exponent * base_var
             if lhs != rhs:

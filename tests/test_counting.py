@@ -260,7 +260,41 @@ def test_integer_move_of_the_shift_moves_the_hits(body, data):
 
 
 # ---------------------------------------------------------------------------
-# the per-body count memo, keyed by the floor vector of the body's rows
+# the per-body count memo, keyed by the floor vector of the body's rows and
+# kept by the block sampler alone
+
+
+class ScriptedStream:
+    """Hands out the numerators of the given shifts in turn, over 2**64, and
+    counts the draws."""
+
+    def __init__(self, shifts):
+        self.shifts = [tuple(int(c * 2**64) for c in s) for s in shifts]
+        self.drawn = 0
+
+    def block(self, k):
+        self.drawn += k
+        return [list(c) for c in zip(*[self.shifts.pop(0) for _ in range(k)])]
+
+
+def sample(bodies, shifts, n):
+    """The count rows `generic_draws` yields for the first n draws among the
+    given dyadic shifts that are generic for every body."""
+    draws = generic_draws(ScriptedStream(shifts), bodies, n)
+    return [row for _, counts, _ in draws for row in zip(*counts)]
+
+
+def spy_walks(monkeypatch):
+    """The shifts walked by the counter from now on, in order."""
+    walked = []
+    walk = counting._count_polytope
+
+    def spy(p, m, D):
+        walked.append(m)
+        return walk(p, m, D)
+
+    monkeypatch.setattr(counting, "_count_polytope", spy)
+    return walked
 
 
 def fresh_copy(body):
@@ -293,41 +327,72 @@ def test_memo_hits_equal_oracle_and_fresh_counts(data):
     p = data.draw(oracle_bodies())
     if data.draw(st.booleans()):
         p = half_step_union(p)
-    for s in data.draw(same_cell_shifts(p.dim)):
-        res = count_at(p, s)
-        assert res == brute_count_body(p, s)
-        assert res == count_at(fresh_copy(p), s)
+    shifts = data.draw(same_cell_shifts(p.dim))
+    oracle = [brute_count_body(p, s) for s in shifts]
+    generic = [s for s, res in zip(shifts, oracle) if res.is_generic]
+    expected = [(res.count,) for res in oracle if res.is_generic]
+    # one block counts each cell once; then one draw per block reads the
+    # cells the first block memoized, and a fresh body walks every draw
+    assert sample([p], shifts, len(generic)) == expected
+    assert [row for s in generic for row in sample([p], [s], 1)] == expected
+    assert [row for s in generic for row in sample([fresh_copy(p)], [s], 1)] == expected
 
 
 def test_memo_keys_on_rows_with_zero_last_coefficient():
     # [0, 1/2] x [0, 1]: the rows on y agree at both shifts, 2x <= 1 does not
     p = Polytope(2, [(0, 0), (F(1, 2), 0), (0, 1), (F(1, 2), 1)])
-    assert count_at(p, (F(1, 4), F(1, 2))).count == 0
-    assert count_at(p, (F(3, 4), F(1, 2))).count == 1
+    assert sample([p], [(F(1, 4), F(1, 2))], 1) == [(0,)]
+    assert sample([p], [(F(3, 4), F(1, 2))], 1) == [(1,)]
     assert len(p._count_plan.memo) == 2
 
 
-def test_tight_shift_in_a_cached_cell_reports_its_boundary_hits():
+def test_tight_shift_in_a_cached_cell_reports_its_boundary_hits(monkeypatch):
     p = reeve_tetrahedron(3)
     generic, tight = (F(1, 64), F(1, 2), F(33, 64)), (F(0), F(1, 2), F(1, 2))
-    assert count_at(p, generic) == CountResult(1)
+    assert sample([p], [generic], 1) == [(1,)]
     assert body_floors(p, tight) in p._count_plan.memo
+    # the memo holds the cell's count, but the tight draw is walked for its
+    # boundary hit and dropped
+    walked = spy_walks(monkeypatch)
+    stream = ScriptedStream([tight, generic])
+    assert list(generic_draws(stream, [p], 1)) == [([(2**58, 2**63, 33 * 2**58)], [[1]], [1])]
+    assert walked == [(0, 2**63, 2**63)]
     assert count_at(p, tight) == CountResult(1, ((1, 1, 2),)) == brute_count(p, tight)
-    # translated back by the shift's integer part, as at a fresh body
+    # translated back by the shift's integer part
     far = (F(-1), F(5, 2), F(1, 2))
-    assert count_at(p, far) == CountResult(1, ((0, 3, 2),)) == count_at(fresh_copy(p), far)
-    # the tight count wrote nothing, so the generic shift is still served clean
+    assert count_at(p, far) == CountResult(1, ((0, 3, 2),)) == brute_count(p, far)
     assert len(p._count_plan.memo) == 1
-    assert count_at(p, generic) == CountResult(1)
+
+
+def test_tight_first_draw_of_a_cell_memoizes_its_count(monkeypatch):
+    # 2x + 2y <= 1 is tight at (1/8, 3/8) with no boundary hit; the count
+    # depends only on the cell, so that draw's count is memoized for it
+    tri = Polytope(2, [(0, 0), (F(1, 2), 0), (0, F(1, 2))])
+    tight, later = (F(1, 8), F(3, 8)), (F(1, 4), F(5, 16))
+    assert sample([tri], [tight], 1) == [(0,)]
+    assert body_floors(tri, later) == body_floors(tri, tight)
+    assert tri._count_plan.memo == {body_floors(tri, tight): 0}
+    walked = spy_walks(monkeypatch)
+    assert sample([tri], [later], 1) == [(0,)]
+    assert walked == []
+
+
+def test_count_at_keeps_no_memo():
+    p = reeve_tetrahedron(3)
+    stream = ShiftStream(3, seed=1)
+    for _ in range(20):
+        count_at(p, stream.draw())
+    count_at(p, (0, 0, 0))
+    assert p._count_plan.memo == {}
 
 
 def test_flat_bodies_never_touch_the_memo():
     stream = ShiftStream(4, seed=3)
     for p in FLAT_BODIES:
-        for _ in range(40):
-            s = stream.draw()
-            count_at(p, s[:p.dim])
-        count_at(p, (0,) * p.dim)
+        shifts = [stream.draw()[:p.dim] for _ in range(40)] + [(0,) * p.dim]
+        generic = sum(count_at(p, s).is_generic for s in shifts)
+        # every lattice point of a flat body is on its boundary
+        assert sample([p], shifts, generic) == [(0,)] * generic
         assert p._count_plan.memo == {}
 
 
@@ -336,14 +401,17 @@ def test_memo_stops_growing_at_its_cap_and_counts_stay_exact(monkeypatch):
     p = random_lattice_polytope(3, 8, 3, seed=7)
     stream = ShiftStream(3, seed=5)
     shifts = [stream.draw() for _ in range(30)]
-    for s in shifts + shifts:
-        assert count_at(p, s) == brute_count(p, s)
+    expected = [(brute_count(p, s).count,) for s in shifts]
+    assert sample([p], shifts, 30) == sample([p], shifts, 30) == expected
     memo = p._count_plan.memo
     assert len(memo) == 3
-    # a full memo still serves its cells
-    first = shifts[0]
-    assert count_at(p, first) is memo[body_floors(p, first)]
-    assert len({body_floors(p, s) for s in shifts}) > 3
+    cells = {body_floors(p, s) for s in shifts}
+    assert len(cells) > 3
+    # a full memo still serves its cells: a block walks only the others
+    walked = spy_walks(monkeypatch)
+    assert sample([p], shifts, 30) == expected
+    assert len(walked) == len(cells) - 3
+    assert set(memo) <= cells
 
 
 def test_count_matches_brute_force_rational_shift():
@@ -404,22 +472,9 @@ def test_generic_count_detects_nonconstant():
         generic_count(standard_simplex(2), seed=3, trials=32)
 
 
-class ScriptedStream:
-    """Hands out the numerators of the given shifts in turn, over 2**64, and
-    counts the draws."""
-
-    def __init__(self, shifts):
-        self.shifts = [tuple(int(c * 2**64) for c in s) for s in shifts]
-        self.drawn = 0
-
-    def block(self, k):
-        self.drawn += k
-        return [list(c) for c in zip(*[self.shifts.pop(0) for _ in range(k)])]
-
-
 def test_generic_draws_redraw_on_boundary_hits_then_give_up():
     cube, corner, inside = unit_cube(2), (0, 0), (F(1, 2), F(1, 4))
-    # the corner shift is rejected at the first body, the inside one taken
+    # the corner shift has boundary hits on both bodies, the inside one is taken
     stream = ScriptedStream([corner, corner, inside])
     assert next(generic_draws(stream, [cube, dilate(cube, 2)], 1)) == ([(2**63, 2**62)], [[1], [4]], [2])
     assert stream.drawn == 3
@@ -446,7 +501,7 @@ def test_generic_draws_redraw_on_boundary_hits_then_give_up():
 
 def test_generic_draws_keep_a_tight_draw_without_boundary_hits():
     # 2x + 2y <= 1 is tight at (1/8, 3/8), but no lattice point lands on the
-    # shifted triangle's edge there, so the scalar counter keeps the draw
+    # shifted triangle's edge there, so the walk at that draw keeps it
     tri = Polytope(2, [(0, 0), (F(1, 2), 0), (0, F(1, 2))])
     shifts = [(F(1, 8), F(3, 8)), (0, 0), (F(1, 2), F(1, 4))]
     # the first block of two keeps one draw, so a block of one follows
@@ -477,8 +532,8 @@ def test_generic_draws_match_the_stream_and_count_at(body, seed, n):
     d = body.dim
     union = PolytopeUnion((body, body.translated((F(1, 2),) * d)))
     # a flat body and an empty one count 0 on the block path like any body;
-    # a draw where one of the flat body's rows is tight goes through the
-    # scalar counter, which decides whether the draw is taken
+    # a draw where one of the flat body's rows is tight is walked on its own,
+    # which decides whether the draw is taken
     for bodies in ([body, union], [body, _flat_body(d), Polytope.empty(d), union]):
         reference = ShiftStream(d, seed)
         taken = 0

@@ -168,6 +168,17 @@ def test_identity_tags_pass(tag, kwargs):
     assert report.witnesses == []
 
 
+def test_corollary_4d_symmetric_checks_every_dilate_up_to_n_max(monkeypatch):
+    # like the 3-D tag, n = 1 .. n_max, so --n is not silently ignored
+    from polyshift import verifier
+
+    factors = []
+    real = verifier.dilate
+    monkeypatch.setattr(verifier, "dilate", lambda body, n: factors.append(n) or real(body, n))
+    assert verify("corollary-4d-symmetric", n_max=3).status == PASS
+    assert factors == [1, 2, 3]
+
+
 @pytest.mark.parametrize(
     "tag",
     ["counterexample-slab", "counterexample-minkowski", "counterexample-symmetry"],
