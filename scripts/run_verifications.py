@@ -9,7 +9,7 @@ import argparse
 import sys
 import time
 
-from polyshift.verifier import FAIL, IDENTITY_TAGS, verify
+from polyshift.verifier import FAIL, IDENTITY_TAGS, quick_sizes, verify
 
 
 def main() -> int:
@@ -17,24 +17,15 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--quick", action="store_true",
-        help="smaller instance counts for a fast sanity pass",
+        help="the smaller sizes each tag's table row gives for a fast sanity pass",
     )
     args = parser.parse_args()
-
-    overrides = {}
-    if args.quick:
-        overrides = {
-            "scaling-simplex": dict(instances=2, shifts=40, n_max=3),
-            "scaling-polyhedron": dict(instances=1, shifts=40, n_max=3),
-            "corollary-3d": dict(instances=2, shifts=40),
-            "sl-invariance": dict(instances=5),
-        }
 
     worst = 0
     print(f"{'identity':36s} {'status':28s} {'inst':>4s} {'time':>8s}")
     for tag in IDENTITY_TAGS:
         start = time.time()
-        report = verify(tag, seed=args.seed, **overrides.get(tag, {}))
+        report = verify(tag, seed=args.seed, **(quick_sizes(tag) if args.quick else {}))
         elapsed = time.time() - start
         print(f"{tag:36s} {report.status:28s} {report.instances:4d} {elapsed:7.1f}s")
         for witness in report.witnesses[:3]:

@@ -21,7 +21,8 @@ import sys
 from typing import Optional, Union
 
 from . import catalog
-from .counting import ShiftStream, ZonotopeSpec, count_at, zonotope_polytope, zonotope_spec_from_json
+from .counting import (ShiftStream, ZonotopeSpec, stream_counts, zonotope_polytope,
+                       zonotope_spec_from_json)
 from .distributions import (
     CountDistribution,
     exact_distribution,
@@ -135,24 +136,15 @@ def _run_count(args) -> int:
         raise InputError(f"--shifts must be a positive integer, got {args.shifts}")
     body = parse_polytope_input(args.input)
     poly = _as_polytope(body)
-    stream = ShiftStream(poly.dim, args.seed)
-    counts = []
-    generic = []
-    shifts = []
-    for _ in range(args.shifts):
-        s = stream.draw()
-        res = count_at(poly, s)
-        counts.append(res.count)
-        generic.append(res.is_generic)
-        shifts.append([str(c) for c in s])
+    draws = list(stream_counts(ShiftStream(poly.dim, args.seed), poly, args.shifts))
     _emit_json(
         {
             "command": "count",
             "input": args.input,
             "seed": args.seed,
-            "counts": counts,
-            "generic": generic,
-            "shifts": shifts,
+            "counts": [res.count for _, res in draws],
+            "generic": [res.is_generic for _, res in draws],
+            "shifts": [[str(c) for c in s] for s, _ in draws],
         },
         args.out,
     )

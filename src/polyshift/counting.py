@@ -28,16 +28,16 @@ body's rows, which names the cell of s in the arrangement ``a . x in Z``,
 whether or not a row is tight at s; only the boundary hits need the shift
 itself.  The scalar counter, `count_at`, walks every shift afresh.
 
-Sampling goes through one generator, `generic_draws`, which draws and
-counts in blocks of at most ``_BLOCK`` stream shifts: one pass over the
-block per body row gives every draw's floor vector, and each distinct cell
-in the block is read from the body's memo or walked once, at its first
-draw, and then memoized, up to ``_MEMO_CAP`` cells per body.  An empty
-body counts 0 at every draw, and so does a flat one, whose equality rows
-miss Z^d unless tight.  A draw where some row is tight is also walked on
-its own, which finds its boundary hits, and the generator drops it.
-Blocks are yielded one at a time, so memory is bounded by ``_BLOCK``
-draws, not by the sample size.
+Sampling draws and counts in blocks of at most ``_BLOCK`` stream shifts:
+one pass over the block per body row gives every draw's floor vector, and
+each distinct cell in the block is read from the body's memo or walked
+once, at its first draw, and then memoized, up to ``_MEMO_CAP`` cells per
+body.  An empty body counts 0 at every draw, and so does a flat one, whose
+equality rows miss Z^d unless tight.  A draw where some row is tight is
+also walked on its own, which finds its boundary hits.  `generic_draws`
+drops a draw where some body has one; `stream_counts` keeps every draw and
+gets the hits from `count_at`.  Blocks are yielded one at a time, so
+memory is bounded by ``_BLOCK`` draws, not by the sample size.
 """
 
 from __future__ import annotations
@@ -358,6 +358,21 @@ def generic_draws(stream: ShiftStream, bodies: Sequence[Body], n: int, tries: in
         if run >= tries:
             raise DegenerateInput(
                 f"no shift generic for every body in {tries} draws; degenerate instance")
+
+
+def stream_counts(stream: ShiftStream, body: Body, n: int) -> Iterator[tuple[Vec, CountResult]]:
+    """The next n draws from `stream`, in order, each with body's closed
+    count there.  Each block of at most ``_BLOCK`` draws is counted by cell
+    (`_block_counts`); `count_at` walks only a draw where the body has a
+    boundary hit, for its closed count and hits."""
+    while n > 0:
+        k = min(n, _BLOCK)
+        cols = stream.block(k)
+        nums = list(zip(*cols))
+        for m, count in zip(nums, _block_counts(body, cols, nums)):
+            s = tuple(Fraction(x, _DYADIC_DEN) for x in m)
+            yield s, count_at(body, s) if count is None else CountResult(count)
+        n -= k
 
 
 def generic_count(body: Body, seed: int = 0, *, trials: int = 8) -> int:

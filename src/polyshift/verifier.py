@@ -1,11 +1,17 @@
 """Mechanical checks of the count identities, constancy claims and
 counterexamples, all in exact arithmetic.
 
-Each identity tag draws seeded instances from the construction catalog,
-evaluates both sides of its identity at generic shifts (or compares exact
-distributions / variances) and reports pass/fail with explicit witnesses.
-Counterexample tags are inverted: they *assert* failure, so a regression
-that silently "fixes" an impossible identity is caught.
+One table, `_TAGS`, is the only code that knows a tag: each row holds the
+tag's checker with its variant bound, its default sizes, its quick sizes
+and, for the two constancy tags, the check of an input body.  A checker
+draws seeded instances from the construction catalog and reports pass/fail
+with explicit witnesses.  A sampled identity is a list of linear relations
+among the counts of a list of bodies at common generic shifts, checked by
+one loop (`_relations`); a value that must stay constant across shifts is
+collected by another (`_observed`); the other tags compare exact
+distributions or variances.  Counterexample tags are inverted: they
+*assert* failure, so a regression that silently "fixes" an impossible
+identity is caught.
 
 The Reeve tetrahedron audit computes the variance four ways: a candidate
 closed form, the per-layer indicator calculus, the intersection lattice
@@ -19,8 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, sub
-from typing import Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 from . import catalog
 from .counting import (DYADIC_BITS, ShiftStream, ZonotopeSpec, generic_draws, zonotope_constant,
@@ -30,7 +36,6 @@ from .errors import DegenerateInput, UnknownIdentity
 from .geometry import (
     Body,
     Polytope,
-    PolytopeUnion,
     affine_image,
     dilate,
     minkowski_sum,
@@ -96,14 +101,8 @@ def _fmt_law(dist) -> str:
 
 def _witness(out: list[Witness], instance: str, shift, lhs, rhs):
     if len(out) < _MAX_WITNESSES:
-        out.append(
-            Witness(
-                instance,
-                _fmt_shift(shift) if shift is not None else None,
-                str(lhs),
-                str(rhs),
-            )
-        )
+        shift = _fmt_shift(shift) if shift is not None else None
+        out.append(Witness(instance, shift, str(lhs), str(rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +130,70 @@ def _symmetric_3d_instances(count: int, seed: int):
     return out
 
 
-def _sl_bodies(d: int, seed: int):
-    if d == 2:
-        return [
-            ("simplex-2", catalog.standard_simplex(2)),
+def _cross_4d(count: int, seed: int):
+    """The one 4-D instance; it draws nothing."""
+    return [("cross-4d", catalog.cross_polytope(4))]
+
+
+def _sl_bodies(seed: int):
+    return [("simplex-2", catalog.standard_simplex(2)),
             ("poly2", catalog.random_lattice_polytope(2, 5, 2, seed + 17)),
-        ]
-    return [("simplex-3", catalog.standard_simplex(3))]
+            ("simplex-3", catalog.standard_simplex(3))]
+
+
+def _sl_images(label: str, body: Polytope, count: int, seed: int):
+    d = body.dim
+    return [
+        (f"{label} A#{i}", affine_image(
+            body, catalog.random_unimodular(d, seed + 1000 * d + i, steps=6, max_entry=3).matrix,
+            zero_vec(d)))
+        for i in range(count)
+    ]
+
+
+def _negated_image(label: str, body: Polytope, count: int, seed: int):
+    """The one image -body; it draws nothing."""
+    return [(f"{label} negated", body.negated())]
 
 
 # ---------------------------------------------------------------------------
-# per-tag checkers: each takes the keywords it needs of tag, instances,
-# shifts, n_max, seed and body, and returns (instances, shifts, witnesses, notes)
+# count relations at common generic shifts; a term (c, i) is c times the
+# count of body i
 
 
-def _check_scaling(tag: str, instances: int, shifts: int, n_max: int, seed: int, **_):
-    kind = "simplex" if tag == "scaling-simplex" else "polyhedron"
+def _combination(terms, counts) -> int:
+    return sum(c * counts[i] for c, i in terms)
+
+
+def _relations(wit: list, label: str, bodies: list, seed: int, shifts: int, relations: list):
+    """Check every relation ``(suffix, lhs, rhs, constant)``, that is
+    ``sum lhs == sum rhs + constant``, at the first `shifts` draws of one
+    stream generic for every body; a violation is a witness ``label + suffix``."""
+    for nums, block, _ in generic_draws(ShiftStream(bodies[0].dim, seed), bodies, shifts):
+        for shift, counts in zip(nums, zip(*block)):
+            for suffix, lhs, rhs, constant in relations:
+                left, right = _combination(lhs, counts), _combination(rhs, counts) + constant
+                if left != right:
+                    _witness(wit, label + suffix, shift, left, right)
+
+
+def _observed(bodies: list, seed: int, shifts: int, terms) -> dict:
+    """Each value the combination `terms` takes at the first `shifts` draws of
+    one stream generic for every body, with the draw where it first appears."""
+    seen: dict = {}
+    for nums, block, _ in generic_draws(ShiftStream(bodies[0].dim, seed), bodies, shifts):
+        for shift, counts in zip(nums, zip(*block)):
+            seen.setdefault(_combination(terms, counts), shift)
+    return seen
+
+
+# ---------------------------------------------------------------------------
+# checkers: each takes its table row's variant, then seed and the sizes the
+# row names (and an input body where the row takes one), and returns
+# (instances, shifts per instance, witnesses, notes)
+
+
+def _check_scaling(kind: str, instances: int, shifts: int, n_max: int, seed: int):
     wit: list[Witness] = []
     notes: list[str] = []
     cases = _scaling_instances(kind, instances, seed)
@@ -154,62 +201,42 @@ def _check_scaling(tag: str, instances: int, shifts: int, n_max: int, seed: int,
         d = base.dim
         dec = catalog.scaling_decomposition(base, kind)
         dilates = [dilate(base, n) for n in range(1, n_max + 1)]
-        bodies: list[Body] = list(dec.pieces) + dilates
-        stream = ShiftStream(d, seed + 9973 * idx + 104729 * d)
-        for nums, block, _ in generic_draws(stream, bodies, shifts):
-            for shift, counts in zip(nums, zip(*block)):
-                piece_counts = counts[: d]
-                if sum(piece_counts) != dec.constant_sum:
-                    _witness(wit, f"{label} piece-sum", shift,
-                             sum(piece_counts), dec.constant_sum)
-                for n in range(1, n_max + 1):
-                    lhs = counts[d + n - 1]
-                    rhs = sum(
-                        dec.multiplicity(k, n) * piece_counts[k - 1]
-                        for k in range(1, d + 1)
-                    )
-                    if lhs != rhs:
-                        _witness(wit, f"{label} n={n}", shift, lhs, rhs)
+        # bodies: the pieces P_1..P_d, then n * base for n = 1..n_max
+        relations = [(" piece-sum", [(1, k) for k in range(d)], [], dec.constant_sum)]
+        relations += [
+            (f" n={n}", [(1, d + n - 1)], [(dec.multiplicity(k + 1, n), k) for k in range(d)], 0)
+            for n in range(1, n_max + 1)
+        ]
+        _relations(wit, label, list(dec.pieces) + dilates, seed + 9973 * idx + 104729 * d,
+                   shifts, relations)
         notes.append(f"{label}: piece-count sum constant {dec.constant_sum}")
     return len(cases), shifts, wit, notes
 
 
-def _check_corollary_3d(instances: int, shifts: int, n_max: int, seed: int, **_):
+def _check_corollary_3d(instances: int, shifts: int, n_max: int, seed: int):
     n_values = range(2, n_max + 1)
     wit: list[Witness] = []
     notes: list[str] = []
     for i in range(instances):
         base = catalog.random_lattice_polytope(3, 6, 2, seed + 31 * i)
-        neg = base.negated()
         vol6 = 6 * volume(base)
         label = f"poly3d-#{i}"
-        bodies: list[Body] = [base, neg] + [dilate(base, n) for n in n_values]
-        stream = ShiftStream(3, seed + 7 * i)
-        for nums, block, _ in generic_draws(stream, bodies, shifts):
-            for shift, counts in zip(nums, zip(*block)):
-                c_p, c_m = counts[0], counts[1]
-                for j, n in enumerate(n_values):
-                    lhs = counts[2 + j]
-                    rhs = (
-                        math.comb(n + 1, 2) * c_p
-                        - math.comb(n, 2) * c_m
-                        + math.comb(n + 1, 3) * vol6
-                    )
-                    if lhs != rhs:
-                        _witness(wit, f"{label} n={n}", shift, lhs, rhs)
+        # bodies: P, -P, then n * P for n = 2..n_max
+        bodies: list[Body] = [base, base.negated()] + [dilate(base, n) for n in n_values]
+        relations = [
+            (f" n={n}", [(1, 2 + j)], [(math.comb(n + 1, 2), 0), (-math.comb(n, 2), 1)],
+             math.comb(n + 1, 3) * vol6)
+            for j, n in enumerate(n_values)
+        ]
+        _relations(wit, label, bodies, seed + 7 * i, shifts, relations)
         notes.append(f"{label}: constant term factor 6*vol = {vol6}")
     return instances, shifts, wit, notes
 
 
-def _check_symmetric_scaling(tag: str, instances: int, n_max: int, seed: int, **_):
+def _check_symmetric_scaling(instances_of, exponent: int, instances: int, n_max: int, seed: int):
     wit: list[Witness] = []
     notes: list[str] = []
-    if tag == "corollary-3d-symmetric":
-        cases = _symmetric_3d_instances(instances, seed)
-        exponent = 2
-    else:
-        cases = [("cross-4d", catalog.cross_polytope(4))]
-        exponent = 4
+    cases = instances_of(instances, seed)
     for label, body in cases:
         base_var = exact_variance(body).variance
         for n in range(1, n_max + 1):
@@ -221,102 +248,79 @@ def _check_symmetric_scaling(tag: str, instances: int, n_max: int, seed: int, **
     return len(cases), 0, wit, notes
 
 
-def _check_constancy(tag: str, instances: int, shifts: int, seed: int,
-                     body: Optional[ZonotopeSpec], **_):
+def _zonotope_input(planar: bool, body) -> Optional[str]:
+    """What keeps `body` from being a constancy tag's input, or None."""
+    if not isinstance(body, ZonotopeSpec):
+        return "needs a zonotope input"
+    if planar and body.dim != 2:
+        return f"needs a planar zonotope, got dim {body.dim}"
+    return None
+
+
+def _check_constancy(dims: tuple[int, ...], instances: int, shifts: int, seed: int,
+                     body: Optional[ZonotopeSpec] = None):
     wit: list[Witness] = []
     notes: list[str] = []
-    cases: list[tuple[str, ZonotopeSpec]] = []
     if body is not None:
-        cases.append(("input-zonotope", body))
+        cases = [("input-zonotope", body)]
     else:
-        dims = (2,) if tag == "centrally-symmetric-2d-constancy" else (2, 3)
-        for d in dims:
-            for i in range(instances):
-                gens = 3 + (i % 3)
-                cases.append(
-                    (
-                        f"zonotope-d{d}-#{i}",
-                        catalog.random_zonotope(d, gens, 3, seed + 100 * d + i),
-                    )
-                )
+        cases = [
+            (f"zonotope-d{d}-#{i}", catalog.random_zonotope(d, 3 + (i % 3), 3, seed + 100 * d + i))
+            for d in dims
+            for i in range(instances)
+        ]
     for idx, (label, spec) in enumerate(cases):
         poly = zonotope_polytope(spec)
         constant = zonotope_constant(spec)
         vol = volume(poly)
         if vol != constant:
             _witness(wit, f"{label} volume", None, vol, constant)
-        stream = ShiftStream(spec.dim, seed + 23 * idx + 1)
-        for nums, (counts,), _ in generic_draws(stream, [poly], shifts):
-            for shift, count in zip(nums, counts):
-                if count != constant:
-                    _witness(wit, label, shift, count, constant)
+        _relations(wit, label, [poly], seed + 23 * idx + 1, shifts, [("", [(1, 0)], [], constant)])
         notes.append(f"{label}: constant {constant}")
     return len(cases), shifts, wit, notes
 
 
-def _check_invariance(tag: str, instances: int, seed: int, **_):
+def _check_invariance(images, instances: int, seed: int):
     wit: list[Witness] = []
     notes: list[str] = []
     checked = 0
-    for d in (2, 3):
-        for label, body in _sl_bodies(d, seed):
-            base_var = exact_variance(body).variance
-            base_dist = exact_distribution(body)
-            images = []
-            if tag == "sl-invariance":
-                for i in range(instances):
-                    u = catalog.random_unimodular(
-                        d, seed + 1000 * d + i, steps=6, max_entry=3
-                    )
-                    images.append(
-                        (f"{label} A#{i}", affine_image(body, u.matrix, zero_vec(d)))
-                    )
-            else:
-                images.append((f"{label} negated", body.negated()))
-            for img_label, img in images:
-                checked += 1
-                var = exact_variance(img).variance
-                if var != base_var:
-                    _witness(wit, f"{img_label} variance", None, var, base_var)
-                dist = exact_distribution(img)
-                if dist != base_dist:
-                    _witness(
-                        wit,
-                        f"{img_label} distribution",
-                        None,
-                        _fmt_law(dist),
-                        _fmt_law(base_dist),
-                    )
-            notes.append(f"{label}: variance {base_var}")
+    for label, body in _sl_bodies(seed):
+        base_var = exact_variance(body).variance
+        base_dist = exact_distribution(body)
+        for img_label, img in images(label, body, instances, seed):
+            checked += 1
+            var = exact_variance(img).variance
+            if var != base_var:
+                _witness(wit, f"{img_label} variance", None, var, base_var)
+            dist = exact_distribution(img)
+            if dist != base_dist:
+                _witness(wit, f"{img_label} distribution", None, _fmt_law(dist),
+                         _fmt_law(base_dist))
+        notes.append(f"{label}: variance {base_var}")
     return checked, 0, wit, notes
 
 
-def _minkowski_delta_witnesses(label, trio, shifts, seed, wit):
-    """Constancy of count(P+Q) - count(P) - count(Q) across generic shifts;
-    returns the set of observed differences."""
-    p, q, s = trio
-    stream = ShiftStream(p.dim, seed)
-    seen: dict[int, object] = {}
-    for nums, (cp, cq, cs), _ in generic_draws(stream, [p, q, s], shifts):
-        for shift, delta in zip(nums, map(sub, cs, map(add, cp, cq))):
-            seen.setdefault(delta, shift)
-    if len(seen) > 1:
-        deltas = sorted(seen)
+_DELTA = [(1, 2), (-1, 0), (-1, 1)]  # count(P + Q) - count(P) - count(Q) of (P, Q, P + Q)
+
+
+def _minkowski_deltas(wit: list, label: str, trio: list, shifts: int, seed: int) -> list:
+    """The sorted values of count(P + Q) - count(P) - count(Q) across generic
+    shifts; more than one is a witness."""
+    seen = _observed(trio, seed, shifts, _DELTA)
+    deltas = sorted(seen)
+    if len(deltas) > 1:
         _witness(wit, label, seen[deltas[-1]], deltas[-1], deltas[0])
-    return set(seen)
+    return deltas
 
 
-def _check_minkowski_2d(instances: int, shifts: int, seed: int, **_):
+def _check_minkowski_2d(instances: int, shifts: int, seed: int):
     wit: list[Witness] = []
     notes: list[str] = []
     for i in range(instances):
         p = catalog.random_lattice_polytope(2, 4, 2, seed + 11 * i)
         q = catalog.random_lattice_polytope(2, 4, 2, seed + 11 * i + 5)
-        s = minkowski_sum(p, q)
-        deltas = _minkowski_delta_witnesses(
-            f"pair-#{i}", (p, q, s), shifts, seed + i, wit
-        )
-        notes.append(f"pair-#{i}: delta {sorted(deltas)}")
+        deltas = _minkowski_deltas(wit, f"pair-#{i}", [p, q, minkowski_sum(p, q)], shifts, seed + i)
+        notes.append(f"pair-#{i}: delta {deltas}")
     return instances, shifts, wit, notes
 
 
@@ -329,14 +333,13 @@ def _is_symmetric_law(dist) -> bool:
     )
 
 
-def _check_symmetric_distribution_2d(instances: int, seed: int, **_):
+def _check_symmetric_distribution_2d(instances: int, seed: int):
     wit: list[Witness] = []
     notes: list[str] = []
-    cases = [("unit-right-triangle", catalog.standard_simplex(2))]
-    for i in range(instances - 1):
-        cases.append(
-            (f"polygon-#{i}", catalog.random_lattice_polytope(2, 5, 2, seed + 13 * i))
-        )
+    cases = [("unit-right-triangle", catalog.standard_simplex(2))] + [
+        (f"polygon-#{i}", catalog.random_lattice_polytope(2, 5, 2, seed + 13 * i))
+        for i in range(instances - 1)
+    ]
     for label, poly in cases:
         dist = exact_distribution(poly)
         if not _is_symmetric_law(dist):
@@ -345,54 +348,39 @@ def _check_symmetric_distribution_2d(instances: int, seed: int, **_):
     return len(cases), 0, wit, notes
 
 
-def _check_counterexample_slab(shifts: int, seed: int, **_):
+def _check_counterexample_slab(shifts: int, seed: int):
     wit: list[Witness] = []
     notes: list[str] = []
     body = catalog.central_slab(3)
-    center = tuple(Fraction(1, 2) for _ in range(3))
-    sym = body.negated().translated(tuple(2 * c for c in center))
-    if sym != body:
+    if body.negated().translated((1, 1, 1)) != body:  # symmetric about (1/2, 1/2, 1/2)
         raise DegenerateInput("central slab lost its central symmetry")
     dist = exact_distribution(body)
     support = dist.support()
     if len(support) > 1:
-        _witness(
-            wit,
-            "central-slab-3d count atoms",
-            None,
-            f"P({support[0]})={dist.probability(support[0])}",
-            f"P({support[-1]})={dist.probability(support[-1])}",
-        )
+        _witness(wit, "central-slab-3d count atoms", None,
+                 f"P({support[0]})={dist.probability(support[0])}",
+                 f"P({support[-1]})={dist.probability(support[-1])}")
     notes.append(f"distribution {_fmt_law(dist)}")
-    stream = ShiftStream(3, seed)
-    seen: dict[int, None] = {}
-    for _, (counts,), _ in generic_draws(stream, [body], shifts):
-        seen.update(dict.fromkeys(counts))
-        if len(seen) > 1:
-            break
+    seen = _observed([body], seed, shifts, [(1, 0)])
     notes.append(f"observed counts {sorted(list(seen)[:2])}")
     return 1, shifts, wit, notes
 
 
-def _check_counterexample_minkowski(shifts: int, seed: int, **_):
+def _check_counterexample_minkowski(shifts: int, seed: int):
     if shifts < 2:
         # a witness is two shifts with different deltas; with fewer the
         # report could only claim a failure to find what was never sought
         raise DegenerateInput("counterexample-minkowski needs at least two shifts")
     wit: list[Witness] = []
-    notes: list[str] = []
     base = catalog.central_slab(3)
-    flat = catalog.embed_with_zero_last(base)
-    e = segment(zero_vec(4), (0, 0, 0, 1))
-    prism = catalog.prism_over_embedded(base)
-    deltas = _minkowski_delta_witnesses(
-        "prism-over-slab", (flat, e, prism), shifts, seed, wit
-    )
-    notes.append(f"summand counts are almost surely 0; deltas {sorted(deltas)}")
-    return 1, shifts, wit, notes
+    trio = [catalog.embed_with_zero_last(base), segment(zero_vec(4), (0, 0, 0, 1)),
+            catalog.prism_over_embedded(base)]
+    deltas = _minkowski_deltas(wit, "prism-over-slab", trio, shifts, seed)
+    return 1, shifts, wit, [f"summand counts are almost surely 0; deltas {deltas}"]
 
 
-def _check_counterexample_symmetry(**_):
+def _check_counterexample_symmetry(seed: int):
+    """The law of the corner simplex; it draws nothing."""
     wit: list[Witness] = []
     dist = exact_distribution(catalog.standard_simplex(3))
     if not _is_symmetric_law(dist):
@@ -401,79 +389,82 @@ def _check_counterexample_symmetry(**_):
     return 1, 0, wit, [f"distribution {_fmt_law(dist)}"]
 
 
-# tag -> (checker, (instances, shifts per instance, max dilation factor)),
-# in the order the battery runs; the defaults apply where verify() gets None
-_CHECKERS = {
-    "scaling-simplex": (_check_scaling, (5, 200, 5)),
-    "scaling-polyhedron": (_check_scaling, (3, 200, 5)),
-    "corollary-3d": (_check_corollary_3d, (5, 100, 3)),
-    "corollary-3d-symmetric": (_check_symmetric_scaling, (2, 0, 3)),
-    "corollary-4d-symmetric": (_check_symmetric_scaling, (1, 0, 2)),
-    "zonotope-constancy": (_check_constancy, (5, 100, 0)),
-    "sl-invariance": (_check_invariance, (20, 0, 0)),
-    "negation-invariance": (_check_invariance, (6, 0, 0)),
-    "minkowski-2d": (_check_minkowski_2d, (5, 100, 0)),
-    "symmetric-distribution-2d": (_check_symmetric_distribution_2d, (6, 0, 0)),
-    "centrally-symmetric-2d-constancy": (_check_constancy, (5, 100, 0)),
-    "counterexample-slab": (_check_counterexample_slab, (1, 100, 0)),
-    "counterexample-minkowski": (_check_counterexample_minkowski, (1, 100, 0)),
-    "counterexample-symmetry": (_check_counterexample_symmetry, (1, 0, 0)),
+class _Tag(NamedTuple):
+    check: Callable  # the checker with its variant bound
+    sizes: dict  # the sizes `check` takes, at their defaults
+    quick: dict = {}  # the sizes that differ in a fast sanity pass
+    input: Optional[Callable] = None  # what is wrong with an input body; None: takes none
+
+
+# the only place that knows a tag, in the order the battery runs
+_TAGS = {
+    "scaling-simplex": _Tag(partial(_check_scaling, "simplex"),
+                            dict(instances=5, shifts=200, n_max=5),
+                            dict(instances=2, shifts=40, n_max=3)),
+    "scaling-polyhedron": _Tag(partial(_check_scaling, "polyhedron"),
+                               dict(instances=3, shifts=200, n_max=5),
+                               dict(instances=1, shifts=40, n_max=3)),
+    "corollary-3d": _Tag(_check_corollary_3d, dict(instances=5, shifts=100, n_max=3),
+                         dict(instances=2, shifts=40)),
+    "corollary-3d-symmetric": _Tag(partial(_check_symmetric_scaling, _symmetric_3d_instances, 2),
+                                   dict(instances=2, n_max=3)),
+    "corollary-4d-symmetric": _Tag(partial(_check_symmetric_scaling, _cross_4d, 4),
+                                   dict(instances=1, n_max=2)),
+    "zonotope-constancy": _Tag(partial(_check_constancy, (2, 3)), dict(instances=5, shifts=100),
+                               input=partial(_zonotope_input, False)),
+    "sl-invariance": _Tag(partial(_check_invariance, _sl_images), dict(instances=20),
+                          dict(instances=5)),
+    "negation-invariance": _Tag(partial(_check_invariance, _negated_image), dict(instances=6)),
+    "minkowski-2d": _Tag(_check_minkowski_2d, dict(instances=5, shifts=100)),
+    "symmetric-distribution-2d": _Tag(_check_symmetric_distribution_2d, dict(instances=6)),
+    "centrally-symmetric-2d-constancy": _Tag(partial(_check_constancy, (2,)),
+                                             dict(instances=5, shifts=100),
+                                             input=partial(_zonotope_input, True)),
+    "counterexample-slab": _Tag(_check_counterexample_slab, dict(shifts=100)),
+    "counterexample-minkowski": _Tag(_check_counterexample_minkowski, dict(shifts=100)),
+    "counterexample-symmetry": _Tag(_check_counterexample_symmetry, {}),
 }
 
-IDENTITY_TAGS = tuple(_CHECKERS)
+IDENTITY_TAGS = tuple(_TAGS)
 
 
-def verify(
-    kind: str,
-    *,
-    instances: Optional[int] = None,
-    shifts: Optional[int] = None,
-    n_max: Optional[int] = None,
-    seed: int = 0,
-    body=None,
-) -> VerificationReport:
+def quick_sizes(kind: str) -> dict:
+    """The `verify` keywords of tag `kind` for a fast sanity pass."""
+    return dict(_TAGS[kind].quick)
+
+
+def verify(kind: str, *, instances: Optional[int] = None, shifts: Optional[int] = None,
+           n_max: Optional[int] = None, seed: int = 0, body=None) -> VerificationReport:
     """Run one identity check and return its report.
 
+    The tag's row in the table gives its checker and default sizes; a size
+    the row does not name is checked for sign and otherwise unused.
     Identity tags pass when no witness violates them; counterexample tags
     require at least one violating witness (expected-failure-confirmed).
     A negative size or seed, fewer than two shifts for counterexample-minkowski
-    (its witness compares two), or a `body` on a tag other than the two
-    constancy tags or other than a zonotope spec, raises DegenerateInput.
+    (its witness compares two), or a `body` that the row does not take (only
+    the constancy tags take one, a zonotope spec, planar for the 2-D tag)
+    raises DegenerateInput.
     """
-    if kind not in _CHECKERS:
+    if kind not in _TAGS:
         raise UnknownIdentity(f"unknown identity tag: {kind!r}")
-    for name, value in (("instances", instances), ("shifts", shifts), ("n_max", n_max),
-                        ("seed", seed)):
+    given = dict(instances=instances, shifts=shifts, n_max=n_max)
+    for name, value in (*given.items(), ("seed", seed)):
         if value is not None and value < 0:
             raise DegenerateInput(f"{name} must be nonnegative, got {value}")
+    row = _TAGS[kind]
+    sizes = {k: v if given[k] is None else given[k] for k, v in row.sizes.items()}
     if body is not None:
-        if kind not in ("zonotope-constancy", "centrally-symmetric-2d-constancy"):
-            raise DegenerateInput(f"identity {kind!r} takes no input body")
-        if not isinstance(body, ZonotopeSpec):
-            raise DegenerateInput(f"identity {kind!r} needs a zonotope input")
-        if kind == "centrally-symmetric-2d-constancy" and body.dim != 2:
-            raise DegenerateInput(f"identity {kind!r} needs a planar zonotope, got dim {body.dim}")
-    checker, (d_inst, d_shifts, d_nmax) = _CHECKERS[kind]
-    n_inst, n_shifts, witnesses, notes = checker(
-        tag=kind,
-        instances=d_inst if instances is None else instances,
-        shifts=d_shifts if shifts is None else shifts,
-        n_max=d_nmax if n_max is None else n_max,
-        seed=seed,
-        body=body,
-    )
+        problem = "takes no input body" if row.input is None else row.input(body)
+        if problem:
+            raise DegenerateInput(f"identity {kind!r} {problem}")
+        sizes["body"] = body
+    n_inst, n_shifts, witnesses, notes = row.check(seed=seed, **sizes)
     if kind.startswith("counterexample-"):
         status = EXPECTED_FAILURE if witnesses else FAIL
     else:
         status = PASS if not witnesses else FAIL
-    return VerificationReport(
-        identity=kind,
-        instances=n_inst,
-        shifts_per_instance=n_shifts,
-        status=status,
-        witnesses=witnesses,
-        notes=notes,
-    )
+    return VerificationReport(kind, n_inst, n_shifts, status, witnesses, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,44 @@ def test_verify_zonotope_file(tmp_path, capsys):
     assert any("constant 3" in n for n in data["notes"])
 
 
+def test_verify_zonotope_constancy_takes_a_3d_zonotope(tmp_path, capsys):
+    # only the planar tag restricts the input's dimension
+    path = tmp_path / "zonotope3.json"
+    path.write_text(json.dumps({"dim": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                                         [1, 1, 1]]}))
+    code, out = run_cli(["verify", "--identity", "zonotope-constancy", "--input", f"zonotope:{path}"],
+                        capsys)
+    data = json.loads(out)
+    assert code == 0
+    assert data["status"] == "pass"
+    assert data["notes"] == ["input-zonotope: constant 4"]
+
+
+@pytest.mark.parametrize(
+    "tag, spec, message",
+    [
+        ("centrally-symmetric-2d-constancy", "zonotope3",
+         "identity 'centrally-symmetric-2d-constancy' needs a planar zonotope, got dim 3"),
+        ("zonotope-constancy", "simplex:2", "identity 'zonotope-constancy' needs a zonotope input"),
+        ("centrally-symmetric-2d-constancy", "simplex:2",
+         "identity 'centrally-symmetric-2d-constancy' needs a zonotope input"),
+        ("scaling-simplex", "zonotope2", "identity 'scaling-simplex' takes no input body"),
+        ("scaling-simplex", "simplex:2", "identity 'scaling-simplex' takes no input body"),
+        ("minkowski-2d", "zonotope2", "identity 'minkowski-2d' takes no input body"),
+        ("minkowski-2d", "simplex:2", "identity 'minkowski-2d' takes no input body"),
+    ],
+)
+def test_verify_rejects_an_input_its_tag_does_not_take(tag, spec, message, tmp_path, capsys):
+    zonotopes = {"zonotope2": [[1, 0], [0, 1]], "zonotope3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    if spec in zonotopes:
+        path = tmp_path / f"{spec}.json"
+        path.write_text(json.dumps({"dim": len(zonotopes[spec][0]), "generators": zonotopes[spec]}))
+        spec = f"zonotope:{path}"
+    code, out = run_cli(["verify", "--identity", tag, "--input", spec], capsys)
+    assert code == 2
+    assert json.loads(out) == {"error": message}
+
+
 def test_verify_counterexample_exits_zero(capsys):
     code, out = run_cli(
         ["verify", "--identity", "counterexample-symmetry"], capsys

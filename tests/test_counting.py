@@ -1,5 +1,6 @@
 """Shifted lattice-point counting, genericity, parallelepipeds, zonotopes."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -582,6 +583,28 @@ def test_count_command_output_is_pinned(tmp_path, capsys):
             '{"command":"count","counts":' + counts + ',"generic":[true,true,true,true,true],'
             '"input":"' + body + '","seed":2,"shifts":[' + SHIFTS_SEED2 + ']}\n'
         )
+
+
+def test_count_command_output_across_blocks_is_pinned(capsys):
+    # 600 shifts are three blocks of the cell-by-cell count path; the digest
+    # is of the output of a plain count_at walk at every shift
+    assert main(["count", "--input", "reeve:3", "--shifts", "600", "--seed", "2"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "24a2fbccd5860fa9c5730b84cce509eee344375aafaff43196d4e81b050b4091"
+
+
+def test_stream_counts_give_count_at_results_in_draw_order(monkeypatch):
+    # a tight draw with no boundary hit, a draw with a hit at (0, 0), and a
+    # generic draw: only the draw with the hit is walked by count_at
+    tri = Polytope(2, [(0, 0), (F(1, 2), 0), (0, F(1, 2))])
+    shifts = [(F(1, 8), F(3, 8)), (0, 0), (F(1, 2), F(1, 4))]
+    expected = [(s, count_at(tri, s)) for s in shifts]
+    assert [r.boundary_hits for _, r in expected] == [(), ((0, 0),), ()]
+    walked = []
+    monkeypatch.setattr(counting, "count_at", lambda b, s: walked.append(s) or count_at(b, s))
+    stream = ScriptedStream(shifts)
+    assert list(counting.stream_counts(stream, tri, 3)) == expected
+    assert walked == [(0, 0)] and stream.drawn == 3
 
 
 def test_zonotope_constant_hexagon():

@@ -1,5 +1,7 @@
 """Identity verifier: per-tag checks, witnesses, and the tetrahedron audit."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from polyshift.verifier import (
     reeve_audit,
     reeve_layer_mean,
     reeve_layer_triangle,
+    quick_sizes,
     reeve_pair_expectation,
     verify,
 )
@@ -270,3 +273,30 @@ def test_report_json_shape():
 
 def test_all_tags_enumerated():
     assert len(IDENTITY_TAGS) == 14
+
+
+# sha256 of each tag's report JSON (sorted keys) at its quick sizes and seed 7,
+# taken before the tags moved into one table
+QUICK_SEED7_DIGESTS = {
+    "scaling-simplex": "4819b22a0aa6f8f7690297570c80563268be311141852112214df4d546b15644",
+    "scaling-polyhedron": "214943dadfa97f890c85b6572890f155c2147e2a966cc3175a669da0a9ca6310",
+    "corollary-3d": "ec890d28c9205d2a2fe4a599184bd1df3ba440ae13ff076bfed799984ac97318",
+    "corollary-3d-symmetric": "ea3658a4f4f0fa30760b70d66966f83f4ad96e7bff6dcac7bd49e61abb2f3cc3",
+    "corollary-4d-symmetric": "34a83b36dbc6a83fa1b1a862c822c17e450933676985d145eaddf059177059c5",
+    "zonotope-constancy": "dfa6b337c3e6a08a9fca0cdc3172a59a286e7e4dd82f1ba208dc58676e4eb2d9",
+    "sl-invariance": "b8e756f21af0358e69054d9e6a80f020f3924c80b1da8406a9a7049837a6f459",
+    "negation-invariance": "e5c5485a756594f8ae778b61edf4767e0d23ddb586ccf1b2523ccfe1b1233948",
+    "minkowski-2d": "3502795e99eea5f60d8d476764819ca7ce310bcd1fa678303028a9b347cefbb2",
+    "symmetric-distribution-2d": "7d7f74627c7496e85d7862306771ffa1fa6baa157d315a7be23d82363c497386",
+    "centrally-symmetric-2d-constancy": "276b28acfb5584ea232d33bf292a59b207bd4f0a4e3250c488421df26659f932",
+    "counterexample-slab": "d6606b7bfc8ff9c28d92ad680d28236c6ff089ccb9d6bc430ba6490980cf1ae7",
+    "counterexample-minkowski": "fb24306f31ad5f3fade55182736e7a216f8389b5e2604185a2a65a4d5aceeb6c",
+    "counterexample-symmetry": "86e55ea2b1e09420bc2c2aadae1fe9e92608f14de8e9ceeb3f621c2647825b70",
+}
+
+
+def test_quick_reports_are_pinned():
+    assert tuple(QUICK_SEED7_DIGESTS) == IDENTITY_TAGS
+    for tag, digest in QUICK_SEED7_DIGESTS.items():
+        report = json.dumps(verify(tag, seed=7, **quick_sizes(tag)).to_json(), sort_keys=True)
+        assert hashlib.sha256(report.encode()).hexdigest() == digest, tag
