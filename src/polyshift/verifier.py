@@ -437,11 +437,11 @@ def verify(kind: str, *, instances: Optional[int] = None, shifts: Optional[int] 
            n_max: Optional[int] = None, seed: int = 0, body=None) -> VerificationReport:
     """Run one identity check and return its report.
 
-    The tag's row in the table gives its checker and default sizes; a size
-    the row does not name is checked for sign and otherwise unused.
+    The tag's row in the table gives its checker and default sizes.
     Identity tags pass when no witness violates them; counterexample tags
     require at least one violating witness (expected-failure-confirmed).
-    A negative size or seed, fewer than two shifts for counterexample-minkowski
+    A negative size or seed, a size that the row does not name (the tag
+    would ignore it), fewer than two shifts for counterexample-minkowski
     (its witness compares two), or a `body` that the row does not take (only
     the constancy tags take one, a zonotope spec, planar for the 2-D tag)
     raises DegenerateInput.
@@ -453,6 +453,9 @@ def verify(kind: str, *, instances: Optional[int] = None, shifts: Optional[int] 
         if value is not None and value < 0:
             raise DegenerateInput(f"{name} must be nonnegative, got {value}")
     row = _TAGS[kind]
+    unused = [name for name, value in given.items() if value is not None and name not in row.sizes]
+    if unused:
+        raise DegenerateInput(f"identity {kind!r} takes no {', '.join(unused)}")
     sizes = {k: v if given[k] is None else given[k] for k, v in row.sizes.items()}
     if body is not None:
         problem = "takes no input body" if row.input is None else row.input(body)

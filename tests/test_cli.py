@@ -200,6 +200,14 @@ def test_verify_rejects_an_input_its_tag_does_not_take(tag, spec, message, tmp_p
     assert json.loads(out) == {"error": message}
 
 
+def test_verify_rejects_a_size_its_tag_does_not_use(capsys):
+    # minkowski-2d has no dilation factor; --n used to be ignored with a pass
+    code, out = run_cli(["verify", "--identity", "minkowski-2d", "--instances", "1",
+                         "--shifts", "5", "--n", "7"], capsys)
+    assert code == 2
+    assert out == '{"error":"identity \'minkowski-2d\' takes no n_max"}\n'
+
+
 def test_verify_counterexample_exits_zero(capsys):
     code, out = run_cli(
         ["verify", "--identity", "counterexample-symmetry"], capsys

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from polyshift.catalog import (
     central_slab,
+    cross_polytope,
     embed_with_zero_last,
     hexagon_zonotope,
     random_lattice_polytope,
@@ -36,7 +37,8 @@ from polyshift.counting import (
     zonotope_spec_to_json,
 )
 from polyshift.errors import DegenerateInput, NotConstant
-from polyshift.geometry import Polytope, PolytopeUnion, dilate, unit_cube, volume
+from polyshift.geometry import (Polytope, PolytopeUnion, determinant, dilate, unit_cube,
+                               volume)
 
 F = Fraction
 
@@ -413,6 +415,169 @@ def test_memo_stops_growing_at_its_cap_and_counts_stay_exact(monkeypatch):
     assert sample([p], shifts, 30) == expected
     assert len(walked) == len(cells) - 3
     assert set(memo) <= cells
+
+
+# ---------------------------------------------------------------------------
+# new cells stepped from a counted neighbour, one facet count per crossing
+
+
+def spy_steps(mp):
+    """(body, draw, result) of every step tried from now on, in order."""
+    steps = []
+    step = counting._step
+
+    def spy(p, plan, key, m, start):
+        res = step(p, plan, key, m, start)
+        steps.append((p, m, res))
+        return res
+
+    mp.setattr(counting, "_step", spy)
+    return steps
+
+
+def step_everywhere(mp):
+    """Costs that price every step below the walk: a new cell of a body of
+    three or more dimensions is stepped wherever a counted cell one or two
+    crossings away has a draw with no tight row."""
+    mp.setattr(counting, "_STEP_COST", -10**9)
+    mp.setattr(counting, "_PROBE_COST", 0)
+
+
+def test_unimodular_completion_has_the_primitive_row_first_and_determinant_one():
+    # a rational body's row can have a common factor: 2x + 2y + 2z <= 3
+    for a in [(1, 0, 0), (0, 0, -1), (2, 3, 5), (-6, 10, 15), (4, -7, 0, 9), (3, 5), (2, 2, 2),
+              (0, -6, 4)]:
+        W = counting._unimodular(a)
+        g = math.gcd(*a)
+        assert tuple(W[0]) == tuple(x // g for x in a)
+        assert abs(determinant(W)) == 1
+
+
+@st.composite
+def stepped_bodies(draw):
+    """Oracle bodies, their dilates up to 5 and their two-part unions, and
+    twice the 4-D cross-polytope."""
+    kind = draw(st.sampled_from(("oracle", "dilate", "union", "cross4")))
+    if kind == "cross4":
+        return dilate(cross_polytope(4), 2)
+    body = draw(oracle_bodies())
+    if kind == "dilate":
+        return dilate(body, draw(st.integers(2, 5 if body.dim < 4 else 2)))
+    return half_step_union(body) if kind == "union" else body
+
+
+@given(stepped_bodies(), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_stepped_counts_equal_the_walk(body, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        step_everywhere(mp)
+        steps = spy_steps(mp)
+        draws = list(generic_draws(ShiftStream(body.dim, seed), [body], 300))
+    for p, m, res in steps:
+        walk = counting._count_polytope(p, m, 2**64)
+        assert not walk.boundary_hits
+        assert res is None or res == walk.count
+    if body == dilate(cross_polytope(4), 2):
+        # its rows come in negated pairs, each crossing two facet counts
+        assert any(res is not None for _, _, res in steps)
+    for nums, (counts,), _ in draws:
+        for m, count in zip(nums, counts):
+            assert count == count_at(body, tuple(F(x, 2**64) for x in m)).count
+
+
+@pytest.mark.parametrize("body", [
+    dilate(random_lattice_polytope(3, 6, 3, seed=300), 5),
+    half_step_union(dilate(random_lattice_polytope(3, 6, 3, seed=300), 3)),
+    dilate(cross_polytope(4), 3),
+], ids=["3d-x5", "3d-x3-union", "cross4-x3"])
+def test_the_default_rule_steps_expensive_bodies(body, monkeypatch):
+    steps = spy_steps(monkeypatch)
+    walked = spy_walks(monkeypatch)
+    list(generic_draws(ShiftStream(body.dim, 4), [body], 400))
+    stepped = [res for _, _, res in steps if res is not None]
+    assert len(stepped) > len(walked) > 0
+    for p, m, res in steps:
+        assert res == counting._count_polytope(p, m, 2**64).count
+
+
+def test_the_default_rule_walks_cheap_bodies(monkeypatch):
+    # reeve:3 is walked over a handful of fibers; a facet count would cost as much
+    steps = spy_steps(monkeypatch)
+    p = reeve_tetrahedron(3)
+    list(generic_draws(ShiftStream(3, 1), [p], 2000))
+    assert steps == [] and p._count_plan.facets == {}
+
+
+def test_count_at_never_steps(monkeypatch):
+    p = dilate(random_lattice_polytope(3, 6, 3, seed=300), 5)
+    list(generic_draws(ShiftStream(3, 2), [p], 300))  # fill the memo
+    steps = spy_steps(monkeypatch)
+    walked = spy_walks(monkeypatch)
+    stream = ShiftStream(3, 2)
+    for _ in range(50):
+        count_at(p, stream.draw())
+    assert steps == [] and len(walked) == 50
+
+
+# x + y <= 3 and x + z <= 3 over the positive octant
+WEDGE = Polytope(3, [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (0, 3, 3)])
+
+
+def test_coinciding_crossings_of_two_rows_are_walked(monkeypatch):
+    # the wedge cut to x <= 1/2: from the first draw to the second, x + y and
+    # x + z cross 1 together at (1/4, 3/4, 3/4) and no other row crosses.
+    # The shifted ridge between the two facets holds no lattice point, so
+    # neither facet count reports a hit: only the coincidence sends the
+    # cell to the walk
+    body = Polytope(3, [(0, 0, 0), (F(1, 2), 0, 0), (0, 3, 0), (0, 0, 3), (0, 3, 3),
+                        (F(1, 2), F(5, 2), 0), (F(1, 2), 0, F(5, 2)), (F(1, 2), F(5, 2), F(5, 2))])
+    step_everywhere(monkeypatch)
+    steps = spy_steps(monkeypatch)
+    walked = spy_walks(monkeypatch)
+    shifts = [(F(1, 4), F(1, 4), F(1, 4)), (F(1, 4), F(7, 8), F(7, 8))]
+    expected = [(brute_count(body, s).count,) for s in shifts]
+    assert sample([body], shifts, 2) == expected
+    assert [res for _, _, res in steps] == [None]
+    assert sorted(walked) == [tuple(int(c * 2**64) for c in s) for s in shifts]
+
+
+def test_a_tight_draw_starts_no_segment(monkeypatch):
+    # moved by 1/2, the wedge's row 2x + 2y <= 7 is tight at the first draw
+    # with no lattice point on its plane: that cell is walked and memoized,
+    # but its draw cannot start a segment, so the next cell, one crossing
+    # away in a later block, is walked too
+    step_everywhere(monkeypatch)
+    steps = spy_steps(monkeypatch)
+    walked = spy_walks(monkeypatch)
+    body = WEDGE.translated((F(1, 2), 0, 0))
+    tight, later = (F(3, 8), F(5, 8), F(1, 16)), (F(3, 8), F(3, 8), F(1, 16))
+    assert [brute_count(body, s).is_generic for s in (tight, later)] == [True, True]
+    assert sample([body], [tight], 1) + sample([body], [later], 1) == [
+        (brute_count(body, tight).count,), (brute_count(body, later).count,)]
+    assert steps == [] and len(walked) == 3  # the tight draw once more for its hits
+    plan = body._count_plan
+    assert sum(map(abs, map(operator.sub, *plan.memo))) == 1
+    assert [key for key, _, _ in plan.origins.values()] == [body_floors(body, later)]
+
+
+def test_a_facet_count_with_a_boundary_hit_is_walked(monkeypatch):
+    step_everywhere(monkeypatch)
+    steps = spy_steps(monkeypatch)
+    walk = counting._walk
+
+    def hit_on_facets(plan, m, D):
+        count, hits, work = walk(plan, m, D)
+        return count, hits or ([(0, 0)] if len(plan.cols) == 2 else []), work
+
+    monkeypatch.setattr(counting, "_walk", hit_on_facets)
+    p = dilate(random_lattice_polytope(3, 6, 3, seed=300), 3)
+    draws = list(generic_draws(ShiftStream(3, 7), [p], 100))
+    assert steps and all(res is None for _, _, res in steps)
+    reference = ShiftStream(3, 7)
+    for nums, (counts,), _ in draws:
+        for m, count in zip(nums, counts):
+            assert reference.numerators() == m
+            assert count == counting._count_polytope(p, m, 2**64).count
 
 
 def test_count_matches_brute_force_rational_shift():

@@ -14,6 +14,7 @@ from polyshift.verifier import (
     IDENTITY_TAGS,
     PASS,
     ReeveAudit,
+    _TAGS,
     reeve_audit,
     reeve_layer_mean,
     reeve_layer_triangle,
@@ -187,7 +188,8 @@ def test_corollary_4d_symmetric_checks_every_dilate_up_to_n_max(monkeypatch):
     ["counterexample-slab", "counterexample-minkowski", "counterexample-symmetry"],
 )
 def test_counterexample_tags_confirm_failure(tag):
-    report = verify(tag, seed=2, shifts=60)
+    # the symmetry counterexample draws no shift, so it takes no shift count
+    report = verify(tag, seed=2, **({} if tag == "counterexample-symmetry" else dict(shifts=60)))
     assert report.status == EXPECTED_FAILURE
     assert report.witnesses
 
@@ -271,6 +273,17 @@ def test_report_json_shape():
     assert data["witnesses"] == []
 
 
+@pytest.mark.parametrize("tag", IDENTITY_TAGS)
+def test_sizes_a_tag_does_not_name_are_rejected(tag):
+    # a size the checker would ignore is an error, not a silent no-op; the
+    # quick battery passes only the sizes each row names
+    sizes = _TAGS[tag].sizes
+    assert set(quick_sizes(tag)) <= set(sizes)
+    for name in {"instances", "shifts", "n_max"} - set(sizes):
+        with pytest.raises(DegenerateInput, match=f"identity '{tag}' takes no {name}"):
+            verify(tag, **{name: 1})
+
+
 def test_all_tags_enumerated():
     assert len(IDENTITY_TAGS) == 14
 
@@ -300,3 +313,19 @@ def test_quick_reports_are_pinned():
     for tag, digest in QUICK_SEED7_DIGESTS.items():
         report = json.dumps(verify(tag, seed=7, **quick_sizes(tag)).to_json(), sort_keys=True)
         assert hashlib.sha256(report.encode()).hexdigest() == digest, tag
+
+
+# sha256 of the report JSON (sorted keys) at the default sizes and seed 0 of
+# the three tags whose counts come mostly from the block sampler's stepped
+# cells, taken while every new cell was still walked
+DEFAULT_SEED0_DIGESTS = {
+    "scaling-simplex": "4d1cf66ce60400cb07796b9155283f6e14093635272904a411276f0ed1878195",
+    "scaling-polyhedron": "bc258f33fdae9439bec8f2f574d366ec04d7483ad2d34060477477d856a80c3a",
+    "corollary-3d": "e9f3a5dcece5363279c4661f97682a9c1ee4abcb360bb15983c7812b1b2d262e",
+}
+
+
+@pytest.mark.parametrize("tag", DEFAULT_SEED0_DIGESTS)
+def test_default_size_reports_are_pinned(tag):
+    report = json.dumps(verify(tag, seed=0).to_json(), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == DEFAULT_SEED0_DIGESTS[tag]
