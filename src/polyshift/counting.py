@@ -23,10 +23,11 @@ takes its range from the rows of the body's projection onto coordinates
 projection's fiber above the prefix, so every visited fiber meets the body
 and no lattice point is lost.
 
-So the count is a function of the floor vector ``floor(a . s)`` over the
-body's rows, which names the cell of s in the arrangement ``a . x in Z``,
-whether or not a row is tight at s; only the boundary hits need the shift
-itself.  The scalar counter, `count_at`, walks every shift afresh.
+So the count is a function of the floor vector ``key = floor(a . s)`` over
+the body's rows, which names the cell of s in the arrangement ``a . x in
+Z``, whether or not a row is tight at s; only the boundary hits need the
+shift itself.  It is the dominance count ``#{z : a . z - b <= key}``.  The
+scalar counter, `count_at`, walks every shift afresh.
 
 Sampling draws and counts in blocks of at most ``_BLOCK`` stream shifts:
 one pass over the block per body row gives every draw's floor vector, and
@@ -39,33 +40,34 @@ drops a draw where some body has one; `stream_counts` keeps every draw and
 gets the hits from `count_at`.  Blocks are yielded one at a time, so
 memory is bounded by ``_BLOCK`` draws, not by the sample size.
 
-A new cell one or two crossings from a counted cell is stepped from it
-rather than walked.  Along the segment between their draws each row's
-``a . x`` is linear, so the segment crosses the planes ``a . x = c``
-exactly ``|key_i - key0_i|`` times per row, and at each crossing point s*
-the count gains or loses the lattice points of the facet ``F_i + s*``
-(Barvinok 1994; De Loera et al. 2004, LattE): a unimodular W whose first
-row is ``a_i`` maps them onto the lattice points of a (d-1)-polytope G_i
-at the shift ``(W s*)[1:]``, counted by the same walk.  A row and its
-negation cross together, and need both facet counts; any other coincident
-crossings, a facet count with a boundary hit, or a tight row at either
-draw leave the cell to the walk.  A deterministic cost model in units of
-walk work picks the step only where its facet counts cost less than the
-walk, so bodies below three dimensions and small bodies are walked
-throughout.  `count_at` never steps: it stays the full walk, an
-independent path for verifier witnesses and the tests' oracle.
+A new cell is counted from the body's rim table (`_rim_table`), built by
+one walk at the body's first new cell.  Over s in [0, 1)^d a row's key
+ranges over ``[kmin, kmax]``, ``kmin = neg(a)`` and ``kmax = max(pos(a) -
+1, 0)`` with neg and pos the sums of a's negative and positive entries.
+The table's walk puts every row at ``b + kmax``, the level rows too.  That
+loses no point: a lattice point z of some ``p + s`` has its prefix in the
+level-k projection moved by ``s[:k+1]``, so on each level row ``a . z <=
+b + floor(a . s) <= b + kmax``.  A point it adds in no ``p + s`` is in no
+cell's count either, since the body rows alone decide that.  The points at or below ``kmin`` on every body row, the core,
+are in every cell; they form a subinterval of each fiber, counted in O(1)
+like a whole fiber.  The rest, the rim, get one bit each, and
+``mask[i][k]`` holds the rim points with ``a_i . z - b_i <= k``.  A cell's
+count is the core plus the bits left in the AND of its rows' masks
+(dominance counting, Bentley 1980).  A body whose table would pass
+``_RIM_CAP`` bits is walked instead.  `count_at` never reads the table: it
+stays the full walk, an independent path for verifier witnesses and the
+tests' oracle.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, and_, floordiv, lshift, mul, neg, rshift, sub
+from operator import add, and_, floordiv, mul, neg, rshift, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInput, NotConstant
@@ -77,13 +79,7 @@ _DYADIC_DEN = 1 << DYADIC_BITS
 _DYADIC_MASK = _DYADIC_DEN - 1
 _MEMO_CAP = 4096  # cells memoized per body; later cells are counted but not stored
 _BLOCK = 256  # stream draws counted together by generic_draws
-# the costs the counter weighs a step against a walk by, in units of a
-# walk's work (one residual updated at one visited value)
-_VISIT_COST = 8  # a value the walk visits, beyond its residual updates
-_WALK_COST = 100  # a walk's fixed cost, also paid by each facet count
-_STEP_COST = 600  # a step's fixed cost: finding the crossings and their points
-_PROBE_COST = 1000  # probing the cells two crossings away
-_CODE_BITS = 24  # bits per key entry in a cell's code
+_RIM_CAP = 1 << 22  # bits of masks a body's rim table may hold
 
 
 def seeded_random(seed: int) -> random.Random:
@@ -156,22 +152,23 @@ class _CountPlan:
 
     Only the block sampler, `_cell_counts`, reads or writes the rest.
     ``memo`` maps the floor vector (key) of the body's rows to the count in
-    that cell; ``origins`` maps the code (`_code`) of a memoized cell whose
-    first draw has no tight row to (key, that draw's numerators, count), the
-    start of a segment to step a new cell from.  ``cost`` is a walk's cost,
-    ``moves`` the key changes worth stepping across, cheapest first, and
-    ``facets`` each crossed row's facet data (`_facet`); all three are
-    built on first need.
+    that cell, and ``table`` is the body's rim table (`_rim_table`), None
+    until first needed.
     """
 
     __slots__ = ("rows", "rhs", "nlev", "cols", "levels", "npos", "nnz", "divs", "eq_rows",
-                 "memo", "origins", "cost", "moves", "facets")
+                 "memo", "table")
 
     def __init__(self, p: Polytope):
         rows, self.levels, ends = [], [], []
         for k in range(p.dim - 1):
-            proj = Polytope(k + 1, [v[:k + 1] for v in p.numerators], den=p.denominator)
-            level = [r for r in _folded_rows(proj) if r[0][k]]
+            if k == 0:
+                # an interval: the numerators are sorted, so their first
+                # coordinates run from its least to its greatest end
+                level = _interval_rows(p.numerators[0][0], p.numerators[-1][0], p.denominator)
+            else:
+                proj = Polytope(k + 1, [v[:k + 1] for v in p.numerators], den=p.denominator)
+                level = [r for r in _folded_rows(proj) if r[0][k]]
             pos = [(j, a[k]) for j, (a, _, _) in enumerate(level) if a[k] > 0]
             neg = [(j, -a[k]) for j, (a, _, _) in enumerate(level) if a[k] < 0]
             self.levels.append((len(level), pos[0], pos[1:], neg[0], neg[1:]))
@@ -188,10 +185,15 @@ class _CountPlan:
         self.npos, self.nnz = sum(c > 0 for c in last), len(divs)
         self.divs = None if set(divs) == {1} else (divs[:self.npos], divs[self.npos:])
         self.memo: dict = {}
-        self.origins: dict = {}
-        self.cost: int | None = None
-        self.moves: list | None = None
-        self.facets: dict = {}
+        self.table: tuple | bool | None = None
+
+
+def _interval_rows(lo: int, hi: int, den: int) -> list:
+    """`_folded_rows` of the interval ``[lo/den, hi/den]``, lower end first."""
+    g, h = math.gcd(lo, den), math.gcd(hi, den)
+    if lo == hi:
+        return [((den // h,), hi // h, True), ((-den // h,), -hi // h, True)]
+    return [((-den // g,), -lo // g, False), ((den // h,), hi // h, False)]
 
 
 def _fiber_hits(R, tight, last, lo, hi, prefix) -> list:
@@ -214,43 +216,15 @@ def _plan(p: Polytope) -> _CountPlan | None:
     return p._count_plan
 
 
-def _walk(plan: _CountPlan, m: IVec, D: int) -> tuple[int, list, int]:
-    """(count, boundary hits, work) of the plan's body at shift m/D, for m
-    in [0, D)^d; work is the residuals the walk updates plus
-    ``_VISIT_COST``, summed over the values it visits at each level."""
-    d, nlev, rhs = len(plan.cols), plan.nlev, plan.rhs
-    # floor and remainder of a . m / D per body row: a row is tight when the
-    # remainder is 0, and an equality must be, or the flat body misses Z^d
-    floors, rems = zip(*[divmod(sum(map(mul, a, m)), D) for a in plan.rows[nlev:]])
-    if any(rems[j] for j in plan.eq_rows):
-        return 0, [], 0
-    tight = [j for j, r in enumerate(rems) if not r]
-    R = [b + sum(map(mul, a, m)) // D for a, b in zip(plan.rows[:nlev], rhs)]
-    R += map(add, rhs[nlev:], floors)
-    cols, levels, npos, nnz, divs = plan.cols, plan.levels, plan.npos, plan.nnz, plan.divs
-    count = 0
-    work = 0
-    hits: list = []
-
-    def fibers(R, prefix, zs, col):
-        # whole fibers over prefix + z for z in zs, at residuals R, R - col, ...
-        nonlocal count
-        for z in zs:
-            if divs is None:
-                hi, lo = min(R[:npos]), -min(R[npos:nnz])
-            else:
-                hi = min(map(floordiv, R[:npos], divs[0]))
-                lo = -min(map(floordiv, R[npos:nnz], divs[1]))
-            if lo <= hi:
-                count += hi - lo + 1
-                if tight:
-                    hits.extend(_fiber_hits(R, tight, cols[-1], lo, hi, prefix + z))
-            R = list(map(sub, R, col))
+def _levels(plan: _CountPlan, R: list, fiber, prefixes: bool) -> None:
+    """Call ``fiber(R, prefix)`` on each fiber of the level walk from the
+    residuals R of every row, R then holding the residuals of the body rows
+    at the prefix and z_last = 0; the prefix is () unless `prefixes`."""
+    d, cols, levels = len(plan.cols), plan.cols, plan.levels
 
     def walk(k, R, prefix):
         # z_k ranges over the fiber of the level-k projection above the
         # prefix; R holds the residuals of level k's rows and all after it
-        nonlocal work
         n, (j, c), pos, (i, e), neg = levels[k]
         hi, lo = R[j] // c, -(R[i] // e)
         for j, c in pos:
@@ -264,19 +238,52 @@ def _walk(plan: _CountPlan, m: IVec, D: int) -> tuple[int, list, int]:
         if lo > hi:
             return
         col = cols[k]
-        work += (hi - lo + 1) * (len(col) + _VISIT_COST)
         R = [r - lo * c for r, c in zip(R[n:], col)]
-        if k + 2 == d:
-            return fibers(R, prefix, zip(range(lo, hi + 1)), col)
+        step = fiber if k + 2 == d else functools.partial(walk, k + 1)
         for z in range(lo, hi + 1):
-            walk(k + 1, R, prefix + (z,) if tight else prefix)
+            step(R, prefix + (z,) if prefixes else prefix)
             R = list(map(sub, R, col))
 
     if d == 1:
-        fibers(R, (), ((),), cols[0])
+        fiber(R, ())
     else:
         walk(0, R, ())
-    return count, hits, work
+
+
+def _span(plan: _CountPlan, R: list) -> tuple[int, int]:
+    """(lo, hi) of z_last over the fiber whose body rows have residuals R;
+    rows with a_last = 0 are left out."""
+    npos, nnz, divs = plan.npos, plan.nnz, plan.divs
+    if divs is None:
+        return -min(R[npos:nnz]), min(R[:npos])
+    return -min(map(floordiv, R[npos:nnz], divs[1])), min(map(floordiv, R[:npos], divs[0]))
+
+
+def _walk(plan: _CountPlan, m: IVec, D: int) -> tuple[int, list]:
+    """(count, boundary hits) of the plan's body at shift m/D, for m in [0, D)^d."""
+    nlev, rhs = plan.nlev, plan.rhs
+    # floor and remainder of a . m / D per body row: a row is tight when the
+    # remainder is 0, and an equality must be, or the flat body misses Z^d
+    floors, rems = zip(*[divmod(sum(map(mul, a, m)), D) for a in plan.rows[nlev:]])
+    if any(rems[j] for j in plan.eq_rows):
+        return 0, []
+    tight = [j for j, r in enumerate(rems) if not r]
+    R = [b + sum(map(mul, a, m)) // D for a, b in zip(plan.rows[:nlev], rhs)]
+    R += map(add, rhs[nlev:], floors)
+    last = plan.cols[-1]
+    count = 0
+    hits: list = []
+
+    def fiber(R, prefix):
+        nonlocal count
+        lo, hi = _span(plan, R)
+        if lo <= hi:
+            count += hi - lo + 1
+            if tight:
+                hits.extend(_fiber_hits(R, tight, last, lo, hi, prefix))
+
+    _levels(plan, R, fiber, bool(tight))
+    return count, hits
 
 
 def _count_polytope(p: Polytope, m: IVec, D: int) -> CountResult:
@@ -286,7 +293,7 @@ def _count_polytope(p: Polytope, m: IVec, D: int) -> CountResult:
         return _NONE
     if len(m) != p.dim:
         raise DegenerateInput("shift dimension does not match the polytope")
-    count, hits, _ = _walk(plan, m, D)
+    count, hits = _walk(plan, m, D)
     return CountResult(count, tuple(hits))
 
 
@@ -296,9 +303,8 @@ def count_at(body: Body, shift) -> CountResult:
     ``shift`` is any rational vector; it is reduced modulo Z^d and the
     boundary hits are translated back.  Unions count additively over their
     parts, matching the almost-sure additivity of counts over
-    interior-disjoint families.  Every call walks the body afresh: it
-    neither reads nor writes the memo that `generic_draws` keeps, and never
-    steps a count from another cell's.
+    interior-disjoint families.  Every call walks the body afresh: it reads
+    neither the memo nor the rim table that `generic_draws` keeps.
     """
     (full,), D = _homogenize([as_vec(shift)])
     m = tuple(x % D for x in full)
@@ -311,207 +317,92 @@ def count_at(body: Body, shift) -> CountResult:
     return CountResult(sum(r.count for r in res), hits)
 
 
-def _unimodular(a: IVec) -> list[list[int]]:
-    """An integer matrix of determinant +-1 whose first row is the nonzero
-    integer vector a over the gcd of its entries, by extended Euclid on
-    them."""
-    d = len(a)
-    v = list(a)
-    W = [[int(i == j) for j in range(d)] for i in range(d)]
-    # a == v W throughout: subtracting q times entry k of v from entry j is
-    # undone by adding q times row j of W to row k
-    while True:
-        nz = [j for j in range(d) if v[j]]
-        k = min(nz, key=lambda j: abs(v[j]))
-        if len(nz) == 1:
-            break
-        for j in nz:
-            if j != k:
-                q = v[j] // v[k]
-                v[j] -= q * v[k]
-                W[k] = [x + q * y for x, y in zip(W[k], W[j])]
-    if v[k] < 0:
-        W[k] = [-x for x in W[k]]
-    W[0], W[k] = W[k], W[0]
-    return W
+def _key_range(a: IVec) -> tuple[int, int]:
+    """(kmin, kmax): the least and greatest ``floor(a . s)`` over s in [0, 1)^d."""
+    return sum(c for c in a if c < 0), max(sum(c for c in a if c > 0) - 1, 0)
 
 
-def _cost(plan: _CountPlan) -> int:
-    """A walk's cost: its fixed cost plus its work at the shift (1/3, ..., 1/3)."""
-    if plan.cost is None:
-        plan.cost = _WALK_COST + _walk(plan, (1,) * len(plan.cols), 3)[2]
-    return plan.cost
+def _rim_table(plan: _CountPlan) -> tuple | bool:
+    """The plan's rim table ``(ncore, full mask, rows)``, or False where
+    its masks would pass ``_RIM_CAP`` bits.
 
-
-def _facet(p: Polytope, plan: _CountPlan, i: int) -> tuple:
-    """(rows 1.. of W, G's plan, G's walk cost) for body row i, ``a . x <= b``:
-    W is unimodular with first row a over the gcd of its entries, so
-    ``y = (W x)[1:]`` maps the lattice points of each plane ``a . x = c``
-    (there are none unless that gcd divides c) onto Z^(d-1), and G is the
-    facet ``p ∩ {a . x = b}`` in y."""
-    f = plan.facets.get(i)
-    if f is None:
-        a, b = plan.rows[plan.nlev + i], plan.rhs[plan.nlev + i]
-        W = _unimodular(a)[1:]
-        den = p.denominator
-        on = [v for v in p.numerators if sum(map(mul, a, v)) == b * den]
-        g = _plan(Polytope(p.dim - 1, [tuple(sum(map(mul, w, v)) for w in W) for v in on],
-                           den=den))
-        f = plan.facets[i] = (W, g, _cost(g))
-    return f
-
-
-def _code(key: IVec) -> int:
-    """A cell's key packed into one int, additive in the key."""
-    return sum(map(lshift, key, range(0, _CODE_BITS * len(key), _CODE_BITS)))
-
-
-def _moves(p: Polytope, plan: _CountPlan) -> list:
-    """(code, key change) of each move to a cell one or two crossings away
-    whose step costs less than the walk, cheapest first; a move two
-    crossings away must also pay for probing.  A crossing moves one row's
-    key by +-1, and its negation's, if p has that row, by -+1; each row
-    moved costs a count of its facet."""
-    if plan.moves is None:
-        body = plan.rows[plan.nlev:]
-        index = {a: i for i, a in enumerate(body)}
-        one = []
-        for i, a in enumerate(body):
-            j = index.get(tuple(map(neg, a)))
-            if j is None or i < j:
-                for e in (1, -1):
-                    move = [0] * len(body)
-                    move[i] = e
-                    if j is not None:
-                        move[j] = -e
-                    one.append(tuple(move))
-        two = {tuple(map(add, u, v)): None for u, v in
-               itertools.combinations_with_replacement(one, 2)}
-        two.pop((0,) * len(body), None)
-        walk = _cost(plan)
-        priced = []
-        for moves, overhead in ((one, _STEP_COST), (two, _STEP_COST + _PROBE_COST)):
-            for mv in moves:
-                cost = overhead + sum(abs(e) * _facet(p, plan, i)[2] for i, e in enumerate(mv) if e)
-                if cost < walk:
-                    priced.append((cost, _code(mv), mv))
-        plan.moves = [(code, mv) for _, code, mv in sorted(priced)]
-    return plan.moves
-
-
-def _near(table: dict, code: int, key: IVec, moves: list) -> Iterator[tuple[int, tuple]]:
-    """(code, entry) of the entries of `table`, a dict keyed by cell code
-    whose entries start with the cell's key, at the cells `moves` away from
-    `key`."""
-    for c, mv in moves:
-        hit = table.get(code + c)
-        if hit is not None and hit[0] == tuple(map(add, key, mv)):
-            yield code + c, hit
-
-
-def _step(p: Polytope, plan: _CountPlan, key: IVec, m: IVec, start: tuple) -> int | None:
-    """p's count in cell `key` at its draw m, from the count of a nearby
-    cell ``start = (key0, m0, count0)`` at its draw m0, or None where the
-    step cannot be done.  No row is tight at m or m0.
-
-    Along the segment from m0 to m, row i's ``a . x`` is linear, so it
-    crosses the planes ``a . x = c`` for the |key_i - key0_i| integers c
-    between; at each crossing point s* the count gains (a . x rising) or
-    loses the lattice points of the facet ``F_i + s*``, which are those of
-    G_i at ``(W s*)[1:]``.  The sum does not depend on the order of the
-    crossings, but two at the same point must be one plane, a row and its
-    negation: the crossing points are compared exactly, and any other two
-    that coincide, or a facet count with a boundary hit, leave the count to
-    the walk."""
-    key0, m0, count = start
-    D = _DYADIC_DEN
-    delta = tuple(map(sub, m, m0))
+    One walk with every row at ``b + kmax`` lists every lattice point of
+    every ``p + s``.  In each fiber the points with ``a . z - b <= kmin`` on
+    every body row, a subinterval, are the core, counted in every cell; the
+    rest are the rim, one bit each.  ``rows`` holds ``(i, kmin_i, masks)``
+    for each body row i that cuts some rim point at its least key,
+    ``masks[k - kmin_i]`` the rim points with ``a_i . z - b_i <= k``."""
     body = plan.rows[plan.nlev:]
-    events = []  # (r, beta, row, sign, facet plan, W s* numerators, den): t = r / beta
-    for i, (k0, k) in enumerate(zip(key0, key)):
-        if k0 == k:
-            continue
-        W, g, _ = _facet(p, plan, i)
-        a, b = body[i], plan.rhs[plan.nlev + i]
-        alpha, beta = sum(map(mul, a, m0)), sum(map(mul, a, delta))
-        sign, den = (1, D * beta) if beta > 0 else (-1, -D * beta)
-        # s* = (m0 + t delta) / D, so W s* has numerators
-        # |beta| W m0 + sign r W delta over den
-        wm0 = [abs(beta) * sum(map(mul, w, m0)) for w in W]
-        wd = [sign * sum(map(mul, w, delta)) for w in W]
-        gcd = math.gcd(*a)
-        for c in range(min(k0, k) + 1, max(k0, k) + 1):
-            # the count moves at a . x = c, by the lattice points of
-            # a . z = b + c, which has none unless gcd | b + c
-            r = c * D - alpha
-            events.append((r, beta, i, sign, g if (b + c) % gcd == 0 else None,
-                           tuple((x + r * y) % den for x, y in zip(wm0, wd)), den))
-    for (r, beta, i, *_), (u, gamma, j, *_) in itertools.combinations(events, 2):
-        if r * gamma == u * beta and body[i] != tuple(map(neg, body[j])):
-            return None
-    for *_, sign, g, y, den in events:
-        if g is not None:
-            n, hits, _ = _walk(g, y, den)
-            if hits:
-                return None
-            count += sign * n
-    return count
+    kmin, kmax = zip(*map(_key_range, body))
+    widths = list(map(sub, kmax, kmin))
+    # rim entries (points times rows) whose w + 1 masks per row fit in _RIM_CAP bits
+    cap = len(body) * (_RIM_CAP // (sum(widths) + len(widths)))
+    last, nnz = plan.cols[-1], plan.nnz
+    ncore = 0
+    # each rim point's entries, row by row: a_i . z - b_i - kmin_i, or 0
+    # where that is negative
+    rim: bytearray | list = bytearray() if max(widths) < 256 else []
+    zero = itertools.repeat(0)
+
+    def fiber(R, prefix):
+        # R: b + kmax - a . (prefix, 0) per body row, so at z_last = z a row's
+        # entry is z a_last - (R - width), clipped at 0.  A row with a_last = 0
+        # is also a row of an earlier level, with the same kmax, so its R is
+        # never negative here; at kmin it can still leave the fiber no core
+        nonlocal ncore
+        lo, hi = _span(plan, R)
+        if lo > hi or len(rim) > cap:
+            return
+        C = list(map(sub, R, widths))
+        clo, chi = _span(plan, C)
+        zs = range(lo, hi + 1)
+        if clo <= chi and min(C[nnz:], default=0) >= 0:
+            ncore += chi - clo + 1
+            zs = itertools.chain(range(lo, clo), range(chi + 1, hi + 1))
+        for z in zs:
+            rim.extend(map(max, zero, map(sub, map(z.__mul__, last), C)))
+
+    R = [b + _key_range(a)[1] for a, b in zip(plan.rows, plan.rhs)]
+    _levels(plan, R, fiber, False)
+    if len(rim) > cap:
+        return False
+    rows = []
+    for i, (k0, w) in enumerate(zip(kmin, widths)):
+        col = rim[i::len(body)]
+        if col and max(col):
+            # the masks for k = kmin_i .. kmax_i, digit j of each for rim point j
+            digits = bytearray(b"0" * len(col))
+            masks: list = []
+            for v, js in itertools.groupby(sorted(range(len(col)), key=col.__getitem__),
+                                           col.__getitem__):
+                masks += [masks[-1] if masks else 0] * (v - len(masks))
+                for j in js:
+                    digits[j] = 49  # ord("1")
+                masks.append(int(digits, 2))
+            masks += masks[-1:] * (w - v)
+            rows.append((i, k0, masks))
+    return ncore, (1 << len(rim) // len(body)) - 1, rows
 
 
-def _new_counts(p: Polytope, plan: _CountPlan, new: dict, nums: list[IVec], tight: set) -> list:
-    """(key, draw index, count) of each new cell of a block, given as key ->
-    index of its first draw, in the order counted.
-
-    A cell one or two crossings from a counted one, where no row is tight
-    at either draw, is stepped from it (`_step`) where that costs less than
-    the walk (`_moves`): first the cells next to a memoized cell, then,
-    breadth first, the cells next to those counted in this block.  Where
-    none is left next to a counted cell, the next one left is walked.  A
-    body of fewer than three dimensions, or one whose walk costs no more
-    than a step's fixed costs, is walked throughout."""
-    steps = p.dim >= 3 and _cost(plan) > _STEP_COST + _WALK_COST
-    out, pending = [], {}
-    for key, j in new.items():
-        if not steps or j in tight:
-            out.append((key, j, _count_polytope(p, nums[j], _DYADIC_DEN).count))
-        else:
-            pending[_code(key)] = (key, j)
-    moves = _moves(p, plan) if pending else None
-    queue: collections.deque = collections.deque()
-    if moves and plan.origins:
-        for code, (key, j) in pending.items():
-            start = next(_near(plan.origins, code, key, moves), None)
-            if start is not None:
-                queue.append((code, start[1]))
-    while pending:
-        if queue:
-            code, start = queue.popleft()
-            if code not in pending:
-                continue
-            key, j = pending.pop(code)
-            count = _step(p, plan, key, nums[j], start)
-        else:
-            code = next(iter(pending))
-            (key, j), count = pending.pop(code), None
-        m = nums[j]
-        if count is None:
-            count = _count_polytope(p, m, _DYADIC_DEN).count
-        out.append((key, j, count))
-        if moves:
-            queue.extend((c, (key, m, count)) for c, _ in _near(pending, code, key, moves))
-    return out
+def _table_count(table: tuple, key: IVec) -> int:
+    """The count in cell `key` from a rim table: the core plus the rim
+    points left in the AND of the key's masks."""
+    ncore, m, rows = table
+    for i, k0, masks in rows:
+        m &= masks[key[i] - k0]
+    return ncore + m.bit_count()
 
 
 def _cell_counts(p: Polytope, cols: list[list[int]], nums: list[IVec]) -> list:
     """p's count at each draw of a block given column by column (`cols`) and
     row by row (`nums`), None at a draw where p has a boundary hit.  Each
-    cell of the block is read from p's memo, or counted once at its first
-    draw, stepped from a nearby counted cell or walked (`_new_counts`), and
-    memoized: the count depends only on the cell, even where a row is
-    tight.  An empty body counts 0 everywhere, and so does a flat one where
-    none of its rows is tight: an equality with a nonzero remainder misses
-    Z^d.  A draw where a row is tight is walked on its own for its boundary
-    hits."""
+    cell of the block is read from p's memo, or counted once from p's rim
+    table (`_rim_table`, built at the first new cell) or, where p has none,
+    walked at its first draw, and memoized: the count depends only on the
+    cell, even where a row is tight.  An empty body counts 0 everywhere,
+    and so does a flat one where none of its rows is tight: an equality
+    with a nonzero remainder misses Z^d.  A draw where a row is tight is
+    walked on its own for its boundary hits."""
     plan = _plan(p)
     if plan is None:
         return [0] * len(nums)
@@ -535,19 +426,18 @@ def _cell_counts(p: Polytope, cols: list[list[int]], nums: list[IVec]) -> list:
         # each cell with the index of its first draw, then with its count
         cells = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
         memo = plan.memo
-        new = {}
         for key, j in cells.items():
             count = memo.get(key)
             if count is None:
-                new[key] = j
-            else:
-                cells[key] = count
-        for key, j, count in _new_counts(p, plan, new, nums, tight):
+                if plan.table is None:
+                    plan.table = _rim_table(plan)
+                if plan.table:
+                    count = _table_count(plan.table, key)
+                else:
+                    count = _count_polytope(p, nums[j], _DYADIC_DEN).count
+                if len(memo) < _MEMO_CAP:
+                    memo[key] = count
             cells[key] = count
-            if len(memo) < _MEMO_CAP:
-                memo[key] = count
-                if j not in tight:
-                    plan.origins[_code(key)] = (key, nums[j], count)
         counts = list(map(cells.__getitem__, keys))
     for j in tight:
         res = _count_polytope(p, nums[j], _DYADIC_DEN)

@@ -14,11 +14,15 @@ from hypothesis import strategies as st
 
 from polyshift.catalog import (
     central_slab,
+    centrally_symmetric_polytope,
     cross_polytope,
     embed_with_zero_last,
     hexagon_zonotope,
+    prism_over_embedded,
     random_lattice_polytope,
+    random_lattice_simplex,
     reeve_tetrahedron,
+    slab_pieces,
     standard_simplex,
 )
 from polyshift import counting
@@ -37,8 +41,7 @@ from polyshift.counting import (
     zonotope_spec_to_json,
 )
 from polyshift.errors import DegenerateInput, NotConstant
-from polyshift.geometry import (Polytope, PolytopeUnion, determinant, dilate, unit_cube,
-                               volume)
+from polyshift.geometry import Polytope, PolytopeUnion, dilate, unit_cube, volume
 
 F = Fraction
 
@@ -102,6 +105,10 @@ FLAT_BODIES = (
     # in x0 + x1 = 1: level 1 is a segment
     Polytope(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 1)]),
 )
+
+RATIONAL_3D = {"dim": 3, "vertices": [["-4/3", "-2", "1/3"], ["-1/3", "-1/3", "0"],
+                                      ["1/3", "2/3", "2"], ["2/3", "-2/3", "-1"],
+                                      ["5/3", "2", "2/3"]]}
 
 
 # ---------------------------------------------------------------------------
@@ -410,174 +417,218 @@ def test_memo_stops_growing_at_its_cap_and_counts_stay_exact(monkeypatch):
     assert len(memo) == 3
     cells = {body_floors(p, s) for s in shifts}
     assert len(cells) > 3
-    # a full memo still serves its cells: a block walks only the others
-    walked = spy_walks(monkeypatch)
+    # a full memo still serves its cells: a block reads only the others off
+    # the rim table
+    counted = []
+    table_count = counting._table_count
+    monkeypatch.setattr(counting, "_table_count", lambda t, key: counted.append(key) or table_count(t, key))
     assert sample([p], shifts, 30) == expected
-    assert len(walked) == len(cells) - 3
+    assert len(counted) == len(cells) - 3
     assert set(memo) <= cells
 
 
 # ---------------------------------------------------------------------------
-# new cells stepped from a counted neighbour, one facet count per crossing
+# new cells counted from the per-body rim table
 
 
-def spy_steps(mp):
-    """(body, draw, result) of every step tried from now on, in order."""
-    steps = []
-    step = counting._step
-
-    def spy(p, plan, key, m, start):
-        res = step(p, plan, key, m, start)
-        steps.append((p, m, res))
-        return res
-
-    mp.setattr(counting, "_step", spy)
-    return steps
+def stream_keys(plan, draws):
+    """The floor vector of each draw's numerators over 2**64 on the plan's body rows."""
+    return [tuple(sum(map(operator.mul, a, m)) >> 64 for a in plan.rows[plan.nlev:])
+            for m in draws]
 
 
-def step_everywhere(mp):
-    """Costs that price every step below the walk: a new cell of a body of
-    three or more dimensions is stepped wherever a counted cell one or two
-    crossings away has a draw with no tight row."""
-    mp.setattr(counting, "_STEP_COST", -10**9)
-    mp.setattr(counting, "_PROBE_COST", 0)
+def hull_plan_rows(p):
+    """(rows, rhs, levels) of p's counting plan with every level read off a
+    hull of p's projection, as the plan was first built."""
+    rows, levels = [], []
+    for k in range(p.dim - 1):
+        proj = Polytope(k + 1, [v[:k + 1] for v in p.numerators], den=p.denominator)
+        level = [r for r in counting._folded_rows(proj) if r[0][k]]
+        pos = [(j, a[k]) for j, (a, _, _) in enumerate(level) if a[k] > 0]
+        neg = [(j, -a[k]) for j, (a, _, _) in enumerate(level) if a[k] < 0]
+        levels.append((len(level), pos[0], pos[1:], neg[0], neg[1:]))
+        rows += level
+    rows += sorted(counting._folded_rows(p), key=lambda r: (r[0][-1] <= 0, r[0][-1] == 0))
+    return tuple(a for a, _, _ in rows), tuple(b for _, b, _ in rows), levels
 
 
-def test_unimodular_completion_has_the_primitive_row_first_and_determinant_one():
-    # a rational body's row can have a common factor: 2x + 2y + 2z <= 3
-    for a in [(1, 0, 0), (0, 0, -1), (2, 3, 5), (-6, 10, 15), (4, -7, 0, 9), (3, 5), (2, 2, 2),
-              (0, -6, 4)]:
-        W = counting._unimodular(a)
-        g = math.gcd(*a)
-        assert tuple(W[0]) == tuple(x // g for x in a)
-        assert abs(determinant(W)) == 1
+CATALOG_BODIES = (
+    [standard_simplex(d) for d in (1, 2, 3, 4)] + slab_pieces(3)
+    + [reeve_tetrahedron(n) for n in (1, 3, 8)] + [central_slab(d) for d in (2, 3)]
+    + [embed_with_zero_last(standard_simplex(2)), prism_over_embedded(standard_simplex(2)),
+       random_lattice_polytope(3, 6, 3, seed=300), random_lattice_simplex(3, 4, seed=2),
+       centrally_symmetric_polytope(3, 4, 3, seed=1), cross_polytope(4),
+       zonotope_polytope(hexagon_zonotope())]
+    + list(FLAT_BODIES)
+    + [Polytope(3, [tuple(map(F, v)) for v in RATIONAL_3D["vertices"]])]
+)
+
+
+@pytest.mark.parametrize("p", CATALOG_BODIES)
+def test_level_zero_rows_equal_the_hull_rows(p):
+    # level 0 is read off the least and greatest first coordinate
+    plan = counting._plan(fresh_copy(p))
+    assert (plan.rows, plan.rhs, plan.levels) == hull_plan_rows(p)
+
+
+@given(oracle_bodies())
+@settings(max_examples=100, deadline=None)
+def test_level_zero_rows_equal_the_hull_rows_on_oracle_bodies(p):
+    if not p.is_empty:
+        plan = counting._plan(p)
+        assert (plan.rows, plan.rhs, plan.levels) == hull_plan_rows(p)
 
 
 @st.composite
-def stepped_bodies(draw):
-    """Oracle bodies, their dilates up to 5 and their two-part unions, and
-    twice the 4-D cross-polytope."""
-    kind = draw(st.sampled_from(("oracle", "dilate", "union", "cross4")))
-    if kind == "cross4":
-        return dilate(cross_polytope(4), 2)
+def table_bodies(draw):
+    """Oracle bodies (1-D to 4-D, lattice or rational), their dilates and
+    two-part unions, and bodies squeezed along the last axis, whose rows
+    mostly have |a_last| > 1."""
     body = draw(oracle_bodies())
-    if kind == "dilate":
-        return dilate(body, draw(st.integers(2, 5 if body.dim < 4 else 2)))
-    return half_step_union(body) if kind == "union" else body
+    kind = draw(st.sampled_from(("oracle", "dilate", "union", "squeeze")))
+    if kind == "dilate" and body.dim < 4:
+        return dilate(body, draw(st.integers(2, 3)))
+    if kind == "union":
+        return half_step_union(body)
+    if kind == "squeeze":
+        q = draw(st.integers(2, 3))
+        return Polytope(body.dim, [v[:-1] + (v[-1] / q,) for v in body.vertices])
+    return body
 
 
-@given(stepped_bodies(), st.integers(0, 2**32))
-@settings(max_examples=60, deadline=None)
-def test_stepped_counts_equal_the_walk(body, seed):
+@given(table_bodies(), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_table_counts_equal_the_oracle(body, seed):
     with pytest.MonkeyPatch.context() as mp:
-        step_everywhere(mp)
-        steps = spy_steps(mp)
-        draws = list(generic_draws(ShiftStream(body.dim, seed), [body], 300))
-    for p, m, res in steps:
-        walk = counting._count_polytope(p, m, 2**64)
-        assert not walk.boundary_hits
-        assert res is None or res == walk.count
-    if body == dilate(cross_polytope(4), 2):
-        # its rows come in negated pairs, each crossing two facet counts
-        assert any(res is not None for _, _, res in steps)
-    for nums, (counts,), _ in draws:
-        for m, count in zip(nums, counts):
-            assert count == count_at(body, tuple(F(x, 2**64) for x in m)).count
+        # new cells come from the table: only a draw with a tight row, which
+        # the stream almost surely never makes, would be walked
+        walked = spy_walks(mp)
+        counts = list(counting.stream_counts(ShiftStream(body.dim, seed), body, 20))
+    assert walked == []
+    parts = body.parts if isinstance(body, PolytopeUnion) else (body,)
+    for p in parts:
+        if p.is_full_dim:
+            # a mask per key of each kept row, and a rim point only where the
+            # cell at the greatest keys counts it
+            plan = p._count_plan
+            ncore, full, rows = plan.table
+            ranges = [counting._key_range(a) for a in plan.rows[plan.nlev:]]
+            assert [len(masks) for _, _, masks in rows] == [
+                ranges[i][1] - k0 + 1 for i, k0, _ in rows]
+            assert all(masks[-1] & full == full for _, _, masks in rows)
+    for s, res in counts:
+        assert res.count == brute_count_body(body, s).count
+        m = tuple(int(x * 2**64) for x in s)
+        assert res.count == sum(counting._count_polytope(p, m, 2**64).count for p in parts)
+
+
+@pytest.mark.parametrize("body", [reeve_tetrahedron(5), dilate(cross_polytope(4), 2),
+                                  Polytope(2, [(0, 0), (100, 0), (0, 1)]),
+                                  Polytope(3, [tuple(map(F, v)) for v in RATIONAL_3D["vertices"]])],
+                         ids=["reeve5", "cross4-x2", "long-triangle", "rational3"])
+def test_stream_keys_lie_in_the_key_range_and_its_ends_are_reached(body):
+    plan = counting._plan(body)
+    ranges = [counting._key_range(a) for a in plan.rows[plan.nlev:]]
+    stream = ShiftStream(body.dim, 8)
+    for key in stream_keys(plan, [stream.numerators() for _ in range(300)]):
+        assert all(lo <= k <= hi for k, (lo, hi) in zip(key, ranges))
+    # each end is the key at a corner of [0, 1)^d: coordinates 0 or 1 - 2**-64
+    top = 2**64 - 1
+    for i, (a, (lo, hi)) in enumerate(zip(plan.rows[plan.nlev:], ranges)):
+        (low,), (high,) = (stream_keys(plan, [tuple(top * (c < 0) for c in a)]),
+                           stream_keys(plan, [tuple(top * (c > 0) for c in a)]))
+        assert (low[i], high[i]) == (lo, hi)
+
+
+def test_a_table_built_below_kmax_on_one_row_miscounts():
+    # the table's walk needs each row at b + kmax: with reeve:3's level row
+    # x0 <= b put at b - 1 (its kmax is 0), the table loses the lattice
+    # points with z0 = b, which many cells count
+    p = reeve_tetrahedron(3)
+    plan = counting._plan(p)
+    stream = ShiftStream(3, 1)
+    draws = [stream.numerators() for _ in range(300)]
+    keys = stream_keys(plan, draws)
+    truth = [counting._count_polytope(p, m, 2**64).count for m in draws]
+    table = counting._rim_table(plan)
+    assert [counting._table_count(table, key) for key in keys] == truth
+    j = next(j for j in range(plan.nlev) if plan.rows[j][0] > 0)
+    levels = counting._levels
+
+    def lowered(plan, R, fiber, prefixes):
+        return levels(plan, R[:j] + [R[j] - 1] + R[j + 1:], fiber, prefixes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_levels", lowered)
+        mutant = counting._rim_table(plan)
+    assert [counting._table_count(mutant, key) for key in keys] != truth
+
+
+def test_a_large_dilate_has_a_small_rim_and_exact_table_counts():
+    p = dilate(random_lattice_polytope(3, 6, 3, seed=300), 20)
+    plan = counting._plan(p)
+    ncore, full, rows = counting._rim_table(plan)
+    rim = full.bit_length()
+    assert 0 < 5 * rim < ncore + rim and rows
+    stream = ShiftStream(3, 6)
+    draws = [stream.numerators() for _ in range(30)]
+    for m, key in zip(draws, stream_keys(plan, draws)):
+        assert counting._table_count((ncore, full, rows), key) == count_at(
+            p, tuple(F(x, 2**64) for x in m)).count
 
 
 @pytest.mark.parametrize("body", [
     dilate(random_lattice_polytope(3, 6, 3, seed=300), 5),
     half_step_union(dilate(random_lattice_polytope(3, 6, 3, seed=300), 3)),
     dilate(cross_polytope(4), 3),
-], ids=["3d-x5", "3d-x3-union", "cross4-x3"])
-def test_the_default_rule_steps_expensive_bodies(body, monkeypatch):
-    steps = spy_steps(monkeypatch)
+    # x + 300 y <= 300: one row spans 301 keys
+    Polytope(2, [(0, 0), (300, 0), (0, 1)]),
+], ids=["3d-x5", "3d-x3-union", "cross4-x3", "wide-row"])
+def test_table_counts_equal_the_walk_on_large_bodies(body, monkeypatch):
     walked = spy_walks(monkeypatch)
-    list(generic_draws(ShiftStream(body.dim, 4), [body], 400))
-    stepped = [res for _, _, res in steps if res is not None]
-    assert len(stepped) > len(walked) > 0
-    for p, m, res in steps:
-        assert res == counting._count_polytope(p, m, 2**64).count
-
-
-def test_the_default_rule_walks_cheap_bodies(monkeypatch):
-    # reeve:3 is walked over a handful of fibers; a facet count would cost as much
-    steps = spy_steps(monkeypatch)
-    p = reeve_tetrahedron(3)
-    list(generic_draws(ShiftStream(3, 1), [p], 2000))
-    assert steps == [] and p._count_plan.facets == {}
-
-
-def test_count_at_never_steps(monkeypatch):
-    p = dilate(random_lattice_polytope(3, 6, 3, seed=300), 5)
-    list(generic_draws(ShiftStream(3, 2), [p], 300))  # fill the memo
-    steps = spy_steps(monkeypatch)
-    walked = spy_walks(monkeypatch)
-    stream = ShiftStream(3, 2)
-    for _ in range(50):
-        count_at(p, stream.draw())
-    assert steps == [] and len(walked) == 50
-
-
-# x + y <= 3 and x + z <= 3 over the positive octant
-WEDGE = Polytope(3, [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (0, 3, 3)])
-
-
-def test_coinciding_crossings_of_two_rows_are_walked(monkeypatch):
-    # the wedge cut to x <= 1/2: from the first draw to the second, x + y and
-    # x + z cross 1 together at (1/4, 3/4, 3/4) and no other row crosses.
-    # The shifted ridge between the two facets holds no lattice point, so
-    # neither facet count reports a hit: only the coincidence sends the
-    # cell to the walk
-    body = Polytope(3, [(0, 0, 0), (F(1, 2), 0, 0), (0, 3, 0), (0, 0, 3), (0, 3, 3),
-                        (F(1, 2), F(5, 2), 0), (F(1, 2), 0, F(5, 2)), (F(1, 2), F(5, 2), F(5, 2))])
-    step_everywhere(monkeypatch)
-    steps = spy_steps(monkeypatch)
-    walked = spy_walks(monkeypatch)
-    shifts = [(F(1, 4), F(1, 4), F(1, 4)), (F(1, 4), F(7, 8), F(7, 8))]
-    expected = [(brute_count(body, s).count,) for s in shifts]
-    assert sample([body], shifts, 2) == expected
-    assert [res for _, _, res in steps] == [None]
-    assert sorted(walked) == [tuple(int(c * 2**64) for c in s) for s in shifts]
-
-
-def test_a_tight_draw_starts_no_segment(monkeypatch):
-    # moved by 1/2, the wedge's row 2x + 2y <= 7 is tight at the first draw
-    # with no lattice point on its plane: that cell is walked and memoized,
-    # but its draw cannot start a segment, so the next cell, one crossing
-    # away in a later block, is walked too
-    step_everywhere(monkeypatch)
-    steps = spy_steps(monkeypatch)
-    walked = spy_walks(monkeypatch)
-    body = WEDGE.translated((F(1, 2), 0, 0))
-    tight, later = (F(3, 8), F(5, 8), F(1, 16)), (F(3, 8), F(3, 8), F(1, 16))
-    assert [brute_count(body, s).is_generic for s in (tight, later)] == [True, True]
-    assert sample([body], [tight], 1) + sample([body], [later], 1) == [
-        (brute_count(body, tight).count,), (brute_count(body, later).count,)]
-    assert steps == [] and len(walked) == 3  # the tight draw once more for its hits
-    plan = body._count_plan
-    assert sum(map(abs, map(operator.sub, *plan.memo))) == 1
-    assert [key for key, _, _ in plan.origins.values()] == [body_floors(body, later)]
-
-
-def test_a_facet_count_with_a_boundary_hit_is_walked(monkeypatch):
-    step_everywhere(monkeypatch)
-    steps = spy_steps(monkeypatch)
-    walk = counting._walk
-
-    def hit_on_facets(plan, m, D):
-        count, hits, work = walk(plan, m, D)
-        return count, hits or ([(0, 0)] if len(plan.cols) == 2 else []), work
-
-    monkeypatch.setattr(counting, "_walk", hit_on_facets)
-    p = dilate(random_lattice_polytope(3, 6, 3, seed=300), 3)
-    draws = list(generic_draws(ShiftStream(3, 7), [p], 100))
-    assert steps and all(res is None for _, _, res in steps)
-    reference = ShiftStream(3, 7)
+    draws = list(generic_draws(ShiftStream(body.dim, 4), [body], 400))
+    assert walked == []
+    parts = body.parts if isinstance(body, PolytopeUnion) else (body,)
     for nums, (counts,), _ in draws:
         for m, count in zip(nums, counts):
-            assert reference.numerators() == m
-            assert count == counting._count_polytope(p, m, 2**64).count
+            assert count == sum(counting._count_polytope(p, m, 2**64).count for p in parts)
+
+
+def test_generic_new_cells_are_never_walked(monkeypatch):
+    # reeve:3 has a handful of points per fiber; every new cell still comes from its table
+    walked = spy_walks(monkeypatch)
+    p = reeve_tetrahedron(3)
+    list(generic_draws(ShiftStream(3, 1), [p], 2000))
+    assert walked == [] and p._count_plan.table and len(p._count_plan.memo) > 1
+
+
+def test_a_body_past_the_rim_cap_walks_its_new_cells(monkeypatch):
+    # dilate(cross_polytope(4), 3) has a 260-point rim: its masks do not fit in 4096 bits
+    monkeypatch.setattr(counting, "_RIM_CAP", 4096)
+    p = dilate(cross_polytope(4), 3)
+    walked = spy_walks(monkeypatch)
+    draws = list(generic_draws(ShiftStream(4, 2), [p], 50))
+    assert p._count_plan.table is False
+    assert len(walked) == len(p._count_plan.memo) > 1
+    for nums, (counts,), _ in draws:
+        for m, count in zip(nums, counts):
+            assert count == count_at(p, tuple(F(x, 2**64) for x in m)).count
+
+
+def test_count_at_never_reads_the_table_or_the_memo(monkeypatch):
+    p = dilate(random_lattice_polytope(3, 6, 3, seed=300), 5)
+    list(generic_draws(ShiftStream(3, 2), [p], 300))  # fill the memo, build the table
+    plan = p._count_plan
+    assert plan.table and plan.memo
+    # poison both: a count read from either would be negative
+    plan.memo = dict.fromkeys(plan.memo, -1)
+    plan.table = (-10**6, 0, [])
+    walked = spy_walks(monkeypatch)
+    stream, fresh = ShiftStream(3, 2), fresh_copy(p)
+    for _ in range(50):
+        s = stream.draw()
+        assert count_at(p, s) == count_at(fresh, s)
+    assert len(walked) == 100
 
 
 def test_count_matches_brute_force_rational_shift():
@@ -733,10 +784,6 @@ SHIFTS_SEED2 = (
     '["11777717384603786643/18446744073709551616","14825084521627418697/18446744073709551616",'
     '"7934351388934121709/9223372036854775808"]'
 )
-RATIONAL_3D = {"dim": 3, "vertices": [["-4/3", "-2", "1/3"], ["-1/3", "-1/3", "0"],
-                                      ["1/3", "2/3", "2"], ["2/3", "-2/3", "-1"],
-                                      ["5/3", "2", "2/3"]]}
-
 
 def test_count_command_output_is_pinned(tmp_path, capsys):
     path = tmp_path / "rational3.json"
