@@ -328,8 +328,10 @@ def exact_distribution(body: Body, cell_budget: int = 10**6) -> CountDistributio
     the cube (`_overlay`).  Probabilities are exact sums
     of the final cells' volumes, which must fill the cube (checked, raising
     InvariantViolation, as a loud failure beats a silent miscount).  At
-    most `cell_budget` cells are kept.
+    most `cell_budget` cells are kept; a budget below 1 is DegenerateInput.
     """
+    if cell_budget < 1:
+        raise DegenerateInput(f"cell budget must be positive, got {cell_budget}")
     _require_full_dim(body, "exact_distribution")
     parts = body.parts if isinstance(body, PolytopeUnion) else (body,)
     cube = unit_cube(parts[0].dim)

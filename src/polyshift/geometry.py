@@ -13,18 +13,23 @@ triangulations are combinatorial, with no rank test.  Every polytope
 holds its incidence from construction: its rank, its linear description
 and per vertex the bitmask of its tight inequalities.  A point set gets
 them from one beneath-beyond insertion hull whose facets carry their
-tight points; a clip finds edges by the double description method's
-adjacency test and hands each piece, and each face it keeps, its facets
-and masks; translates, negation and dilates carry them over; and
-`vertices_from_facets` is a box clipped by each halfspace in turn.  Faces
-are vertex bitsets.  A triangulation is the pulling one from the lowest
-vertex: every face, a polygon too, cones its lowest vertex over the
-triangulations of its facets that miss it, read off the incidence, so each
-simplex lists its vertices in ascending order and simplices follow facet
-order.  `fractions.Fraction` remains only at the boundary: the
-public ``vertices``, ``normal``, ``offset``, ``bounding_box``, ``value``,
-``volume`` and ``determinant`` results, built on demand, and rational
-inputs.  Polytopes are closed, possibly empty or flat (then of volume 0).
+tight points and which solves no null space: its first simplex's facet
+normals are the columns of its difference matrix's inverse, and their
+sum, from one elimination, and every later facet is a hidden facet turned
+about its horizon ridge onto the new point, an integer combination of the
+two facet normals that meet there.  A clip finds edges by the double
+description method's adjacency test and hands each piece, and each face
+it keeps, its facets and masks; translates, negation and dilates carry
+them over; and `vertices_from_facets` is a box clipped by each halfspace
+in turn.  Faces are vertex bitsets.  A triangulation is the pulling one
+from the lowest vertex: every face, a polygon too, cones its lowest
+vertex over the triangulations of its facets that miss it, read off the
+incidence, so each simplex lists its vertices in ascending order and
+simplices follow facet order.  `fractions.Fraction` remains only at the
+boundary: the public ``vertices``, ``normal``, ``offset``,
+``bounding_box``, ``value``, ``volume`` and ``determinant`` results, built
+on demand, and rational inputs.  Polytopes are closed, possibly empty or
+flat (then of volume 0).
 """
 
 from __future__ import annotations
@@ -194,14 +199,22 @@ def _hull(points: Sequence[IVec]) -> tuple[list[int], list[tuple[IVec, int]], li
     with primitive a, and per facet the bitmask of the extreme points tight
     on it, bit k for the k-th extreme point).
 
-    Beneath-beyond insertion from a first simplex, whose centroid stays
-    interior and orients every facet; each facet carries the bitmask of
-    the inserted points tight on it.  A point drops the facets it sees and
+    Beneath-beyond insertion from a first simplex p0, ..., pr, whose r + 1
+    facets come from one elimination of ``[D | I]`` with rows
+    ``D_i = p_i - p0``: the right block is then ``c * D^-1`` for the last
+    pivot c, so ``-sign(c)`` times its column j is the outward normal of
+    the facet opposite p_j and ``sign(c)`` times the sum of its columns
+    that of the facet opposite p0.  Each facet carries the bitmask of the
+    inserted points tight on it.  A point p drops the facets it sees and
     spans each horizon ridge: two facets meet in a ridge iff they share at
     least r - 1 points and no third facet holds them all (`_crossings`'
-    edge test in dual form).  Facets on one plane merge by their (a, b)
-    key.  A point is extreme iff no other point is tight on all of its
-    facets.
+    edge test in dual form).  The new facet through the ridge of a visible
+    facet f and a hidden one g, at sides ``sf > 0 >= sg`` of p, is g turned
+    about the ridge until it meets p (gift wrapping, Chand & Kapur 1970):
+    ``sf * a_g - sg * a_f``, made primitive, a nonnegative combination of
+    the two outward normals and so outward itself.  Facets on one plane
+    merge by their (a, b) key, so ``sg == 0`` leaves g as it was.  A point
+    is extreme iff no other point is tight on all of its facets.
 
     Facets are sorted by their ascending lists of extreme points.  Two
     such lists first differ at a point independent of the points before it
@@ -212,19 +225,20 @@ def _hull(points: Sequence[IVec]) -> tuple[list[int], list[tuple[IVec, int]], li
     """
     r, n = len(points[0]), len(points)
     # the first independent points: pivot columns of the transposed differences
-    rows = [[p[c] - points[0][c] for p in points[1:]] for c in range(r)]
+    p0 = points[0]
+    rows = [[p[c] - p0[c] for p in points[1:]] for c in range(r)]
     simplex = [0] + [1 + k for k in _eliminate(rows, n - 1)[1]]
-    centre = [sum(col) for col in zip(*(points[i] for i in simplex))]  # (r + 1) * centroid
-
-    def plane(ridge: Sequence[int], p: IVec) -> tuple[IVec, int]:
-        a = _nullspace([tuple(x - y for x, y in zip(points[i], p)) for i in ridge], r)[0]
-        b = _dot(a, p)
-        return (a, b) if _dot(a, centre) < (r + 1) * b else (tuple(-x for x in a), -b)
-
+    work = _eliminate([[x - y for x, y in zip(points[i], p0)] + [int(k == j) for k in range(r)]
+                       for j, i in enumerate(simplex[1:])], r)[0]
+    sign = 1 if work[-1][r - 1] > 0 else -1
+    inverse = [row[r:] for row in work]  # c * D^-1, column j for simplex[j + 1]
+    corners = sum(1 << i for i in simplex)
     hull: dict[tuple[IVec, int], int] = {}
-    for j in simplex:
-        rest = [i for i in simplex if i != j]
-        hull[plane(rest[1:], points[rest[0]])] = sum(1 << i for i in rest)
+    for j, i in enumerate(simplex[1:]):
+        a = [-sign * row[j] for row in inverse]
+        hull[_primitive(a, _dot(a, p0))] = corners & ~(1 << i)
+    a = [sign * sum(row) for row in inverse]
+    hull[_primitive(a, _dot(a, points[simplex[1]]))] = corners & ~1
     for i, p in enumerate(points):  # the simplex's own points change nothing
         bit = 1 << i
         side = {key: _dot(key[0], p) - key[1] for key in hull}
@@ -239,8 +253,8 @@ def _hull(points: Sequence[IVec]) -> tuple[list[int], list[tuple[IVec, int]], li
                     continue
                 if sum(common & m == common for m in masks) > 2:
                     continue
-                new.append((plane([k for k in range(common.bit_length()) if common >> k & 1], p),
-                            common))
+                a = [sf * x - sg * y for x, y in zip(g[0], f[0])]
+                new.append((_primitive(a, sf * g[1] - sg * f[1]), common))
         for key, s in side.items():
             if s > 0:
                 del hull[key]

@@ -367,10 +367,6 @@ def _check_counterexample_slab(shifts: int, seed: int):
 
 
 def _check_counterexample_minkowski(shifts: int, seed: int):
-    if shifts < 2:
-        # a witness is two shifts with different deltas; with fewer the
-        # report could only claim a failure to find what was never sought
-        raise DegenerateInput("counterexample-minkowski needs at least two shifts")
     wit: list[Witness] = []
     base = catalog.central_slab(3)
     trio = [catalog.embed_with_zero_last(base), segment(zero_vec(4), (0, 0, 0, 1)),
@@ -394,6 +390,12 @@ class _Tag(NamedTuple):
     sizes: dict  # the sizes `check` takes, at their defaults
     quick: dict = {}  # the sizes that differ in a fast sanity pass
     input: Optional[Callable] = None  # what is wrong with an input body; None: takes none
+    least: dict = {}  # the smallest sizes that check something, where not `_LEAST`'s
+
+
+# the smallest sizes that check something: a zero size checks no instance,
+# no shift or no dilate
+_LEAST = dict(instances=1, shifts=1, n_max=1)
 
 
 # the only place that knows a tag, in the order the battery runs
@@ -405,7 +407,7 @@ _TAGS = {
                                dict(instances=3, shifts=200, n_max=5),
                                dict(instances=1, shifts=40, n_max=3)),
     "corollary-3d": _Tag(_check_corollary_3d, dict(instances=5, shifts=100, n_max=3),
-                         dict(instances=2, shifts=40)),
+                         dict(instances=2, shifts=40), least=dict(n_max=2)),  # relations n >= 2
     "corollary-3d-symmetric": _Tag(partial(_check_symmetric_scaling, _symmetric_3d_instances, 2),
                                    dict(instances=2, n_max=3)),
     "corollary-4d-symmetric": _Tag(partial(_check_symmetric_scaling, _cross_4d, 4),
@@ -421,7 +423,10 @@ _TAGS = {
                                              dict(instances=5, shifts=100),
                                              input=partial(_zonotope_input, True)),
     "counterexample-slab": _Tag(_check_counterexample_slab, dict(shifts=100)),
-    "counterexample-minkowski": _Tag(_check_counterexample_minkowski, dict(shifts=100)),
+    # a witness is two shifts with different deltas; with fewer the report
+    # could only claim a failure to find what was never sought
+    "counterexample-minkowski": _Tag(_check_counterexample_minkowski, dict(shifts=100),
+                                     least=dict(shifts=2)),
     "counterexample-symmetry": _Tag(_check_counterexample_symmetry, {}),
 }
 
@@ -441,22 +446,28 @@ def verify(kind: str, *, instances: Optional[int] = None, shifts: Optional[int] 
     Identity tags pass when no witness violates them; counterexample tags
     require at least one violating witness (expected-failure-confirmed).
     A negative size or seed, a size that the row does not name (the tag
-    would ignore it), fewer than two shifts for counterexample-minkowski
-    (its witness compares two), or a `body` that the row does not take (only
+    would ignore it), a size that would check nothing (zero instances,
+    shifts or dilates, fewer than two shifts for counterexample-minkowski,
+    whose witness compares two, or n_max < 2 for corollary-3d, whose
+    relations start at n = 2), or a `body` that the row does not take (only
     the constancy tags take one, a zonotope spec, planar for the 2-D tag)
     raises DegenerateInput.
     """
     if kind not in _TAGS:
         raise UnknownIdentity(f"unknown identity tag: {kind!r}")
+    if seed < 0:
+        raise DegenerateInput(f"seed must be nonnegative, got {seed}")
     given = dict(instances=instances, shifts=shifts, n_max=n_max)
-    for name, value in (*given.items(), ("seed", seed)):
-        if value is not None and value < 0:
-            raise DegenerateInput(f"{name} must be nonnegative, got {value}")
     row = _TAGS[kind]
     unused = [name for name, value in given.items() if value is not None and name not in row.sizes]
     if unused:
         raise DegenerateInput(f"identity {kind!r} takes no {', '.join(unused)}")
     sizes = {k: v if given[k] is None else given[k] for k, v in row.sizes.items()}
+    for name, value in sizes.items():
+        least = row.least.get(name, _LEAST[name])
+        if value < least:
+            raise DegenerateInput(f"identity {kind!r} with {name} {value} checks nothing; "
+                                  f"it needs {name} >= {least}")
     if body is not None:
         problem = "takes no input body" if row.input is None else row.input(body)
         if problem:

@@ -340,6 +340,15 @@ def test_output_to_file(tmp_path, capsys):
         # a Minkowski counterexample compares the deltas at two shifts
         (["verify", "--identity", "counterexample-minkowski", "--shifts", "0"], None),
         (["verify", "--identity", "counterexample-minkowski", "--shifts", "1"], None),
+        # verify: sizes that would check nothing; corollary-3d's relations
+        # start at n = 2
+        (["verify", "--identity", "scaling-simplex", "--shifts", "0"], None),
+        (["verify", "--identity", "scaling-simplex", "--instances", "0"], None),
+        (["verify", "--identity", "corollary-3d", "--n", "1"], None),
+        # a cell budget below one is an input error, not an exceeded budget
+        (["distribution", "--method", "exact", "--cell-budget", "0", "--input", "reeve:2"], None),
+        (["distribution", "--method", "exact", "--cell-budget", "-5", "--input", "reeve:2"],
+         None),
         # an --out path that cannot be written: a missing directory, or a directory
         (["volume", "--input", "simplex:2", "--out", "{dir}/missing/x.json"], None),
         (["volume", "--input", "simplex:2", "--out", "{dir}"], None),

@@ -646,6 +646,12 @@ def test_cell_budget_guard():
         exact_distribution(reeve_tetrahedron(3), cell_budget=4)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_a_cell_budget_below_one_is_an_input_error(budget):
+    with pytest.raises(DegenerateInput, match=f"cell budget must be positive, got {budget}"):
+        exact_distribution(reeve_tetrahedron(2), cell_budget=budget)
+
+
 def test_distribution_symmetry_2d_polygons():
     # two-dimensional counts are symmetric about their mean
     for seed in range(4):

@@ -895,6 +895,104 @@ def test_hull_of_a_five_dimensional_non_simple_body():
 
 
 # ---------------------------------------------------------------------------
+# the insertion hull against brute force over integer point sets, with no
+# elimination of the kernel's: every normal is a vector of signed minors
+
+
+def minor_det(rows):
+    """Determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * minor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def signed_minors(diffs, r):
+    """A vector in Z^r orthogonal to the r - 1 vectors `diffs`: entry i is
+    the signed minor without column i, so it is 0 iff they are dependent."""
+    return tuple((-1) ** i * minor_det([v[:i] + v[i + 1:] for v in diffs]) for i in range(r))
+
+
+def brute_hull(points):
+    """`geometry._hull(points)` by definition, for distinct points affinely
+    spanning Z^r.  A facet is a primitive outward (a, b) with every point at
+    a . x <= b and r affinely independent points tight; a point is extreme
+    when it is not in the hull of the others: either the others lie in a
+    hyperplane, or a hyperplane through r independent others has every
+    other point on one closed side and this one strictly beyond."""
+    r, n = len(points[0]), len(points)
+    facets, beyond, others_span = set(), [False] * n, [False] * n
+    for subset in itertools.combinations(range(n), r):
+        p0 = points[subset[0]]
+        a = signed_minors([tuple(x - y for x, y in zip(points[i], p0)) for i in subset[1:]], r)
+        if not any(a):
+            continue
+        g = math.gcd(*a)
+        a = tuple(x // g for x in a)
+        b = dot(a, p0)
+        sides = [dot(a, p) - b for p in points]
+        off = sum(1 for s in sides if s)
+        for k in set(range(n)) - set(subset):
+            others_span[k] |= off - (sides[k] != 0) > 0
+        for sign in (1, -1):
+            out = [k for k, s in enumerate(sides) if sign * s > 0]
+            if not out:
+                facets.add((tuple(sign * x for x in a), sign * b))
+            elif len(out) == 1:
+                beyond[out[0]] = True
+    extreme = [k for k in range(n) if beyond[k] or not others_span[k]]
+    on = {f: [k for k, i in enumerate(extreme) if dot(f[0], points[i]) == f[1]] for f in facets}
+    order = sorted(facets, key=on.__getitem__)
+    return extreme, order, [sum(1 << k for k in on[f]) for f in order]
+
+
+def spans(points):
+    """Whether the integer points affinely span Z^r."""
+    r = len(points[0])
+    return any(minor_det([[x - y for x, y in zip(points[i], points[s[0]])] for i in s[1:]])
+               for s in itertools.combinations(range(len(points)), r + 1))
+
+
+@st.composite
+def integer_hull_inputs(draw):
+    """Distinct points spanning Z^r, r = 1..4, from small grids (so many are
+    coplanar, and drawn with repeats), or the pairwise sums of P + Q,
+    P + [0, 1]^r and P - P for small grid sets P and Q."""
+    r = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(-1, 1) if r > 2 else st.integers(-2, 2)] * r)
+
+    def cloud(lo, hi):
+        return draw(st.lists(point, min_size=lo, max_size=hi))
+
+    kind = draw(st.sampled_from(("grid", "sum", "cube", "difference")))
+    if kind == "grid":
+        pts = cloud(r + 1, (6, 12, 12, 10)[r - 1])
+        pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+        pairs = [(p, (0,) * r) for p in pts]
+    elif kind == "sum":
+        pairs = itertools.product(cloud(r // 2 + 1, 3), cloud(r // 2 + 1, 3))
+    elif kind == "cube":
+        pairs = itertools.product(cloud(1, 3 if r < 4 else 1),
+                                  itertools.product((0, 1), repeat=r))
+    else:
+        p = cloud(r + 1, min(r + 2, 5))
+        pairs = [(u, tuple(-x for x in v)) for u in p for v in p]
+    pts = sorted({tuple(x + y for x, y in zip(u, v)) for u, v in pairs})
+    assume(len(pts) > r and spans(pts))
+    return pts
+
+
+@given(integer_hull_inputs())
+@example([(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0),
+          (1, 1, 1), (2, 1, 1)])
+@settings(max_examples=200, deadline=None)
+def test_hull_matches_brute_force_on_integer_sets(pts):
+    # extreme points, primitive outward facets in order, and each facet's
+    # mask of tight extreme points
+    assert geometry._hull(pts) == brute_hull(pts)
+
+
+# ---------------------------------------------------------------------------
 # vertices_from_facets against exhaustive vertex enumeration
 
 

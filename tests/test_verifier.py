@@ -284,6 +284,23 @@ def test_sizes_a_tag_does_not_name_are_rejected(tag):
             verify(tag, **{name: 1})
 
 
+# corollary-3d's relations start at n = 2; a Minkowski counterexample
+# compares the deltas at two shifts; every other size checks nothing at 0
+LEAST_SIZES = {("corollary-3d", "n_max"): 2, ("counterexample-minkowski", "shifts"): 2}
+
+
+@pytest.mark.parametrize("tag", IDENTITY_TAGS)
+def test_sizes_that_check_nothing_are_rejected(tag):
+    # a zero size would report a pass that checked nothing
+    sizes = _TAGS[tag].sizes
+    for name in sizes:
+        least = LEAST_SIZES.get((tag, name), 1)
+        assert min(sizes[name], quick_sizes(tag).get(name, least)) >= least
+        with pytest.raises(DegenerateInput, match=f"identity '{tag}' with {name} {least - 1} "
+                           f"checks nothing; it needs {name} >= {least}"):
+            verify(tag, **{name: least - 1})
+
+
 def test_all_tags_enumerated():
     assert len(IDENTITY_TAGS) == 14
 
