@@ -29,16 +29,21 @@ Z``, whether or not a row is tight at s; only the boundary hits need the
 shift itself.  It is the dominance count ``#{z : a . z - b <= key}``.  The
 scalar counter, `count_at`, walks every shift afresh.
 
-Sampling draws and counts in blocks of at most ``_BLOCK`` stream shifts:
-one pass over the block per body row gives every draw's floor vector, and
-each distinct cell in the block is read from the body's memo or counted
-once, at its first draw, and then memoized, up to ``_MEMO_CAP`` cells per
-body.  An empty body counts 0 at every draw, and so does a flat one, whose
-equality rows miss Z^d unless tight.  A draw where some row is tight is
-also walked on its own, which finds its boundary hits.  `generic_draws`
-drops a draw where some body has one; `stream_counts` keeps every draw and
-gets the hits from `count_at`.  Blocks are yielded one at a time, so
-memory is bounded by ``_BLOCK`` draws, not by the sample size.
+Sampling draws and counts in blocks of at most ``_BLOCK`` stream shifts
+(`_Block`).  One pass over the block per distinct row gives every draw's
+floor on that row and the draws where it is tight, shared by every body
+counted at the block: P, its dilates and translates and the parts of a
+union share rows, and -P takes P's floors negated, ``floor(-x) =
+~floor(x)`` plus 1 where x is an integer.  Nothing is shared across
+blocks.  Each distinct cell in the block is read from the body's memo or
+counted once, at its first draw, and then memoized, up to ``_MEMO_CAP``
+cells per body.  An empty body counts 0 at every draw, and so does a flat
+one, whose equality rows miss Z^d unless tight.  A draw where some row is
+tight is also walked on its own, which finds its boundary hits.
+`generic_draws` drops a draw where some body has one; `stream_counts`
+keeps every draw and gets the hits from `count_at`.  Blocks are yielded
+one at a time, so memory is bounded by ``_BLOCK`` draws, not by the
+sample size.
 
 A new cell is counted from the body's rim table (`_rim_table`), built by
 one walk at the body's first new cell.  Over s in [0, 1)^d a row's key
@@ -48,15 +53,18 @@ The table's walk puts every row at ``b + kmax``, the level rows too.  That
 loses no point: a lattice point z of some ``p + s`` has its prefix in the
 level-k projection moved by ``s[:k+1]``, so on each level row ``a . z <=
 b + floor(a . s) <= b + kmax``.  A point it adds in no ``p + s`` is in no
-cell's count either, since the body rows alone decide that.  The points at or below ``kmin`` on every body row, the core,
-are in every cell; they form a subinterval of each fiber, counted in O(1)
-like a whole fiber.  The rest, the rim, get one bit each, and
-``mask[i][k]`` holds the rim points with ``a_i . z - b_i <= k``.  A cell's
-count is the core plus the bits left in the AND of its rows' masks
-(dominance counting, Bentley 1980).  A body whose table would pass
-``_RIM_CAP`` bits is walked instead.  `count_at` never reads the table: it
-stays the full walk, an independent path for verifier witnesses and the
-tests' oracle.
+cell's count either, since the body rows alone decide that.  The points
+at or below ``kmin`` on every body row, the core, are in every cell; they
+form a subinterval of each fiber, counted in O(1) like a whole fiber.  The
+rest, the rim, get one bit each, and ``mask[i][k]`` holds the rim points
+with ``a_i . z - b_i <= k``.  A cell's count is the core plus the bits
+left in the AND of its rows' masks (dominance counting, Bentley 1980).
+The table is written column by column: along a fiber a row's entries are
+an arithmetic run clipped at 0, written at once, and each mask is one
+translate of the row's column into binary digits.  A body whose table
+would pass ``_RIM_CAP`` bits is walked instead.  `count_at` never reads
+the table: it stays the full walk, an independent path for verifier
+witnesses and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -67,7 +75,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, and_, floordiv, mul, neg, rshift, sub
+from operator import add, and_, floordiv, invert, mul, neg, rshift, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInput, NotConstant
@@ -80,6 +88,10 @@ _DYADIC_MASK = _DYADIC_DEN - 1
 _MEMO_CAP = 4096  # cells memoized per body; later cells are counted but not stored
 _BLOCK = 256  # stream draws counted together by generic_draws
 _RIM_CAP = 1 << 22  # bits of masks a body's rim table may hold
+# translate tables for rim masks: _AT_MOST[v] writes byte x as the digit
+# "1" if x <= v, else "0"; _DIGITS writes the bytes 0 and 1 as digits
+_AT_MOST = [b"1" * (v + 1) + b"0" * (255 - v) for v in range(256)]
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def seeded_random(seed: int) -> random.Random:
@@ -331,18 +343,52 @@ def _rim_table(plan: _CountPlan) -> tuple | bool:
     every body row, a subinterval, are the core, counted in every cell; the
     rest are the rim, one bit each.  ``rows`` holds ``(i, kmin_i, masks)``
     for each body row i that cuts some rim point at its least key,
-    ``masks[k - kmin_i]`` the rim points with ``a_i . z - b_i <= k``."""
+    ``masks[k - kmin_i]`` the rim points with ``a_i . z - b_i <= k``, rim
+    point j at digit j of the mask written in binary.  Row i's column
+    holds its entry ``a_i . z - b_i - kmin_i``, clipped at 0, at each rim
+    point: bytes where the row spans fewer than 256 keys, else a list."""
     body = plan.rows[plan.nlev:]
     kmin, kmax = zip(*map(_key_range, body))
     widths = list(map(sub, kmax, kmin))
-    # rim entries (points times rows) whose w + 1 masks per row fit in _RIM_CAP bits
-    cap = len(body) * (_RIM_CAP // (sum(widths) + len(widths)))
-    last, nnz = plan.cols[-1], plan.nnz
+    # rim points whose w + 1 masks per row fit in _RIM_CAP bits
+    cap = _RIM_CAP // (sum(widths) + len(widths))
+    last, npos, nnz = plan.cols[-1], plan.npos, plan.nnz
     ncore = 0
-    # each rim point's entries, row by row: a_i . z - b_i - kmin_i, or 0
-    # where that is negative
-    rim: bytearray | list = bytearray() if max(widths) < 256 else []
-    zero = itertools.repeat(0)
+    cols = [bytearray() if w < 256 else [] for w in widths]
+    first = cols[0]
+    rising = list(zip(cols[:npos], last[:npos]))
+    falling = list(zip(cols[npos:nnz], last[npos:nnz]))
+    level = cols[nnz:]
+
+    def run(lo, hi, C):
+        # the rim points z = lo..hi of one fiber: along it row i's entry
+        # z a_i - C_i is an arithmetic run, clipped at 0 below its zero
+        n = hi - lo + 1
+        zeros = bytes(n)
+        for (col, a), c in zip(rising, C):
+            k = c // a - lo + 1  # the entries <= 0 come first
+            if k >= n:
+                col.extend(zeros)
+                continue
+            if k > 0:
+                col.extend(zeros[:k])
+            else:
+                k = 0
+            v = a * (lo + k) - c
+            col.extend(range(v, v + a * (n - k), a))
+        for (col, a), c in zip(falling, C[npos:]):
+            k = (c + 1) // a - lo + 1  # the entries > 0 come first
+            if k <= 0:
+                col.extend(zeros)
+                continue
+            v = a * lo - c
+            if k >= n:
+                col.extend(range(v, v + a * n, a))
+                continue
+            col.extend(range(v, v + a * k, a))
+            col.extend(zeros[k:])
+        for col, c in zip(level, C[nnz:]):
+            col.extend(zeros if c >= 0 else itertools.repeat(-c, n))
 
     def fiber(R, prefix):
         # R: b + kmax - a . (prefix, 0) per body row, so at z_last = z a row's
@@ -351,37 +397,39 @@ def _rim_table(plan: _CountPlan) -> tuple | bool:
         # never negative here; at kmin it can still leave the fiber no core
         nonlocal ncore
         lo, hi = _span(plan, R)
-        if lo > hi or len(rim) > cap:
+        if lo > hi or len(first) > cap:
             return
         C = list(map(sub, R, widths))
         clo, chi = _span(plan, C)
-        zs = range(lo, hi + 1)
         if clo <= chi and min(C[nnz:], default=0) >= 0:
             ncore += chi - clo + 1
-            zs = itertools.chain(range(lo, clo), range(chi + 1, hi + 1))
-        for z in zs:
-            rim.extend(map(max, zero, map(sub, map(z.__mul__, last), C)))
+            if lo < clo:
+                run(lo, clo - 1, C)
+            if chi < hi:
+                run(chi + 1, hi, C)
+        else:
+            run(lo, hi, C)
 
     R = [b + _key_range(a)[1] for a, b in zip(plan.rows, plan.rhs)]
     _levels(plan, R, fiber, False)
-    if len(rim) > cap:
+    if len(first) > cap:
         return False
+    full = (1 << len(first)) - 1
     rows = []
-    for i, (k0, w) in enumerate(zip(kmin, widths)):
-        col = rim[i::len(body)]
-        if col and max(col):
-            # the masks for k = kmin_i .. kmax_i, digit j of each for rim point j
-            digits = bytearray(b"0" * len(col))
-            masks: list = []
-            for v, js in itertools.groupby(sorted(range(len(col)), key=col.__getitem__),
-                                           col.__getitem__):
-                masks += [masks[-1] if masks else 0] * (v - len(masks))
-                for j in js:
-                    digits[j] = 49  # ord("1")
-                masks.append(int(digits, 2))
-            masks += masks[-1:] * (w - v)
+    for i, (k0, w, col) in enumerate(zip(kmin, widths, cols)):
+        top = max(col, default=0)
+        if top:
+            # masks[v]: digit j is 1 where rim point j has entry <= v
+            least = min(col)
+            masks = [0] * least
+            if isinstance(col, bytearray):
+                masks += [int(col.translate(_AT_MOST[v]), 2) for v in range(least, top)]
+            else:
+                masks += [int(bytes(map(v.__ge__, col)).translate(_DIGITS), 2)
+                          for v in range(least, top)]
+            masks += [full] * (w + 1 - top)
             rows.append((i, k0, masks))
-    return ncore, (1 << len(rim) // len(body)) - 1, rows
+    return ncore, full, rows
 
 
 def _table_count(table: tuple, key: IVec) -> int:
@@ -393,32 +441,60 @@ def _table_count(table: tuple, key: IVec) -> int:
     return ncore + m.bit_count()
 
 
-def _cell_counts(p: Polytope, cols: list[list[int]], nums: list[IVec]) -> list:
-    """p's count at each draw of a block given column by column (`cols`) and
-    row by row (`nums`), None at a draw where p has a boundary hit.  Each
-    cell of the block is read from p's memo, or counted once from p's rim
-    table (`_rim_table`, built at the first new cell) or, where p has none,
-    walked at its first draw, and memoized: the count depends only on the
-    cell, even where a row is tight.  An empty body counts 0 everywhere,
-    and so does a flat one where none of its rows is tight: an equality
-    with a nonzero remainder misses Z^d.  A draw where a row is tight is
-    walked on its own for its boundary hits."""
+class _Block:
+    """One block of stream draws, column by column (`cols`) and row by row
+    (`nums`), with the floors of each body row met so far: every body
+    counted at the block shares them."""
+
+    __slots__ = ("cols", "nums", "rows")
+
+    def __init__(self, cols: list[list[int]]):
+        self.cols = cols
+        self.nums = list(zip(*cols))
+        self.rows: dict = {}
+
+    def floors(self, a: IVec) -> tuple[list[int], list[int]]:
+        """(``floor(a . m / 2**64)`` at each draw, the draws where row a is
+        tight), computed once per block; a row whose negation is known
+        takes ``floor(-x) = ~floor(x)``, plus 1 where x is an integer."""
+        got = self.rows.get(a)
+        if got is None:
+            flipped = self.rows.get(tuple(map(neg, a)))
+            if flipped is None:
+                # a . m for every draw: the floor over 2**64 is a shift, and
+                # the row is tight where the low 64 bits are 0
+                terms = [col if c == 1 else map(neg, col) if c == -1 else map(c.__mul__, col)
+                         for c, col in zip(a, self.cols) if c]
+                dots = list(functools.reduce(functools.partial(map, add), terms))
+                tight = []
+                if 0 in map(and_, dots, itertools.repeat(_DYADIC_MASK)):
+                    tight = [j for j, x in enumerate(dots) if not x & _DYADIC_MASK]
+                floors = list(map(rshift, dots, itertools.repeat(DYADIC_BITS)))
+            else:
+                floors, tight = flipped
+                floors = list(map(invert, floors))
+                for j in tight:
+                    floors[j] += 1
+            got = self.rows[a] = floors, tight
+        return got
+
+
+def _cell_counts(p: Polytope, block: _Block) -> list:
+    """p's count at each draw of a block, None at a draw where p has a
+    boundary hit.  Each cell of the block is read from p's memo, or counted
+    once from p's rim table (`_rim_table`, built at the first new cell) or,
+    where p has none, walked at its first draw, and memoized: the count
+    depends only on the cell, even where a row is tight.  An empty body
+    counts 0 everywhere, and so does a flat one where none of its rows is
+    tight: an equality with a nonzero remainder misses Z^d.  A draw where a
+    row is tight is walked on its own for its boundary hits."""
+    nums = block.nums
     plan = _plan(p)
     if plan is None:
         return [0] * len(nums)
-    if len(cols) != p.dim:
+    if len(block.cols) != p.dim:
         raise DegenerateInput("shift dimension does not match the polytope")
-    floors = []
-    tight: set = set()
-    for a in plan.rows[plan.nlev:]:
-        # a . m for every draw: the floor over 2**64 is a shift, and the row
-        # is tight where the low 64 bits are 0
-        terms = [col if c == 1 else map(neg, col) if c == -1 else map(c.__mul__, col)
-                 for c, col in zip(a, cols) if c]
-        dots = list(functools.reduce(functools.partial(map, add), terms))
-        if 0 in map(and_, dots, itertools.repeat(_DYADIC_MASK)):
-            tight.update(j for j, x in enumerate(dots) if not x & _DYADIC_MASK)
-        floors.append(map(rshift, dots, itertools.repeat(DYADIC_BITS)))
+    floors, tight = zip(*map(block.floors, plan.rows[plan.nlev:]))
     if plan.eq_rows:
         counts = [0] * len(nums)
     else:
@@ -439,18 +515,18 @@ def _cell_counts(p: Polytope, cols: list[list[int]], nums: list[IVec]) -> list:
                     memo[key] = count
             cells[key] = count
         counts = list(map(cells.__getitem__, keys))
-    for j in tight:
+    for j in set().union(*tight):
         res = _count_polytope(p, nums[j], _DYADIC_DEN)
         counts[j] = None if res.boundary_hits else res.count
     return counts
 
 
-def _block_counts(body: Body, cols: list[list[int]], nums: list[IVec]) -> list:
+def _block_counts(body: Body, block: _Block) -> list:
     """`_cell_counts` over a body; a union adds up its parts' counts, and
     has a boundary hit where a part has one."""
     if not isinstance(body, PolytopeUnion):
-        return _cell_counts(body, cols, nums)
-    parts = zip(*[_cell_counts(part, cols, nums) for part in body.parts])
+        return _cell_counts(body, block)
+    parts = zip(*[_cell_counts(part, block) for part in body.parts])
     return [None if None in c else sum(c) for c in parts]
 
 
@@ -468,9 +544,9 @@ def generic_draws(stream: ShiftStream, bodies: Sequence[Body], n: int, tries: in
     run = 0  # draws rejected since the last one taken
     while n > 0:
         k = min(n, _BLOCK)
-        cols = stream.block(k)
-        nums = list(zip(*cols))
-        counts = [_block_counts(b, cols, nums) for b in bodies]
+        block = _Block(stream.block(k))
+        nums = block.nums
+        counts = [_block_counts(b, block) for b in bodies]
         if not any(None in c for c in counts):
             yield nums, counts, [run] + [0] * (k - 1)
             run = 0
@@ -502,9 +578,8 @@ def stream_counts(stream: ShiftStream, body: Body, n: int) -> Iterator[tuple[Vec
     boundary hit, for its closed count and hits."""
     while n > 0:
         k = min(n, _BLOCK)
-        cols = stream.block(k)
-        nums = list(zip(*cols))
-        for m, count in zip(nums, _block_counts(body, cols, nums)):
+        block = _Block(stream.block(k))
+        for m, count in zip(block.nums, _block_counts(body, block)):
             s = tuple(Fraction(x, _DYADIC_DEN) for x in m)
             yield s, count_at(body, s) if count is None else CountResult(count)
         n -= k

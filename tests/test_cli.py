@@ -354,6 +354,9 @@ def test_output_to_file(tmp_path, capsys):
         (["volume", "--input", "simplex:2", "--out", "{dir}"], None),
         (["distribution", "--format", "csv", "--input", "simplex:2", "--out",
           "{dir}/missing/x.csv"], None),
+        # verify: a tag that checks one image or one instance takes no count of them
+        (["verify", "--identity", "negation-invariance", "--instances", "1"], None),
+        (["verify", "--identity", "corollary-4d-symmetric", "--instances", "1"], None),
     ],
 )
 def test_bad_input_exits_two_with_error_payload(argv, body, tmp_path, capsys):

@@ -462,6 +462,7 @@ CATALOG_BODIES = (
     + list(FLAT_BODIES)
     + [Polytope(3, [tuple(map(F, v)) for v in RATIONAL_3D["vertices"]])]
 )
+WIDE_ROW = Polytope(2, [(0, 0), (300, 0), (0, 1)])  # x + 300 y <= 300: one row spans 301 keys
 
 
 @pytest.mark.parametrize("p", CATALOG_BODIES)
@@ -581,8 +582,7 @@ def test_a_large_dilate_has_a_small_rim_and_exact_table_counts():
     dilate(random_lattice_polytope(3, 6, 3, seed=300), 5),
     half_step_union(dilate(random_lattice_polytope(3, 6, 3, seed=300), 3)),
     dilate(cross_polytope(4), 3),
-    # x + 300 y <= 300: one row spans 301 keys
-    Polytope(2, [(0, 0), (300, 0), (0, 1)]),
+    WIDE_ROW,
 ], ids=["3d-x5", "3d-x3-union", "cross4-x3", "wide-row"])
 def test_table_counts_equal_the_walk_on_large_bodies(body, monkeypatch):
     walked = spy_walks(monkeypatch)
@@ -613,6 +613,85 @@ def test_a_body_past_the_rim_cap_walks_its_new_cells(monkeypatch):
     for nums, (counts,), _ in draws:
         for m, count in zip(nums, counts):
             assert count == count_at(p, tuple(F(x, 2**64) for x in m)).count
+
+
+def reference_rim_table(plan):
+    """The rim table written point by point, as it was first built: each rim
+    point's entries row by row, then each row's masks from its entries
+    sorted by value."""
+    body = plan.rows[plan.nlev:]
+    kmin, kmax = zip(*map(counting._key_range, body))
+    widths = list(map(operator.sub, kmax, kmin))
+    cap = len(body) * (counting._RIM_CAP // (sum(widths) + len(widths)))
+    last, nnz = plan.cols[-1], plan.nnz
+    ncore = 0
+    rim = bytearray() if max(widths) < 256 else []
+    zero = itertools.repeat(0)
+
+    def fiber(R, prefix):
+        nonlocal ncore
+        lo, hi = counting._span(plan, R)
+        if lo > hi or len(rim) > cap:
+            return
+        C = list(map(operator.sub, R, widths))
+        clo, chi = counting._span(plan, C)
+        zs = range(lo, hi + 1)
+        if clo <= chi and min(C[nnz:], default=0) >= 0:
+            ncore += chi - clo + 1
+            zs = itertools.chain(range(lo, clo), range(chi + 1, hi + 1))
+        for z in zs:
+            rim.extend(map(max, zero, map(operator.sub, map(z.__mul__, last), C)))
+
+    R = [b + counting._key_range(a)[1] for a, b in zip(plan.rows, plan.rhs)]
+    counting._levels(plan, R, fiber, False)
+    if len(rim) > cap:
+        return False
+    rows = []
+    for i, (k0, w) in enumerate(zip(kmin, widths)):
+        col = rim[i::len(body)]
+        if col and max(col):
+            digits = bytearray(b"0" * len(col))
+            masks = []
+            for v, js in itertools.groupby(sorted(range(len(col)), key=col.__getitem__),
+                                           col.__getitem__):
+                masks += [masks[-1] if masks else 0] * (v - len(masks))
+                for j in js:
+                    digits[j] = 49
+                masks.append(int(digits, 2))
+            masks += masks[-1:] * (w - v)
+            rows.append((i, k0, masks))
+    return ncore, (1 << len(rim) // len(body)) - 1, rows
+
+
+@pytest.mark.parametrize("p", CATALOG_BODIES + [WIDE_ROW])
+def test_rim_table_equals_the_point_major_reference(p):
+    # the table is written column by column, one arithmetic run per row and
+    # fiber; on the wide row a column holds entries past a byte
+    plan = counting._plan(fresh_copy(p))
+    assert counting._rim_table(plan) == reference_rim_table(plan)
+
+
+def test_the_wide_row_takes_the_list_path():
+    # its column holds entries past a byte: its masks still change there
+    ncore, full, rows = counting._rim_table(counting._plan(fresh_copy(WIDE_ROW)))
+    wide = [masks for _, _, masks in rows if len(masks) > 256]
+    assert wide and any(masks[255] != masks[-1] for masks in wide)
+
+
+@given(table_bodies())
+@settings(max_examples=80, deadline=None)
+def test_rim_table_equals_the_point_major_reference_on_table_bodies(body):
+    for p in body.parts if isinstance(body, PolytopeUnion) else (body,):
+        if p.is_full_dim:
+            plan = counting._plan(fresh_copy(p))
+            assert counting._rim_table(plan) == reference_rim_table(plan)
+
+
+def test_rim_table_past_the_cap_is_false_as_in_the_reference(monkeypatch):
+    monkeypatch.setattr(counting, "_RIM_CAP", 4096)
+    plan = counting._plan(fresh_copy(dilate(cross_polytope(4), 3)))
+    assert counting._rim_table(plan) is False
+    assert reference_rim_table(plan) is False
 
 
 def test_count_at_never_reads_the_table_or_the_memo(monkeypatch):
@@ -727,6 +806,42 @@ def test_generic_draws_keep_a_tight_draw_without_boundary_hits():
         ([(2**63, 2**62)], [[count_at(tri, shifts[2]).count]], [1]),
     ]
     assert count_at(tri, shifts[0]).is_generic and not count_at(tri, shifts[1]).is_generic
+
+
+@pytest.mark.parametrize("p", [random_lattice_polytope(3, 6, 3, seed=300), reeve_tetrahedron(3),
+                               cross_polytope(3)], ids=["rand3", "reeve3", "octahedron"])
+def test_bodies_sharing_a_block_count_as_each_alone(p):
+    # P, -P, 2P, P + t and a two-part union share rows and negated rows; a
+    # hand-made block holds draws where rows are tight, with and without a
+    # boundary hit: m = 0, and coordinates at 1/2 = 2**63 / 2**64
+    bodies = [p, p.negated(), dilate(p, 2), p.translated((F(1, 3), F(1, 2), 0)),
+              half_step_union(p)]
+    stream = ShiftStream(3, 5)
+    draws = [stream.numerators() for _ in range(30)] + [
+        (0, 0, 0), (2**63, 0, 0), (2**63, 2**63, 5), (1, 2**63, 2**62), (2**63, 2**63, 2**63)]
+    cols = [list(c) for c in zip(*draws)]
+    block = counting._Block(cols)
+    shared = [counting._block_counts(body, block) for body in bodies]
+    for body, counts in zip(bodies, shared):
+        assert counts == counting._block_counts(fresh_copy(body), counting._Block(cols))
+        parts = body.parts if isinstance(body, PolytopeUnion) else (body,)
+        for m, count in zip(draws, counts):
+            res = [counting._count_polytope(q, m, 2**64) for q in parts]
+            hit = any(r.boundary_hits for r in res)
+            assert count == (None if hit else sum(r.count for r in res))
+    rows = block.rows
+    assert any(tuple(-c for c in a) in rows for a in rows)
+    # each shared row's floors and tight draws, a negated row's too, are the row's own
+    for a, (floors, tight) in rows.items():
+        dots = [sum(map(operator.mul, a, m)) for m in draws]
+        assert floors == [x >> 64 for x in dots]
+        assert tight == [j for j, x in enumerate(dots) if x % 2**64 == 0]
+    tight = set().union(*[t for _, t in rows.values()])
+    assert tight <= set(range(30, 35))
+    # P's lattice vertices are on its boundary at m = 0; P + t keeps some
+    # tight draw, so its count there is a number
+    assert shared[0][30] is None
+    assert any(shared[3][j] is not None for j in tight)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])

@@ -254,6 +254,50 @@ def test_corollary_chain_consistency_on_symmetric_instances():
                 assert rn.count == rhs
 
 
+def reference_relations(wit, label, bodies, seed, shifts, relations):
+    """The relation check draw by draw and relation by relation, as it was
+    first written: the witnesses come shift by shift."""
+    from polyshift.counting import ShiftStream, generic_draws
+    from polyshift.verifier import _witness
+
+    for nums, block, _ in generic_draws(ShiftStream(bodies[0].dim, seed), bodies, shifts):
+        for shift, counts in zip(nums, zip(*block)):
+            for suffix, lhs, rhs, constant in relations:
+                left = sum(c * counts[i] for c, i in lhs)
+                right = sum(c * counts[i] for c, i in rhs) + constant
+                if left != right:
+                    _witness(wit, label + suffix, shift, left, right)
+
+
+def test_relation_witnesses_come_shift_by_shift_up_to_the_cap(monkeypatch):
+    # one piece's multiplicity off by one: every dilate's relation fails
+    # wherever that piece counts a point, several relations at one draw
+    from polyshift import catalog, verifier
+
+    class OffByOne(catalog.ScalingDecomposition):
+        def multiplicity(self, k, n):
+            return super().multiplicity(k, n) + (k == 1)
+
+    real = catalog.scaling_decomposition
+    monkeypatch.setattr(catalog, "scaling_decomposition", lambda base, kind: OffByOne(
+        **vars(real(base, kind))))
+    calls = []
+    check = verifier._relations
+    monkeypatch.setattr(verifier, "_relations",
+                        lambda *args: calls.append(args) or check(*args))
+    report = verify("scaling-simplex", instances=1, shifts=40, n_max=3, seed=2)
+    expected: list = []
+    for wit, *args in calls:
+        reference_relations(expected, *args)
+    assert report.status == FAIL
+    assert report.witnesses == expected
+    assert len(expected) == verifier._MAX_WITNESSES
+    # the first failing draw fails every relation n = 1..3, in order, and
+    # later draws follow
+    assert [w.instance for w in expected[:3]] == [f"simplex-d2-#0 n={n}" for n in (1, 2, 3)]
+    assert len({w.shift for w in expected}) > 1
+
+
 def test_verify_with_explicit_zonotope_instance():
     from polyshift.catalog import hexagon_zonotope
 
