@@ -8,15 +8,12 @@ from .counting import (
     ZonotopeSpec,
     count_at,
     generic_count,
-    parallelepiped_index,
     zonotope_constant,
     zonotope_polytope,
 )
 from .distributions import (
-    ComparisonReport,
     CountDistribution,
     MomentReport,
-    compare_distributions,
     exact_covariance,
     exact_distribution,
     exact_mean,
@@ -28,7 +25,6 @@ from .errors import (
     DegenerateInput,
     GeometryError,
     Infeasible,
-    InsufficientSamples,
     NotConstant,
     SingularMatrix,
     Unbounded,
@@ -39,10 +35,8 @@ from .geometry import (
     Polytope,
     PolytopeUnion,
     affine_image,
-    bounding_box,
     clip,
     determinant,
-    facets_from_vertices,
     halfspace,
     intersect,
     minkowski_sum,

@@ -76,7 +76,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, and_, floordiv, invert, mul, neg, rshift, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DegenerateInput, NotConstant
 from .geometry import (Body, IVec, Polytope, PolytopeUnion, Vec, _homogenize, as_vec, determinant,
@@ -300,11 +300,11 @@ def _walk(plan: _CountPlan, m: IVec, D: int) -> tuple[int, list]:
 
 def _count_polytope(p: Polytope, m: IVec, D: int) -> CountResult:
     """Exact count of z in Z^d with z in p + m/D, for m in [0, D)^d."""
+    if len(m) != p.dim:
+        raise DegenerateInput("shift dimension does not match the polytope")
     plan = _plan(p)
     if plan is None:
         return _NONE
-    if len(m) != p.dim:
-        raise DegenerateInput("shift dimension does not match the polytope")
     count, hits = _walk(plan, m, D)
     return CountResult(count, tuple(hits))
 
@@ -489,11 +489,11 @@ def _cell_counts(p: Polytope, block: _Block) -> list:
     tight: an equality with a nonzero remainder misses Z^d.  A draw where a
     row is tight is walked on its own for its boundary hits."""
     nums = block.nums
+    if len(block.cols) != p.dim:
+        raise DegenerateInput("shift dimension does not match the polytope")
     plan = _plan(p)
     if plan is None:
         return [0] * len(nums)
-    if len(block.cols) != p.dim:
-        raise DegenerateInput("shift dimension does not match the polytope")
     floors, tight = zip(*map(block.floors, plan.rows[plan.nlev:]))
     if plan.eq_rows:
         counts = [0] * len(nums)
@@ -592,6 +592,8 @@ def generic_count(body: Body, seed: int = 0, *, trials: int = 8) -> int:
     and checks the count over several independent generic shifts;
     disagreement raises NotConstant, flagging misuse.
     """
+    if trials < 1:
+        raise DegenerateInput("trials must be at least 1")
     draws = generic_draws(ShiftStream(body.dim, seed), [body], trials)
     values = {c for _, (counts,), _ in draws for c in counts}
     if len(values) > 1:
@@ -600,22 +602,7 @@ def generic_count(body: Body, seed: int = 0, *, trials: int = 8) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parallelepipeds and zonotopes
-
-
-def parallelepiped_index(generators: Sequence[Iterable]) -> int:
-    """|det| of d generators = index of the spanned sublattice = the
-    almost-sure lattice count of the parallelepiped they span."""
-    gens = [as_vec(g) for g in generators]
-    d = len(gens)
-    if any(len(g) != d for g in gens):
-        raise DegenerateInput("need d generators of length d")
-    det = determinant(gens)
-    if det == 0:
-        raise DegenerateInput("generators are linearly dependent")
-    if det.denominator != 1:
-        raise DegenerateInput("generators must be integer vectors")
-    return abs(int(det))
+# zonotopes
 
 
 @dataclass(frozen=True)

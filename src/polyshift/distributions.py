@@ -21,7 +21,6 @@ Three independent routes to the same quantities live here:
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +31,6 @@ from .counting import ShiftStream, generic_draws
 from .errors import (
     CellBudgetExceeded,
     DegenerateInput,
-    InsufficientSamples,
     InvariantViolation,
 )
 from .geometry import (
@@ -376,100 +374,4 @@ def mc_distribution(body: Body, samples: int, seed: int = 0) -> CountDistributio
         freqs=dict(sorted(freqs.items())),
         samples=samples,
         redraws=redraws,
-    )
-
-
-# ---------------------------------------------------------------------------
-# comparison
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    method: str
-    equal: Optional[bool] = None
-    chi2: Optional[float] = None
-    p_value: Optional[float] = None
-    dof: Optional[int] = None
-
-
-def _chi2_sf(stat: float, dof: int) -> float:
-    """Upper tail of the chi-square law with integer ``dof`` >= 1.
-
-    This is the regularized gamma Q(dof/2, y) with y = stat/2: for even dof
-    the finite Poisson series e^-y (1 + y + ... + y^(k-1)/(k-1)!), k = dof/2;
-    for odd dof erfc(sqrt y) plus e^-y times the sum of
-    y^(i-1/2) / Gamma(i + 1/2) over i = 1 .. (dof-1)/2.
-    """
-    y = stat / 2
-    if dof % 2 == 0:
-        term = total = 1.0
-        for i in range(1, dof // 2):
-            term *= y / i
-            total += term
-        return math.exp(-y) * total
-    total = math.erfc(math.sqrt(y))
-    term = math.sqrt(y) / math.gamma(1.5)
-    for i in range(1, (dof + 1) // 2):
-        total += math.exp(-y) * term
-        term *= y / (i + 0.5)
-    return total
-
-
-def compare_distributions(
-    a: CountDistribution, b: CountDistribution, min_expected: float = 5.0
-) -> ComparisonReport:
-    """Exact/exact: rational equality.  Exact/empirical: chi-square
-    goodness of fit over the exact support.  Empirical/empirical:
-    two-sample chi-square over the pooled support."""
-    if a.kind == "exact" and b.kind == "exact":
-        return ComparisonReport(
-            method="exact-equality", equal=a.probability_map() == b.probability_map()
-        )
-    if a.kind == "exact" or b.kind == "exact":
-        exact, emp = (a, b) if a.kind == "exact" else (b, a)
-        support = exact.support()
-        expected = {m: emp.samples * exact.probability(m) for m in support}
-        if min(expected.values()) < min_expected:
-            raise InsufficientSamples(
-                f"expected bin count below {min_expected}; draw more samples"
-            )
-        outside = sum(f for m, f in emp.freqs.items() if m not in support)
-        if outside:
-            return ComparisonReport(
-                method="chi-square-goodness-of-fit",
-                chi2=math.inf,
-                p_value=0.0,
-                dof=len(support) - 1,
-            )
-        stat = 0.0
-        for m in support:
-            e = float(expected[m])
-            o = emp.freqs.get(m, 0)
-            stat += (o - e) ** 2 / e
-        dof = len(support) - 1
-        return ComparisonReport(
-            method="chi-square-goodness-of-fit",
-            chi2=stat,
-            p_value=_chi2_sf(stat, dof),
-            dof=dof,
-        )
-    support = sorted(set(a.support()) | set(b.support()))
-    n_a, n_b = a.samples, b.samples
-    pooled = {m: Fraction(a.freqs.get(m, 0) + b.freqs.get(m, 0), n_a + n_b) for m in support}
-    stat = 0.0
-    for m in support:
-        for dist, n in ((a, n_a), (b, n_b)):
-            e = float(n * pooled[m])
-            if e < min_expected:
-                raise InsufficientSamples(
-                    f"expected bin count below {min_expected}; draw more samples"
-                )
-            o = dist.freqs.get(m, 0)
-            stat += (o - e) ** 2 / e
-    dof = len(support) - 1
-    return ComparisonReport(
-        method="chi-square-two-sample",
-        chi2=stat,
-        p_value=_chi2_sf(stat, dof),
-        dof=dof,
     )

@@ -30,10 +30,6 @@ class CellBudgetExceeded(GeometryError):
     """Exact distribution cell decomposition grew past the configured cap."""
 
 
-class InsufficientSamples(GeometryError):
-    """Chi-square comparison would have an expected bin count below threshold."""
-
-
 class UnknownIdentity(GeometryError):
     """Verification was requested for an identity tag outside the closed set."""
 

@@ -721,13 +721,6 @@ def volume(body: Body) -> Fraction:
 # enumeration between representations
 
 
-def facets_from_vertices(p: Polytope) -> list[HalfSpace]:
-    """Complete irredundant facet list of a full-dimensional polytope."""
-    if not p.is_full_dim:
-        raise DegenerateInput("vertices are not full-dimensional")
-    return list(p.facets())
-
-
 def vertices_from_facets(halfspaces: Sequence[HalfSpace], dim: int) -> Polytope:
     """The polytope cut out by a halfspace system: the box [-B, B]^dim
     clipped by each halfspace in turn (the primal double description
@@ -924,10 +917,6 @@ def dilate(p: Polytope, n: int) -> Polytope:
         raise DegenerateInput("dilation factor must be positive")
     return p._image([tuple(n * x for x in v) for v in p.numerators], p.denominator,
                     lambda h: HalfSpace._from_ints(*_primitive(h.coeffs, n * h.rhs)))
-
-
-def bounding_box(p: Polytope) -> tuple[Vec, Vec]:
-    return p.bounding_box()
 
 
 def unit_cube(d: int) -> Polytope:

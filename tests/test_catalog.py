@@ -188,14 +188,14 @@ def test_transform_columns_index_equals_simplex_count():
     # almost-sure count of the spanned parallelepiped
     import math
 
-    from polyshift.counting import parallelepiped_index
+    from polyshift.counting import ZonotopeSpec, zonotope_constant
 
     for seed in (3, 4, 5):
         simplex = random_lattice_simplex(3, 3, seed=seed)
         dec = scaling_decomposition(simplex, "simplex")
         (mat, _t) = dec.transforms[0]
         cols = list(zip(*mat))
-        idx = parallelepiped_index(cols)
+        idx = zonotope_constant(ZonotopeSpec(3, cols))
         assert idx == math.factorial(3) * volume(simplex) == dec.constant_sum
 
 

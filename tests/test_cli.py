@@ -295,7 +295,7 @@ def test_byte_determinism_across_processes():
 
 
 def test_runtime_does_not_import_scipy():
-    # scipy is a test-only dependency; the chi-square tail is closed form
+    # scipy is a test-only dependency: only the tests' chi-square check uses it
     code = (
         "import sys, polyshift.cli; "
         "polyshift.cli.main(['distribution', '--method', 'mc', '--samples', '50', '--input', 'reeve:2']); "

@@ -34,7 +34,6 @@ from polyshift.counting import (
     count_at,
     generic_draws,
     generic_count,
-    parallelepiped_index,
     zonotope_constant,
     zonotope_polytope,
     zonotope_spec_from_json,
@@ -740,7 +739,7 @@ def test_generic_count_cube():
 def test_generic_count_matches_parallelepiped_index():
     gens = [(1, 1), (0, 2)]
     para = Polytope(2, [(0, 0), (1, 1), (0, 2), (1, 3)])
-    assert parallelepiped_index(gens) == 2
+    assert zonotope_constant(ZonotopeSpec(2, gens)) == 2
     # brute-force oracle over 100 generic shifts
     stream = ShiftStream(2, seed=13)
     counts = set()
@@ -755,17 +754,34 @@ def test_generic_count_matches_parallelepiped_index():
 
 
 def test_parallelepiped_index_standard_basis():
-    assert parallelepiped_index([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
+    # a parallelepiped is the zonotope of its d generators
+    assert zonotope_constant(ZonotopeSpec(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])) == 1
 
 
 def test_parallelepiped_index_degenerate():
     with pytest.raises(DegenerateInput):
-        parallelepiped_index([(1, 1), (2, 2)])
+        zonotope_constant(ZonotopeSpec(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]))
 
 
 def test_generic_count_detects_nonconstant():
     with pytest.raises(NotConstant):
         generic_count(standard_simplex(2), seed=3, trials=32)
+
+
+def test_generic_count_rejects_no_trials():
+    for trials in (0, -1):
+        with pytest.raises(DegenerateInput, match="trials"):
+            generic_count(unit_cube(2), trials=trials)
+
+
+def test_empty_body_rejects_a_wrong_length_shift():
+    # the shift's length is checked before an empty body counts 0
+    empty = Polytope.empty(3)
+    assert count_at(empty, (F(1, 2),) * 3) == CountResult(0)
+    with pytest.raises(DegenerateInput, match="shift dimension"):
+        count_at(empty, (F(1, 2),))
+    with pytest.raises(DegenerateInput, match="shift dimension"):
+        next(generic_draws(ShiftStream(2, 0), [empty], 1))
 
 
 def test_generic_draws_redraw_on_boundary_hits_then_give_up():

@@ -23,12 +23,10 @@ from polyshift.geometry import (
     Polytope,
     affine_image,
     as_vec,
-    bounding_box,
     clip,
     clip_both,
     determinant,
     dilate,
-    facets_from_vertices,
     halfspace,
     intersect,
     minkowski_sum,
@@ -109,7 +107,7 @@ def key(h):
 
 def test_unit_square_facets():
     square = Polytope(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
-    keys = {key(h) for h in facets_from_vertices(square)}
+    keys = {key(h) for h in square.facets()}
     expected = {
         key(halfspace((-1, 0), 0)),
         key(halfspace((0, -1), 0)),
@@ -120,7 +118,7 @@ def test_unit_square_facets():
 
 
 def test_simplex3_facets():
-    facets = facets_from_vertices(standard_simplex(3))
+    facets = standard_simplex(3).facets()
     assert len(facets) == 4
     keys = {key(h) for h in facets}
     assert key(halfspace((1, 1, 1), 1)) in keys
@@ -132,7 +130,7 @@ def test_simplex3_facets():
 
 def test_reeve_facets_tight_at_three_vertices():
     t2 = reeve_tetrahedron(2)
-    facets = facets_from_vertices(t2)
+    facets = t2.facets()
     assert len(facets) == 4
     for h in facets:
         assert sum(1 for v in t2.vertices if h.value(v) == 0) == 3
@@ -141,7 +139,7 @@ def test_reeve_facets_tight_at_three_vertices():
 def test_facets_require_full_dimension():
     flat = Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     with pytest.raises(DegenerateInput):
-        facets_from_vertices(flat)
+        flat.facets()
 
 
 def test_box_vertices_from_facets():
@@ -408,9 +406,9 @@ def test_affine_rejects_singular():
 
 
 def test_bounding_boxes():
-    assert bounding_box(standard_simplex(3)) == (as_vec((0, 0, 0)), as_vec((1, 1, 1)))
-    assert bounding_box(reeve_tetrahedron(5)) == (as_vec((0, 0, 0)), as_vec((1, 1, 5)))
-    assert bounding_box(hexagon()) == (as_vec((0, 0)), as_vec((2, 2)))
+    assert standard_simplex(3).bounding_box() == (as_vec((0, 0, 0)), as_vec((1, 1, 1)))
+    assert reeve_tetrahedron(5).bounding_box() == (as_vec((0, 0, 0)), as_vec((1, 1, 5)))
+    assert hexagon().bounding_box() == (as_vec((0, 0)), as_vec((2, 2)))
 
 
 # ---------------------------------------------------------------------------
