@@ -33,7 +33,6 @@ from .errors import (
 from .geometry import (
     HalfSpace,
     Polytope,
-    PolytopeUnion,
     affine_image,
     clip,
     determinant,
@@ -44,7 +43,6 @@ from .geometry import (
     polytope_to_json,
     unit_cube,
     vertices_from_facets,
-    volume,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,6 @@ from .geometry import (
     IVec,
     Mat,
     Polytope,
-    PolytopeUnion,
     Vec,
     ONE,
     ZERO,
@@ -118,13 +117,14 @@ def piece_multiplicity(k: int, n: int, d: int) -> int:
 class ScalingDecomposition:
     """Pieces P_1..P_d with X(n*base) = sum_k C(n-k+d, d) * X(P_k).
 
-    Each piece is a union of affine images of the cube slab pieces, one
-    image per simplex of the base triangulation; the piece counts sum to a
-    shift-independent constant equal to d! * vol(base).
+    Each piece is a tuple of parts, the affine images of a cube slab piece,
+    one image per simplex of the base triangulation; a piece's count is the
+    sum of its parts' counts, which the verifier's relations add up.  The
+    piece counts sum to a shift-independent constant equal to d! * vol(base).
     """
 
     dim: int
-    pieces: list[PolytopeUnion]
+    pieces: list[tuple[Polytope, ...]]
     transforms: list[tuple[tuple[IVec, ...], IVec]]
     constant_sum: int
 
@@ -164,10 +164,7 @@ def scaling_decomposition(base: Polytope, kind: str = "polyhedron") -> ScalingDe
         raise DegenerateInput(f"unknown decomposition kind: {kind!r}")
     slabs = slab_pieces(d)
     transforms = [_simplex_transform(s) for s in simplices]
-    pieces = []
-    for k in range(1, d + 1):
-        parts = [affine_image(slabs[k - 1], m, t) for m, t in transforms]
-        pieces.append(PolytopeUnion(tuple(parts)))
+    pieces = [tuple(affine_image(slab, m, t) for m, t in transforms) for slab in slabs]
     constant = sum(abs(int(determinant(m))) for m, _ in transforms)
     return ScalingDecomposition(d, pieces, transforms, constant)
 
@@ -291,12 +288,12 @@ def centrally_symmetric_polytope(d: int, point_count: int, box: int, seed: int =
     raise DegenerateInput("no full-dimensional draw within the rejection cap")
 
 
-def cross_polytope(d: int, scale: int = 1) -> Polytope:
-    """conv{+-scale * e_i}: centrally symmetric about the origin."""
+def cross_polytope(d: int) -> Polytope:
+    """conv{+-e_i}: centrally symmetric about the origin."""
     verts = []
     for i in range(d):
         e = [0] * d
-        e[i] = scale
+        e[i] = 1
         verts.append(tuple(e))
         verts.append(tuple(-x for x in e))
     return Polytope(d, verts)

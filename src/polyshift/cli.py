@@ -30,7 +30,7 @@ from .distributions import (
     mc_distribution,
 )
 from .errors import GeometryError, InvariantViolation
-from .geometry import Polytope, polytope_from_json, polytope_to_json, volume
+from .geometry import Polytope, polytope_from_json, polytope_to_json
 from .verifier import FAIL, IDENTITY_TAGS, reeve_audit, verify
 
 CONSTRUCTION_FORMS = (
@@ -123,7 +123,7 @@ def _run_volume(args) -> int:
             "input": args.input,
             "seed": args.seed,
             "dim": poly.dim,
-            "volume": str(volume(poly)),
+            "volume": str(poly.volume()),
             "isLattice": poly.is_lattice,
         },
         args.out,

@@ -33,13 +33,15 @@ Sampling draws and counts in blocks of at most ``_BLOCK`` stream shifts
 (`_Block`).  One pass over the block per distinct row gives every draw's
 floor on that row and the draws where it is tight, shared by every body
 counted at the block: P, its dilates and translates and the parts of a
-union share rows, and -P takes P's floors negated, ``floor(-x) =
-~floor(x)`` plus 1 where x is an integer.  Nothing is shared across
-blocks.  Each distinct cell in the block is read from the body's memo or
-counted once, at its first draw, and then memoized, up to ``_MEMO_CAP``
-cells per body.  An empty body counts 0 at every draw, and so does a flat
-one, whose equality rows miss Z^d unless tight.  A draw where some row is
-tight is also walked on its own, which finds its boundary hits.
+scaling piece share rows, and -P takes P's floors negated, ``floor(-x) =
+~floor(x)`` plus 1 where x is an integer.  (A scaling piece is a tuple of
+parts, each counted as a body of its own; the verifier's relations add up
+their counts.)  Nothing is shared across blocks.  Each distinct cell in
+the block is read from the body's memo or counted once, at its first
+draw, and then memoized, up to ``_MEMO_CAP`` cells per body.  An empty
+body counts 0 at every draw, and so does a flat one, whose equality rows
+miss Z^d unless tight.  A draw where some row is tight is also walked on
+its own, which finds its boundary hits.
 `generic_draws` drops a draw where some body has one; `stream_counts`
 keeps every draw and gets the hits from `count_at`.  Blocks are yielded
 one at a time, so memory is bounded by ``_BLOCK`` draws, not by the
@@ -79,8 +81,8 @@ from operator import add, and_, floordiv, invert, mul, neg, rshift, sub
 from typing import Iterator, Sequence
 
 from .errors import DegenerateInput, NotConstant
-from .geometry import (Body, IVec, Polytope, PolytopeUnion, Vec, _homogenize, as_vec, determinant,
-                       minkowski_sum, parse_json_rows, parse_rational, segment, zero_vec)
+from .geometry import (IVec, Polytope, Vec, _homogenize, as_vec, determinant, minkowski_sum,
+                       parse_json_rows, parse_rational, segment, zero_vec)
 
 DYADIC_BITS = 64
 _DYADIC_DEN = 1 << DYADIC_BITS
@@ -309,24 +311,22 @@ def _count_polytope(p: Polytope, m: IVec, D: int) -> CountResult:
     return CountResult(count, tuple(hits))
 
 
-def count_at(body: Body, shift) -> CountResult:
-    """Number of lattice points inside ``body + shift`` (closed count).
+def count_at(p: Polytope, shift) -> CountResult:
+    """Number of lattice points inside ``p + shift`` (closed count).
 
     ``shift`` is any rational vector; it is reduced modulo Z^d and the
-    boundary hits are translated back.  Unions count additively over their
-    parts, matching the almost-sure additivity of counts over
-    interior-disjoint families.  Every call walks the body afresh: it reads
-    neither the memo nor the rim table that `generic_draws` keeps.
+    boundary hits are translated back.  One body is counted: a family such
+    as a scaling piece is counted part by part, and its caller adds the
+    parts' counts.  Every call walks the body afresh: it reads neither the
+    memo nor the rim table that `generic_draws` keeps.
     """
     (full,), D = _homogenize([as_vec(shift)])
     m = tuple(x % D for x in full)
-    parts = body.parts if isinstance(body, PolytopeUnion) else (body,)
-    res = [_count_polytope(part, m, D) for part in parts]
-    hits = tuple(z for r in res for z in r.boundary_hits)
-    if m != full and hits:
+    res = _count_polytope(p, m, D)
+    if m != full and res.boundary_hits:
         off = [x // D for x in full]
-        hits = tuple(tuple(map(add, z, off)) for z in hits)
-    return CountResult(sum(r.count for r in res), hits)
+        res = CountResult(res.count, tuple(tuple(map(add, z, off)) for z in res.boundary_hits))
+    return res
 
 
 def _key_range(a: IVec) -> tuple[int, int]:
@@ -521,16 +521,7 @@ def _cell_counts(p: Polytope, block: _Block) -> list:
     return counts
 
 
-def _block_counts(body: Body, block: _Block) -> list:
-    """`_cell_counts` over a body; a union adds up its parts' counts, and
-    has a boundary hit where a part has one."""
-    if not isinstance(body, PolytopeUnion):
-        return _cell_counts(body, block)
-    parts = zip(*[_cell_counts(part, block) for part in body.parts])
-    return [None if None in c else sum(c) for c in parts]
-
-
-def generic_draws(stream: ShiftStream, bodies: Sequence[Body], n: int, tries: int = 64
+def generic_draws(stream: ShiftStream, bodies: Sequence[Polytope], n: int, tries: int = 64
                   ) -> Iterator[tuple[list[IVec], list[list[int]], list[int]]]:
     """The first n draws from `stream` generic for every body, in blocks of
     at most ``_BLOCK``: each block is (the draws' numerators over
@@ -546,7 +537,7 @@ def generic_draws(stream: ShiftStream, bodies: Sequence[Body], n: int, tries: in
         k = min(n, _BLOCK)
         block = _Block(stream.block(k))
         nums = block.nums
-        counts = [_block_counts(b, block) for b in bodies]
+        counts = [_cell_counts(b, block) for b in bodies]
         if not any(None in c for c in counts):
             yield nums, counts, [run] + [0] * (k - 1)
             run = 0
@@ -571,21 +562,21 @@ def generic_draws(stream: ShiftStream, bodies: Sequence[Body], n: int, tries: in
                 f"no shift generic for every body in {tries} draws; degenerate instance")
 
 
-def stream_counts(stream: ShiftStream, body: Body, n: int) -> Iterator[tuple[Vec, CountResult]]:
-    """The next n draws from `stream`, in order, each with body's closed
+def stream_counts(stream: ShiftStream, p: Polytope, n: int) -> Iterator[tuple[Vec, CountResult]]:
+    """The next n draws from `stream`, in order, each with p's closed
     count there.  Each block of at most ``_BLOCK`` draws is counted by cell
-    (`_block_counts`); `count_at` walks only a draw where the body has a
-    boundary hit, for its closed count and hits."""
+    (`_cell_counts`); `count_at` walks only a draw where p has a boundary
+    hit, for its closed count and hits."""
     while n > 0:
         k = min(n, _BLOCK)
         block = _Block(stream.block(k))
-        for m, count in zip(block.nums, _block_counts(body, block)):
+        for m, count in zip(block.nums, _cell_counts(p, block)):
             s = tuple(Fraction(x, _DYADIC_DEN) for x in m)
-            yield s, count_at(body, s) if count is None else CountResult(count)
+            yield s, count_at(p, s) if count is None else CountResult(count)
         n -= k
 
 
-def generic_count(body: Body, seed: int = 0, *, trials: int = 8) -> int:
+def generic_count(body: Polytope, seed: int = 0, *, trials: int = 8) -> int:
     """Almost-sure count of a body whose generic count is constant.
 
     Draws shifts until generic (`generic_draws`, with its default `tries`)

@@ -34,17 +34,14 @@ from .errors import (
     InvariantViolation,
 )
 from .geometry import (
-    Body,
     HalfSpace,
     Polytope,
-    PolytopeUnion,
     ZERO,
     clip,
     clip_both,
     minkowski_sum,
     sides,
     unit_cube,
-    volume,
 )
 
 
@@ -55,7 +52,7 @@ class MomentReport:
 
     def __post_init__(self):
         if self.variance < 0:
-            raise DegenerateInput("variance must be nonnegative")
+            raise InvariantViolation("variance must be nonnegative")
 
 
 @dataclass
@@ -115,20 +112,18 @@ class CountDistribution:
 # moments
 
 
-def _require_full_dim(body: Body, what: str):
-    parts = body.parts if isinstance(body, PolytopeUnion) else (body,)
-    for part in parts:
-        if not part.is_full_dim:
-            raise DegenerateInput(
-                f"{what} requires full-dimensional parts; a lower-dimensional "
-                "body captures lattice points with probability zero"
-            )
+def _require_full_dim(p: Polytope, what: str):
+    if not p.is_full_dim:
+        raise DegenerateInput(
+            f"{what} requires full-dimensional parts; a lower-dimensional "
+            "body captures lattice points with probability zero"
+        )
 
 
-def exact_mean(body: Body) -> Fraction:
+def exact_mean(p: Polytope) -> Fraction:
     """The expected count is exactly the volume."""
-    _require_full_dim(body, "exact_mean")
-    return volume(body)
+    _require_full_dim(p, "exact_mean")
+    return p.volume()
 
 
 # A signed permutation x -> (s_0 x_{j_0}, ..., s_{d-1} x_{j_{d-1}}), as the
@@ -241,8 +236,6 @@ def exact_covariance(p: Polytope, q: Polytope) -> Fraction:
     the interior translates exactly once, or InvariantViolation is raised.
     For p != q, G holds the identity alone.
     """
-    if not isinstance(p, Polytope) or not isinstance(q, Polytope):
-        raise DegenerateInput("covariance is defined for single polytopes")
     if p.dim != q.dim:
         raise DegenerateInput("covariance requires equal ambient dimensions")
     _require_full_dim(p, "exact_covariance")
@@ -313,7 +306,7 @@ def _overlay(cells: list[tuple[Polytope, int]], facets: list[HalfSpace]
     return out
 
 
-def exact_distribution(body: Body, cell_budget: int = 10**6) -> CountDistribution:
+def exact_distribution(p: Polytope, cell_budget: int = 10**6) -> CountDistribution:
     """Exact law of the count under a uniform unit-cube shift.
 
     The count at x is the number of integer z with x in z - P, so the law
@@ -330,19 +323,17 @@ def exact_distribution(body: Body, cell_budget: int = 10**6) -> CountDistributio
     """
     if cell_budget < 1:
         raise DegenerateInput(f"cell budget must be positive, got {cell_budget}")
-    _require_full_dim(body, "exact_distribution")
-    parts = body.parts if isinstance(body, PolytopeUnion) else (body,)
-    cube = unit_cube(parts[0].dim)
+    _require_full_dim(p, "exact_distribution")
+    cube = unit_cube(p.dim)
     cells = [(cube, 0)]
-    for part in parts:
-        _, ineqs = part.integer_description()
-        for z in _interior_translates(minkowski_sum(part, cube)):
-            # z - part is cut out by -a . x <= b - a . z over part's facets
-            facets = [HalfSpace._from_ints(tuple(-c for c in a), b - sum(map(mul, a, z)))
-                      for a, b in ineqs]
-            cells = _overlay(cells, [h for h in facets if max(sides(cube, h)) > 0])
-            if len(cells) > cell_budget:
-                raise CellBudgetExceeded(f"cell decomposition exceeded {cell_budget} cells")
+    _, ineqs = p.integer_description()
+    for z in _interior_translates(minkowski_sum(p, cube)):
+        # z - p is cut out by -a . x <= b - a . z over p's facets
+        facets = [HalfSpace._from_ints(tuple(-c for c in a), b - sum(map(mul, a, z)))
+                  for a, b in ineqs]
+        cells = _overlay(cells, [h for h in facets if max(sides(cube, h)) > 0])
+        if len(cells) > cell_budget:
+            raise CellBudgetExceeded(f"cell decomposition exceeded {cell_budget} cells")
     probs: dict[int, Fraction] = {}
     for cell, count in cells:
         probs[count] = probs.get(count, ZERO) + cell.volume()
@@ -356,7 +347,7 @@ def exact_distribution(body: Body, cell_budget: int = 10**6) -> CountDistributio
 # Monte Carlo
 
 
-def mc_distribution(body: Body, samples: int, seed: int = 0) -> CountDistribution:
+def mc_distribution(body: Polytope, samples: int, seed: int = 0) -> CountDistribution:
     """Empirical law from seeded dyadic shifts; deterministic per seed.
 
     Samples that hit a boundary exactly are redrawn and tallied in

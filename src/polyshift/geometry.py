@@ -37,10 +37,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, or_
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateInput, Infeasible, SingularMatrix, Unbounded
 
@@ -601,35 +600,10 @@ class Polytope:
                            reverse=True)
 
     def volume(self) -> Fraction:
+        """Exact d-volume; 0 for lower-dimensional or empty polytopes."""
         if self._volume is None:
             self._volume = _volume_of(self)
         return self._volume
-
-
-@dataclass(frozen=True)
-class PolytopeUnion:
-    """Finite family of polytopes treated additively.
-
-    Counts and volumes add over the parts; the families produced by the
-    scaling decomposition have pairwise interior-disjoint parts, which is
-    validated through volume bookkeeping rather than pairwise tests.
-    """
-
-    parts: tuple[Polytope, ...]
-
-    def __post_init__(self):
-        if not self.parts:
-            raise DegenerateInput("union needs at least one part")
-        d = self.parts[0].dim
-        if any(p.dim != d for p in self.parts):
-            raise DegenerateInput("union parts must share the ambient dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.parts[0].dim
-
-
-Body = Union[Polytope, PolytopeUnion]
 
 
 # ---------------------------------------------------------------------------
@@ -705,16 +679,6 @@ def _volume_of(p: Polytope) -> Fraction:
         v0 = nums[s[0]]
         total += abs(_det([tuple(x - y for x, y in zip(nums[i], v0)) for i in s[1:]]))
     return Fraction(total, math.factorial(d) * p.denominator**d)
-
-
-def volume(body: Body) -> Fraction:
-    """Exact d-volume; 0 for lower-dimensional or empty polytopes.
-
-    Union volume is the sum over parts.
-    """
-    if isinstance(body, PolytopeUnion):
-        return sum((part.volume() for part in body.parts), ZERO)
-    return body.volume()
 
 
 # ---------------------------------------------------------------------------

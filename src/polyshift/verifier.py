@@ -33,15 +33,13 @@ from . import catalog
 from .counting import (DYADIC_BITS, ShiftStream, ZonotopeSpec, generic_draws, zonotope_constant,
                        zonotope_polytope)
 from .distributions import exact_distribution, exact_variance
-from .errors import DegenerateInput, UnknownIdentity
+from .errors import DegenerateInput, InvariantViolation, UnknownIdentity
 from .geometry import (
-    Body,
     Polytope,
     affine_image,
     dilate,
     minkowski_sum,
     segment,
-    volume,
     zero_vec,
 )
 
@@ -209,15 +207,19 @@ def _check_scaling(kind: str, instances: int, shifts: int, n_max: int, seed: int
     for idx, (label, base) in enumerate(cases):
         d = base.dim
         dec = catalog.scaling_decomposition(base, kind)
-        dilates = [dilate(base, n) for n in range(1, n_max + 1)]
-        # bodies: the pieces P_1..P_d, then n * base for n = 1..n_max
-        relations = [(" piece-sum", [(1, k) for k in range(d)], [], dec.constant_sum)]
+        # bodies: the parts of the pieces P_1..P_d, piece by piece, then
+        # n * base for n = 1..n_max; a piece counts the sum of its parts
+        piece_of = [k for k, piece in enumerate(dec.pieces) for _ in piece]
+        bodies = [part for piece in dec.pieces for part in piece]
+        m = len(bodies)
+        relations = [(" piece-sum", [(1, j) for j in range(m)], [], dec.constant_sum)]
         relations += [
-            (f" n={n}", [(1, d + n - 1)], [(dec.multiplicity(k + 1, n), k) for k in range(d)], 0)
+            (f" n={n}", [(1, m + n - 1)],
+             [(dec.multiplicity(k + 1, n), j) for j, k in enumerate(piece_of)], 0)
             for n in range(1, n_max + 1)
         ]
-        _relations(wit, label, list(dec.pieces) + dilates, seed + 9973 * idx + 104729 * d,
-                   shifts, relations)
+        bodies += [dilate(base, n) for n in range(1, n_max + 1)]
+        _relations(wit, label, bodies, seed + 9973 * idx + 104729 * d, shifts, relations)
         notes.append(f"{label}: piece-count sum constant {dec.constant_sum}")
     return len(cases), shifts, wit, notes
 
@@ -228,10 +230,10 @@ def _check_corollary_3d(instances: int, shifts: int, n_max: int, seed: int):
     notes: list[str] = []
     for i in range(instances):
         base = catalog.random_lattice_polytope(3, 6, 2, seed + 31 * i)
-        vol6 = 6 * volume(base)
+        vol6 = 6 * base.volume()
         label = f"poly3d-#{i}"
         # bodies: P, -P, then n * P for n = 2..n_max
-        bodies: list[Body] = [base, base.negated()] + [dilate(base, n) for n in n_values]
+        bodies = [base, base.negated()] + [dilate(base, n) for n in n_values]
         relations = [
             (f" n={n}", [(1, 2 + j)], [(math.comb(n + 1, 2), 0), (-math.comb(n, 2), 1)],
              math.comb(n + 1, 3) * vol6)
@@ -281,7 +283,7 @@ def _check_constancy(dims: tuple[int, ...], instances: int, shifts: int, seed: i
     for idx, (label, spec) in enumerate(cases):
         poly = zonotope_polytope(spec)
         constant = zonotope_constant(spec)
-        vol = volume(poly)
+        vol = poly.volume()
         if vol != constant:
             _witness(wit, f"{label} volume", None, vol, constant)
         _relations(wit, label, [poly], seed + 23 * idx + 1, shifts, [("", [(1, 0)], [], constant)])
@@ -362,7 +364,7 @@ def _check_counterexample_slab(shifts: int, seed: int):
     notes: list[str] = []
     body = catalog.central_slab(3)
     if body.negated().translated((1, 1, 1)) != body:  # symmetric about (1/2, 1/2, 1/2)
-        raise DegenerateInput("central slab lost its central symmetry")
+        raise InvariantViolation("central slab lost its central symmetry")
     dist = exact_distribution(body)
     support = dist.support()
     if len(support) > 1:

@@ -396,6 +396,30 @@ def test_flat_cap_inside_the_difference_body_exits_three(monkeypatch, capsys):
     assert "turned flat" in json.loads(out)["error"]
 
 
+def test_a_negative_variance_exits_three(monkeypatch, capsys):
+    # only exact_variance builds a moment report, from the lattice sum, so a
+    # negative variance is a defect of that sum, not an input error
+    from fractions import Fraction
+
+    import polyshift.distributions as distributions
+
+    monkeypatch.setattr(distributions, "exact_covariance", lambda p, q: Fraction(-1))
+    code, out = run_cli(["moments", "--input", "simplex:2"], capsys)
+    assert code == 3
+    assert json.loads(out) == {"error": "variance must be nonnegative"}
+
+
+def test_a_central_slab_without_its_symmetry_exits_three(monkeypatch, capsys):
+    # the slab counterexample checks the fixed central_slab(3), which no
+    # input reaches: a lost symmetry is a defect, not an input error
+    from polyshift import catalog
+
+    monkeypatch.setattr(catalog, "central_slab", catalog.standard_simplex)
+    code, out = run_cli(["verify", "--identity", "counterexample-slab"], capsys)
+    assert code == 3
+    assert json.loads(out) == {"error": "central slab lost its central symmetry"}
+
+
 def test_non_symmetry_in_the_orbit_sum_exits_three(monkeypatch, capsys, tmp_path):
     # swapping x and y is no symmetry of the 3 x 1 box: it moves the
     # interior translate (2, 0) of the difference body (-3, 3) x (-1, 1) to

@@ -40,7 +40,7 @@ from polyshift.counting import (
     zonotope_spec_to_json,
 )
 from polyshift.errors import DegenerateInput, NotConstant
-from polyshift.geometry import Polytope, PolytopeUnion, dilate, unit_cube, volume
+from polyshift.geometry import Polytope, dilate, unit_cube
 
 F = Fraction
 
@@ -66,13 +66,6 @@ def brute_count(p, coords):
         if p.on_boundary(tuple(F(c) - s for c, s in zip(z, coords)))
     )
     return CountResult(len(pts), hits)
-
-
-def brute_count_body(body, coords):
-    """The oracle over a body; a union reports its parts' hits in part order."""
-    parts = body.parts if isinstance(body, PolytopeUnion) else (body,)
-    res = [brute_count(p, coords) for p in parts]
-    return CountResult(sum(r.count for r in res), tuple(z for r in res for z in r.boundary_hits))
 
 
 @st.composite
@@ -171,16 +164,6 @@ def test_is_generic_cases():
     assert not res.is_generic
 
 
-def test_union_counts_add():
-    a = standard_simplex(2)
-    b = standard_simplex(2).translated((5, 5))
-    u = PolytopeUnion((a, b))
-    stream = ShiftStream(2, seed=8)
-    for _ in range(20):
-        s = stream.draw()
-        assert count_at(u, s).count == count_at(a, s).count + count_at(b, s).count
-
-
 # ---------------------------------------------------------------------------
 # invariances
 
@@ -232,40 +215,39 @@ def test_count_matches_brute_force(seed, d):
 def test_count_equals_oracle_exactly(data):
     p = data.draw(oracle_bodies())
     s = data.draw(oracle_shifts(p.dim))
-    assert count_at(p, s) == brute_count_body(p, s)
+    assert count_at(p, s) == brute_count(p, s)
 
 
 @given(st.sampled_from(FLAT_BODIES), st.data())
 @settings(max_examples=100, deadline=None)
 def test_flat_count_equals_oracle_exactly(p, data):
     s = data.draw(oracle_shifts(p.dim))
-    assert count_at(p, s) == brute_count_body(p, s)
+    assert count_at(p, s) == brute_count(p, s)
 
 
-@given(oracle_shifts(2))
-@settings(max_examples=60, deadline=None)
-def test_union_count_equals_oracle_exactly(s):
-    a = random_lattice_polytope(2, 5, 2, seed=4)
-    b = standard_simplex(2).translated((F(1, 2), F(-1, 3)))
-    u = PolytopeUnion((a, b, a.translated((1, 0))))
-    assert count_at(u, s) == brute_count_body(u, s)
+def alone(p):
+    """p as a family of one part."""
+    return (p,)
 
 
 def half_step_union(p):
-    """p and its copy moved by 1/2 along the first axis, as a two-part union."""
-    return PolytopeUnion((p, p.translated((F(1, 2),) + (0,) * (p.dim - 1))))
+    """p and its copy moved by 1/2 along the first axis, as a family of two
+    parts."""
+    return p, p.translated((F(1, 2),) + (0,) * (p.dim - 1))
 
 
-@given(st.one_of(oracle_bodies(), st.sampled_from(FLAT_BODIES),
+@given(st.one_of(oracle_bodies().map(alone), st.sampled_from(FLAT_BODIES).map(alone),
                  oracle_bodies().map(half_step_union)), st.data())
 @settings(max_examples=150, deadline=None)
-def test_integer_move_of_the_shift_moves_the_hits(body, data):
+def test_integer_move_of_the_shift_moves_the_hits(parts, data):
     # count_at reduces the shift modulo Z^d and translates the hits back
-    s = data.draw(oracle_shifts(body.dim))
-    k = data.draw(st.tuples(*[st.integers(-3, 3)] * body.dim))
-    res = count_at(body, s)
-    moved = tuple(tuple(map(operator.add, z, k)) for z in res.boundary_hits)
-    assert count_at(body, tuple(map(operator.add, s, k))) == CountResult(res.count, moved)
+    d = parts[0].dim
+    s = data.draw(oracle_shifts(d))
+    k = data.draw(st.tuples(*[st.integers(-3, 3)] * d))
+    for p in parts:
+        res = count_at(p, s)
+        moved = tuple(tuple(map(operator.add, z, k)) for z in res.boundary_hits)
+        assert count_at(p, tuple(map(operator.add, s, k))) == CountResult(res.count, moved)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +288,9 @@ def spy_walks(monkeypatch):
     return walked
 
 
-def fresh_copy(body):
+def fresh_copy(p):
     """The same body with no count plan, hence an empty memo."""
-    if isinstance(body, PolytopeUnion):
-        return PolytopeUnion(tuple(map(fresh_copy, body.parts)))
-    return Polytope(body.dim, body.numerators, den=body.denominator)
+    return Polytope(p.dim, p.numerators, den=p.denominator)
 
 
 def body_floors(p, s):
@@ -334,17 +314,17 @@ def same_cell_shifts(draw, d):
 @settings(max_examples=120, deadline=None)
 def test_memo_hits_equal_oracle_and_fresh_counts(data):
     p = data.draw(oracle_bodies())
-    if data.draw(st.booleans()):
-        p = half_step_union(p)
+    parts = half_step_union(p) if data.draw(st.booleans()) else alone(p)
     shifts = data.draw(same_cell_shifts(p.dim))
-    oracle = [brute_count_body(p, s) for s in shifts]
-    generic = [s for s, res in zip(shifts, oracle) if res.is_generic]
-    expected = [(res.count,) for res in oracle if res.is_generic]
+    oracle = [[brute_count(q, s) for q in parts] for s in shifts]
+    generic = [s for s, res in zip(shifts, oracle) if all(r.is_generic for r in res)]
+    expected = [tuple(r.count for r in res) for res in oracle if all(r.is_generic for r in res)]
     # one block counts each cell once; then one draw per block reads the
-    # cells the first block memoized, and a fresh body walks every draw
-    assert sample([p], shifts, len(generic)) == expected
-    assert [row for s in generic for row in sample([p], [s], 1)] == expected
-    assert [row for s in generic for row in sample([fresh_copy(p)], [s], 1)] == expected
+    # cells the first block memoized, and fresh bodies walk every draw
+    assert sample(parts, shifts, len(generic)) == expected
+    assert [row for s in generic for row in sample(parts, [s], 1)] == expected
+    fresh = [fresh_copy(q) for q in parts]
+    assert [row for s in generic for row in sample(fresh, [s], 1)] == expected
 
 
 def test_memo_keys_on_rows_with_zero_last_coefficient():
@@ -481,31 +461,30 @@ def test_level_zero_rows_equal_the_hull_rows_on_oracle_bodies(p):
 
 @st.composite
 def table_bodies(draw):
-    """Oracle bodies (1-D to 4-D, lattice or rational), their dilates and
-    two-part unions, and bodies squeezed along the last axis, whose rows
-    mostly have |a_last| > 1."""
+    """Families of parts: oracle bodies (1-D to 4-D, lattice or rational),
+    their dilates and bodies squeezed along the last axis, whose rows mostly
+    have |a_last| > 1, each alone, and two-part half-step families."""
     body = draw(oracle_bodies())
     kind = draw(st.sampled_from(("oracle", "dilate", "union", "squeeze")))
     if kind == "dilate" and body.dim < 4:
-        return dilate(body, draw(st.integers(2, 3)))
+        return alone(dilate(body, draw(st.integers(2, 3))))
     if kind == "union":
         return half_step_union(body)
     if kind == "squeeze":
         q = draw(st.integers(2, 3))
-        return Polytope(body.dim, [v[:-1] + (v[-1] / q,) for v in body.vertices])
-    return body
+        return alone(Polytope(body.dim, [v[:-1] + (v[-1] / q,) for v in body.vertices]))
+    return alone(body)
 
 
 @given(table_bodies(), st.integers(0, 2**32))
 @settings(max_examples=80, deadline=None)
-def test_table_counts_equal_the_oracle(body, seed):
+def test_table_counts_equal_the_oracle(parts, seed):
     with pytest.MonkeyPatch.context() as mp:
         # new cells come from the table: only a draw with a tight row, which
         # the stream almost surely never makes, would be walked
         walked = spy_walks(mp)
-        counts = list(counting.stream_counts(ShiftStream(body.dim, seed), body, 20))
+        counts = [list(counting.stream_counts(ShiftStream(p.dim, seed), p, 20)) for p in parts]
     assert walked == []
-    parts = body.parts if isinstance(body, PolytopeUnion) else (body,)
     for p in parts:
         if p.is_full_dim:
             # a mask per key of each kept row, and a rim point only where the
@@ -516,10 +495,11 @@ def test_table_counts_equal_the_oracle(body, seed):
             assert [len(masks) for _, _, masks in rows] == [
                 ranges[i][1] - k0 + 1 for i, k0, _ in rows]
             assert all(masks[-1] & full == full for _, _, masks in rows)
-    for s, res in counts:
-        assert res.count == brute_count_body(body, s).count
-        m = tuple(int(x * 2**64) for x in s)
-        assert res.count == sum(counting._count_polytope(p, m, 2**64).count for p in parts)
+    for p, part_counts in zip(parts, counts):
+        for s, res in part_counts:
+            assert res.count == brute_count(p, s).count
+            m = tuple(int(x * 2**64) for x in s)
+            assert res.count == counting._count_polytope(p, m, 2**64).count
 
 
 @pytest.mark.parametrize("body", [reeve_tetrahedron(5), dilate(cross_polytope(4), 2),
@@ -577,20 +557,20 @@ def test_a_large_dilate_has_a_small_rim_and_exact_table_counts():
             p, tuple(F(x, 2**64) for x in m)).count
 
 
-@pytest.mark.parametrize("body", [
-    dilate(random_lattice_polytope(3, 6, 3, seed=300), 5),
+@pytest.mark.parametrize("parts", [
+    alone(dilate(random_lattice_polytope(3, 6, 3, seed=300), 5)),
     half_step_union(dilate(random_lattice_polytope(3, 6, 3, seed=300), 3)),
-    dilate(cross_polytope(4), 3),
-    WIDE_ROW,
+    alone(dilate(cross_polytope(4), 3)),
+    alone(WIDE_ROW),
 ], ids=["3d-x5", "3d-x3-union", "cross4-x3", "wide-row"])
-def test_table_counts_equal_the_walk_on_large_bodies(body, monkeypatch):
+def test_table_counts_equal_the_walk_on_large_bodies(parts, monkeypatch):
     walked = spy_walks(monkeypatch)
-    draws = list(generic_draws(ShiftStream(body.dim, 4), [body], 400))
+    draws = list(generic_draws(ShiftStream(parts[0].dim, 4), list(parts), 400))
     assert walked == []
-    parts = body.parts if isinstance(body, PolytopeUnion) else (body,)
-    for nums, (counts,), _ in draws:
-        for m, count in zip(nums, counts):
-            assert count == sum(counting._count_polytope(p, m, 2**64).count for p in parts)
+    for nums, counts, _ in draws:
+        for p, part_counts in zip(parts, counts):
+            for m, count in zip(nums, part_counts):
+                assert count == counting._count_polytope(p, m, 2**64).count
 
 
 def test_generic_new_cells_are_never_walked(monkeypatch):
@@ -679,8 +659,8 @@ def test_the_wide_row_takes_the_list_path():
 
 @given(table_bodies())
 @settings(max_examples=80, deadline=None)
-def test_rim_table_equals_the_point_major_reference_on_table_bodies(body):
-    for p in body.parts if isinstance(body, PolytopeUnion) else (body,):
+def test_rim_table_equals_the_point_major_reference_on_table_bodies(parts):
+    for p in parts:
         if p.is_full_dim:
             plan = counting._plan(fresh_copy(p))
             assert counting._rim_table(plan) == reference_rim_table(plan)
@@ -827,24 +807,23 @@ def test_generic_draws_keep_a_tight_draw_without_boundary_hits():
 @pytest.mark.parametrize("p", [random_lattice_polytope(3, 6, 3, seed=300), reeve_tetrahedron(3),
                                cross_polytope(3)], ids=["rand3", "reeve3", "octahedron"])
 def test_bodies_sharing_a_block_count_as_each_alone(p):
-    # P, -P, 2P, P + t and a two-part union share rows and negated rows; a
-    # hand-made block holds draws where rows are tight, with and without a
-    # boundary hit: m = 0, and coordinates at 1/2 = 2**63 / 2**64
+    # P, -P, 2P, P + t and the two parts of a half-step family share rows
+    # and negated rows; a hand-made block holds draws where rows are tight,
+    # with and without a boundary hit: m = 0, and coordinates at 1/2 =
+    # 2**63 / 2**64
     bodies = [p, p.negated(), dilate(p, 2), p.translated((F(1, 3), F(1, 2), 0)),
-              half_step_union(p)]
+              *half_step_union(p)]
     stream = ShiftStream(3, 5)
     draws = [stream.numerators() for _ in range(30)] + [
         (0, 0, 0), (2**63, 0, 0), (2**63, 2**63, 5), (1, 2**63, 2**62), (2**63, 2**63, 2**63)]
     cols = [list(c) for c in zip(*draws)]
     block = counting._Block(cols)
-    shared = [counting._block_counts(body, block) for body in bodies]
+    shared = [counting._cell_counts(body, block) for body in bodies]
     for body, counts in zip(bodies, shared):
-        assert counts == counting._block_counts(fresh_copy(body), counting._Block(cols))
-        parts = body.parts if isinstance(body, PolytopeUnion) else (body,)
+        assert counts == counting._cell_counts(fresh_copy(body), counting._Block(cols))
         for m, count in zip(draws, counts):
-            res = [counting._count_polytope(q, m, 2**64) for q in parts]
-            hit = any(r.boundary_hits for r in res)
-            assert count == (None if hit else sum(r.count for r in res))
+            res = counting._count_polytope(body, m, 2**64)
+            assert count == (None if res.boundary_hits else res.count)
     rows = block.rows
     assert any(tuple(-c for c in a) in rows for a in rows)
     # each shared row's floors and tight draws, a negated row's too, are the row's own
@@ -878,11 +857,11 @@ def _flat_body(d):
 @settings(max_examples=60, deadline=None)
 def test_generic_draws_match_the_stream_and_count_at(body, seed, n):
     d = body.dim
-    union = PolytopeUnion((body, body.translated((F(1, 2),) * d)))
+    union = (body, body.translated((F(1, 2),) * d))
     # a flat body and an empty one count 0 on the block path like any body;
     # a draw where one of the flat body's rows is tight is walked on its own,
     # which decides whether the draw is taken
-    for bodies in ([body, union], [body, _flat_body(d), Polytope.empty(d), union]):
+    for bodies in ([body, *union], [body, _flat_body(d), Polytope.empty(d), *union]):
         reference = ShiftStream(d, seed)
         taken = 0
         for nums, counts, redraws in generic_draws(ShiftStream(d, seed), bodies, n):
@@ -954,7 +933,7 @@ def test_zonotope_constant_hexagon():
     spec = hexagon_zonotope()
     assert zonotope_constant(spec) == 3
     assert generic_count(zonotope_polytope(spec), seed=2) == 3
-    assert volume(zonotope_polytope(spec)) == 3
+    assert zonotope_polytope(spec).volume() == 3
 
 
 def test_zonotope_constant_3d_with_diagonal():

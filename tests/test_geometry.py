@@ -36,7 +36,6 @@ from polyshift.geometry import (
     triangulate,
     unit_cube,
     vertices_from_facets,
-    volume,
 )
 
 F = Fraction
@@ -177,7 +176,7 @@ def test_shifted_simplex_intersection_from_facets():
     b = a.translated((F(1, 2), 0))
     hss = list(a.facets()) + list(b.facets())
     p = vertices_from_facets(hss, 2)
-    assert volume(p) == F(1, 8)
+    assert p.volume() == F(1, 8)
 
 
 def test_vertices_from_facets_unbounded():
@@ -237,7 +236,7 @@ def test_clip_to_empty():
 def test_clip_volume_additivity():
     p = reeve_tetrahedron(2)
     h = halfspace((1, 2, -1), F(1, 3))
-    assert volume(clip(p, h)) + volume(clip(p, h.flipped())) == volume(p)
+    assert clip(p, h).volume() + clip(p, h.flipped()).volume() == p.volume()
 
 
 @given(
@@ -252,7 +251,7 @@ def test_clip_additivity_random_plane(a, b, c, off):
         return
     p = unit_cube(3)
     h = halfspace((a, b, c), off)
-    assert volume(clip(p, h)) + volume(clip(p, h.flipped())) == 1
+    assert clip(p, h).volume() + clip(p, h.flipped()).volume() == 1
 
 
 def test_intersect_self():
@@ -272,7 +271,7 @@ def test_intersect_touching_translates_zero_volume():
     t2 = reeve_tetrahedron(2)
     cap = intersect(t2, t2.translated((0, 0, 1)))
     assert not cap.is_empty
-    assert volume(cap) == 0
+    assert cap.volume() == 0
     assert all(v[2] <= 1 for v in cap.vertices)
 
 
@@ -298,30 +297,30 @@ def test_membership_rejects_points_of_the_wrong_length(point):
 
 def test_volume_simplices():
     for d in (1, 2, 3, 4):
-        assert volume(standard_simplex(d)) == F(1, math.factorial(d))
+        assert standard_simplex(d).volume() == F(1, math.factorial(d))
 
 
 def test_volume_cube():
     for d in (1, 2, 3, 4):
-        assert volume(unit_cube(d)) == 1
+        assert unit_cube(d).volume() == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_volume_reeve(n):
-    assert volume(reeve_tetrahedron(n)) == F(n, 6)
+    assert reeve_tetrahedron(n).volume() == F(n, 6)
 
 
 def test_volume_lower_dimensional_is_zero():
     flat = Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-    assert volume(flat) == 0
-    assert volume(Polytope.empty(3)) == 0
+    assert flat.volume() == 0
+    assert Polytope.empty(3).volume() == 0
 
 
 def test_volume_dilation_scaling():
     for p in (standard_simplex(3), reeve_tetrahedron(2)):
-        base = volume(p)
+        base = p.volume()
         for n in range(1, 6):
-            assert volume(dilate(p, n)) == F(n) ** p.dim * base
+            assert dilate(p, n).volume() == F(n) ** p.dim * base
 
 
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3, max_size=3))
@@ -331,7 +330,7 @@ def test_volume_affine_scaling(mat):
         return
     p = reeve_tetrahedron(1)
     img = affine_image(p, mat, (1, -2, 0))
-    assert volume(img) == abs(determinant(mat)) * volume(p)
+    assert img.volume() == abs(determinant(mat)) * p.volume()
 
 
 def test_volume_against_float_hull_oracle():
@@ -344,7 +343,7 @@ def test_volume_against_float_hull_oracle():
     for seed in range(5):
         p = random_lattice_polytope(3, 6, 2, seed=seed)
         hull = ConvexHull(np.array([[float(c) for c in v] for v in p.vertices]))
-        assert abs(float(volume(p)) - hull.volume) < 1e-9
+        assert abs(float(p.volume()) - hull.volume) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +364,7 @@ def test_minkowski_hexagon():
     }
     assert set(h.vertices) == expected
     ordered = [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]
-    assert volume(h) == shoelace([tuple(map(F, v)) for v in ordered]) == 3
+    assert h.volume() == shoelace([tuple(map(F, v)) for v in ordered]) == 3
 
 
 def test_minkowski_commutative_associative():
@@ -507,7 +506,7 @@ def test_rank_of_flat_bodies_in_r3(pts):
         expected = 2
     body = Polytope(3, pts)
     assert body.rank == expected
-    assert not body.is_full_dim and volume(body) == 0
+    assert not body.is_full_dim and body.volume() == 0
     eqs, _ = body.linear_description()
     assert len(eqs) == 3 - expected
     assert all(h.value(p) == 0 for h in eqs for p in body.vertices)
@@ -537,7 +536,7 @@ def test_covariogram_is_even(body, t):
     p = full_dim_body(d, pts)
     t = t[:d]
     back = [-c for c in t]
-    assert volume(intersect(p, p.translated(t))) == volume(intersect(p, p.translated(back)))
+    assert intersect(p, p.translated(t)).volume() == intersect(p, p.translated(back)).volume()
 
 
 def test_halfspace_equality_is_on_normal_and_offset():
@@ -733,7 +732,7 @@ def test_triangulation_tiles_the_body(case):
         vol = abs(laplace([[a - b for a, b in zip(v, s[0])] for v in s[1:]])) / math.factorial(d)
         assert vol > 0
         total += vol
-    assert total == volume(p)
+    assert total == p.volume()
     # interior points, from positive weights on p's vertices, each lie in
     # exactly one simplex; a point on a simplex's boundary is not generic
     rng = random.Random(seed)

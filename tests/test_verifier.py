@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from polyshift.errors import DegenerateInput, UnknownIdentity
-from polyshift.geometry import volume
 from polyshift.verifier import (
     EXPECTED_FAILURE,
     FAIL,
@@ -46,9 +45,9 @@ def test_layer_means_sum_to_volume(n):
 def test_layer_mean_matches_geometric_quadrature(n, k):
     # the footprint area is quadratic in the offset, so three-point
     # Simpson quadrature on the exact triangle areas is exact
-    f0 = volume(reeve_layer_triangle(n, k, F(0)))
-    f1 = volume(reeve_layer_triangle(n, k, F(1, 2)))
-    f2 = volume(reeve_layer_triangle(n, k, F(1)))
+    f0 = reeve_layer_triangle(n, k, F(0)).volume()
+    f1 = reeve_layer_triangle(n, k, F(1, 2)).volume()
+    f2 = reeve_layer_triangle(n, k, F(1)).volume()
     assert reeve_layer_mean(n, k) == (f0 + 4 * f1 + f2) / 6
 
 
@@ -78,7 +77,7 @@ def test_pair_expectation_matches_geometric_quadrature():
         cap = intersect(
             reeve_layer_triangle(n, k, w), reeve_layer_triangle(n, l, w)
         )
-        vals.append(volume(cap))
+        vals.append(cap.volume())
     assert reeve_pair_expectation(n, k, l) == (vals[0] + 4 * vals[1] + vals[2]) / 6
 
 
@@ -206,7 +205,7 @@ def test_corollary_3d_on_unit_reeve_with_explicit_constant():
     base = reeve_tetrahedron(1)
     neg = base.negated()
     double = dilate(base, 2)
-    constant = math.comb(3, 3) * 6 * volume(base)
+    constant = math.comb(3, 3) * 6 * base.volume()
     assert constant == 1
     stream = ShiftStream(3, seed=3)
     done = 0
@@ -233,7 +232,7 @@ def test_corollary_chain_consistency_on_symmetric_instances():
     for body in bodies:
         neg = body.negated()
         assert neg == body  # symmetric about the origin
-        vol6 = 6 * volume(body)
+        vol6 = 6 * body.volume()
         base_var = exact_variance(body).variance
         for n in (2, 3):
             dil = dilate(body, n)
@@ -269,10 +268,11 @@ def reference_relations(wit, label, bodies, seed, shifts, relations):
                     _witness(wit, label + suffix, shift, left, right)
 
 
-def test_relation_witnesses_come_shift_by_shift_up_to_the_cap(monkeypatch):
-    # one piece's multiplicity off by one: every dilate's relation fails
-    # wherever that piece counts a point, several relations at one draw
-    from polyshift import catalog, verifier
+def off_by_one_decompositions(monkeypatch):
+    """Make the first piece's multiplicity one too large in every scaling
+    decomposition: every dilate's relation fails wherever that piece counts
+    a point, several relations at one draw."""
+    from polyshift import catalog
 
     class OffByOne(catalog.ScalingDecomposition):
         def multiplicity(self, k, n):
@@ -281,6 +281,12 @@ def test_relation_witnesses_come_shift_by_shift_up_to_the_cap(monkeypatch):
     real = catalog.scaling_decomposition
     monkeypatch.setattr(catalog, "scaling_decomposition", lambda base, kind: OffByOne(
         **vars(real(base, kind))))
+
+
+def test_relation_witnesses_come_shift_by_shift_up_to_the_cap(monkeypatch):
+    from polyshift import verifier
+
+    off_by_one_decompositions(monkeypatch)
     calls = []
     check = verifier._relations
     monkeypatch.setattr(verifier, "_relations",
@@ -296,6 +302,25 @@ def test_relation_witnesses_come_shift_by_shift_up_to_the_cap(monkeypatch):
     # later draws follow
     assert [w.instance for w in expected[:3]] == [f"simplex-d2-#0 n={n}" for n in (1, 2, 3)]
     assert len({w.shift for w in expected}) > 1
+
+
+# sha256 of the report JSON (sorted keys) of each scaling tag with the first
+# piece's multiplicity off by one, at instances=1, shifts=40, n_max=3, seed=2:
+# the witnesses pin which bodies each piece's count is read from; the
+# polyhedron's pieces have one part each in the plane and five in space
+OFF_BY_ONE_DIGESTS = {
+    "scaling-polyhedron": "ca50b68a720db72d09ec2c17d1493376ff638ec52c4bf2f9c7b9800cc8db3e89",
+    "scaling-simplex": "b6df6859c2bed2595004f11f4b86826ec72d19c1c27d0e5fec62af68e2c7ca1c",
+}
+
+
+@pytest.mark.parametrize("tag", OFF_BY_ONE_DIGESTS)
+def test_faulty_decomposition_witnesses_are_pinned(tag, monkeypatch):
+    off_by_one_decompositions(monkeypatch)
+    report = verify(tag, instances=1, shifts=40, n_max=3, seed=2)
+    assert report.status == FAIL
+    digest = hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest == OFF_BY_ONE_DIGESTS[tag]
 
 
 def test_verify_with_explicit_zonotope_instance():
