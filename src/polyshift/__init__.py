@@ -7,7 +7,6 @@ from .counting import (
     ShiftStream,
     ZonotopeSpec,
     count_at,
-    generic_count,
     zonotope_constant,
     zonotope_polytope,
 )
@@ -25,7 +24,6 @@ from .errors import (
     DegenerateInput,
     GeometryError,
     Infeasible,
-    NotConstant,
     SingularMatrix,
     Unbounded,
     UnknownIdentity,
@@ -36,7 +34,6 @@ from .geometry import (
     affine_image,
     clip,
     determinant,
-    halfspace,
     intersect,
     minkowski_sum,
     polytope_from_json,

@@ -80,7 +80,7 @@ from fractions import Fraction
 from operator import add, and_, floordiv, invert, mul, neg, rshift, sub
 from typing import Iterator, Sequence
 
-from .errors import DegenerateInput, NotConstant
+from .errors import DegenerateInput
 from .geometry import (IVec, Polytope, Vec, _homogenize, as_vec, determinant, minkowski_sum,
                        parse_json_rows, parse_rational, segment, zero_vec)
 
@@ -145,7 +145,7 @@ _NONE = CountResult(0)
 
 def _folded_rows(p: Polytope) -> list:
     """p's integer rows ``(a, b, is_equality)`` for ``a . x <= b``, equalities as pairs."""
-    eqs, ineqs = p.integer_description()
+    eqs, ineqs = p.linear_description()
     rows = [(a, b, False) for a, b in ineqs]
     for a, b in eqs:
         rows += [(a, b, True), (tuple(-x for x in a), -b, True)]
@@ -574,22 +574,6 @@ def stream_counts(stream: ShiftStream, p: Polytope, n: int) -> Iterator[tuple[Ve
             s = tuple(Fraction(x, _DYADIC_DEN) for x in m)
             yield s, count_at(p, s) if count is None else CountResult(count)
         n -= k
-
-
-def generic_count(body: Polytope, seed: int = 0, *, trials: int = 8) -> int:
-    """Almost-sure count of a body whose generic count is constant.
-
-    Draws shifts until generic (`generic_draws`, with its default `tries`)
-    and checks the count over several independent generic shifts;
-    disagreement raises NotConstant, flagging misuse.
-    """
-    if trials < 1:
-        raise DegenerateInput("trials must be at least 1")
-    draws = generic_draws(ShiftStream(body.dim, seed), [body], trials)
-    values = {c for _, (counts,), _ in draws for c in counts}
-    if len(values) > 1:
-        raise NotConstant(f"generic counts disagree: {sorted(values)}")
-    return values.pop()
 
 
 # ---------------------------------------------------------------------------

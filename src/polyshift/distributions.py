@@ -37,6 +37,7 @@ from .geometry import (
     HalfSpace,
     Polytope,
     ZERO,
+    _row,
     clip,
     clip_both,
     minkowski_sum,
@@ -192,7 +193,7 @@ def _interior_translates(diff: Polytope):
     coordinates strictly inside the bounding box carries ``b - a . prefix``
     for every integer row of `diff`, and the last coordinate runs over the
     range where ``a . t < b`` holds for all of them."""
-    _, rows = diff.integer_description()
+    _, rows = diff.linear_description()
     lo, hi = diff.integer_box()
     den = diff.denominator
     ranges = [range(x // den + 1, -(-y // den)) for x, y in zip(lo, hi)]
@@ -241,7 +242,7 @@ def exact_covariance(p: Polytope, q: Polytope) -> Fraction:
     _require_full_dim(p, "exact_covariance")
     _require_full_dim(q, "exact_covariance")
     levels = _symmetries(p) if p == q else []
-    _, rows = q.integer_description()
+    _, rows = q.linear_description()
     second, seen, inside, covered = ZERO, set(), 0, 0
     for t in _interior_translates(minkowski_sum(p, q.negated())):
         inside += 1
@@ -254,7 +255,7 @@ def exact_covariance(p: Polytope, q: Polytope) -> Fraction:
         cap = p
         # gcd(a, b + a . t) = gcd(a, b) = 1: the moved row stays primitive
         for a, b in rows:
-            cap = clip(cap, HalfSpace._from_ints(a, b + sum(map(mul, a, t))))
+            cap = clip(cap, _row(a, b + sum(map(mul, a, t))))
             if not cap.is_full_dim:
                 raise InvariantViolation(
                     f"cap at translate {list(t)} inside the difference body turned flat")
@@ -286,8 +287,8 @@ def _overlay(cells: list[tuple[Polytope, int]], facets: list[HalfSpace]
     for cell, count in cells:
         (lo, hi), den = cell.integer_box(), cell.denominator
         # a . x over the box is least at lo where a > 0 and at hi elsewhere
-        if any(sum(a * (l if a > 0 else u) for a, l, u in zip(h.coeffs, lo, hi)) >= h.rhs * den
-               for h in facets):
+        if any(sum(c * (l if c > 0 else u) for c, l, u in zip(a, lo, hi)) >= b * den
+               for a, b in facets):
             out.append((cell, count))
             continue
         part, cut = cell, []
@@ -326,10 +327,10 @@ def exact_distribution(p: Polytope, cell_budget: int = 10**6) -> CountDistributi
     _require_full_dim(p, "exact_distribution")
     cube = unit_cube(p.dim)
     cells = [(cube, 0)]
-    _, ineqs = p.integer_description()
+    _, ineqs = p.linear_description()
     for z in _interior_translates(minkowski_sum(p, cube)):
         # z - p is cut out by -a . x <= b - a . z over p's facets
-        facets = [HalfSpace._from_ints(tuple(-c for c in a), b - sum(map(mul, a, z)))
+        facets = [_row(tuple(-c for c in a), b - sum(map(mul, a, z)))
                   for a, b in ineqs]
         cells = _overlay(cells, [h for h in facets if max(sides(cube, h)) > 0])
         if len(cells) > cell_budget:

@@ -21,11 +21,6 @@ class Unbounded(GeometryError):
     """A halfspace system admits a recession direction."""
 
 
-class NotConstant(GeometryError):
-    """Two generic shifts produced different counts for a body that was
-    declared almost-surely constant."""
-
-
 class CellBudgetExceeded(GeometryError):
     """Exact distribution cell decomposition grew past the configured cap."""
 

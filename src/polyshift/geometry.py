@@ -3,9 +3,10 @@
 No floating point appears here, so every predicate (membership,
 tightness, emptiness) and measure (determinant, volume) is exact.  A
 ``Polytope`` holds its extreme points, sorted lexicographically, as
-integer numerators over their least common denominator, which makes
-vertex-set equality canonical.  A ``HalfSpace`` ``normal . x <= offset``
-holds coprime integers ``coeffs``, ``rhs`` and a positive rational scale.
+integer numerators over their least common denominator, so equal vertex
+sets are equal numerator tuples.  A ``HalfSpace`` ``normal . x <= offset``
+is its primitive integer row, the pair of coprime ``coeffs`` and ``rhs``,
+so two halfspaces are equal exactly when they are one set.
 Side tests (``coeffs . num - rhs * den``), clip points, null spaces, hulls,
 linear solves and simplex volumes run on plain ints, eliminating through
 one fraction-free Gauss-Jordan routine, `_eliminate`.  Hulls, clips and
@@ -38,7 +39,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import mul, or_
+from operator import itemgetter, mul, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateInput, Infeasible, SingularMatrix, Unbounded
@@ -69,6 +70,11 @@ def as_mat(rows: Iterable[Iterable]) -> Mat:
 
 def zero_vec(d: int) -> Vec:
     return (ZERO,) * d
+
+
+def _length_error(what: str, v: Sequence, dim: int) -> DegenerateInput:
+    """The error for a vector of the wrong length, which `zip` would silently cut short."""
+    return DegenerateInput(f"{what} of length {len(v)} in ambient dimension {dim}")
 
 
 def determinant(m: Sequence[Sequence]) -> Fraction:
@@ -277,7 +283,7 @@ def _halfspaces(found: Sequence[tuple[IVec, int]], den: int, pivots: Sequence[in
         lifted = [0] * dim
         for j, c in enumerate(pivots):
             lifted[c] = den * a[j]
-        out.append(HalfSpace._from_ints(*_primitive(lifted, b)))
+        out.append(_row(*_primitive(lifted, b)))
     return tuple(out)
 
 
@@ -286,7 +292,7 @@ def _equalities(nums: Sequence[IVec], den: int, dim: int) -> tuple["HalfSpace", 
     ``a . x == b``, one per vector of `_nullspace`'s basis."""
     v0 = nums[0]
     diffs = [tuple(x - y for x, y in zip(v, v0)) for v in nums[1:]]
-    return tuple(HalfSpace._from_ints(*_primitive(tuple(den * x for x in n), _dot(n, v0)))
+    return tuple(_row(*_primitive(tuple(den * x for x in n), _dot(n, v0)))
                  for n in _nullspace(diffs, dim))
 
 
@@ -294,91 +300,69 @@ def _equalities(nums: Sequence[IVec], den: int, dim: int) -> tuple["HalfSpace", 
 # halfspaces
 
 
-class HalfSpace:
-    """Closed halfspace ``normal . x <= offset``.
+class HalfSpace(tuple):
+    """Closed halfspace ``normal . x <= offset``, held as its primitive
+    integer row: the pair ``(coeffs, rhs)`` of coprime integers, the one
+    positive rescaling of (normal, offset) to them.
 
-    Held as coprime integers ``coeffs``, ``rhs`` and a positive rational
-    scale with ``normal = scale * coeffs``, ``offset = scale * rhs``; the
-    rational `normal` and `offset` are built on first use.  Equality and
-    hashing are those of the pair (normal, offset).
+    A halfspace is that pair: it unpacks as ``a, b = h`` and compares and
+    hashes as it, so two halfspaces are equal exactly when they are the
+    same set.  The rational ``normal`` and ``offset`` read the row back.
     """
 
-    __slots__ = ("coeffs", "rhs", "_scale", "_normal", "_offset")
+    __slots__ = ()
 
-    def __init__(self, normal: Iterable, offset):
-        nums = as_vec(normal) + (frac(offset),)
-        (ints,), den = _homogenize([nums])
-        g = math.gcd(*ints) or 1
-        self.coeffs = tuple(x // g for x in ints[:-1])
-        self.rhs = ints[-1] // g
-        self._scale = Fraction(g, den)
-        self._normal = nums[:-1]
-        self._offset = nums[-1]
+    def __new__(cls, normal: Iterable, offset) -> "HalfSpace":
+        (ints,), _ = _homogenize([as_vec(normal) + (frac(offset),)])
+        if not any(ints[:-1]):
+            raise DegenerateInput("halfspace normal must be nonzero")
+        return _row(*_primitive(ints[:-1], ints[-1]))
 
-    @classmethod
-    def _from_ints(cls, coeffs: IVec, rhs: int, scale: Fraction = ONE) -> "HalfSpace":
-        h = cls.__new__(cls)
-        h.coeffs, h.rhs, h._scale = coeffs, rhs, scale
-        h._normal = h._offset = None
-        return h
+    def __getnewargs__(self) -> tuple[IVec, int]:
+        return tuple(self)
+
+    coeffs = property(itemgetter(0))
+    rhs = property(itemgetter(1))
 
     @property
     def normal(self) -> Vec:
-        if self._normal is None:
-            s = self._scale
-            self._normal = tuple(s * x for x in self.coeffs)
-        return self._normal
+        return tuple(map(Fraction, self[0]))
 
     @property
     def offset(self) -> Fraction:
-        if self._offset is None:
-            self._offset = self._scale * self.rhs
-        return self._offset
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # (coeffs, rhs) primitive and scale > 0 make the triple unique
-        return (self.coeffs, self.rhs, self._scale) == (other.coeffs, other.rhs, other._scale)
-
-    def __hash__(self) -> int:
-        return hash((self.normal, self.offset))
+        return Fraction(self[1])
 
     def __repr__(self) -> str:
-        return f"HalfSpace(normal={self.normal!r}, offset={self.offset!r})"
+        return f"HalfSpace({self[0]!r}, {self[1]!r})"
 
     def value(self, x: Iterable) -> Fraction:
-        """<= 0 inside, 0 on the boundary hyperplane."""
-        return self._scale * (sum((a * c for a, c in zip(self.coeffs, x)), ZERO) - self.rhs)
+        """``coeffs . x - rhs``: <= 0 inside, 0 on the boundary hyperplane."""
+        a, b = self
+        p = as_vec(x)
+        if len(p) != len(a):
+            raise _length_error("point", p, len(a))
+        return sum(map(mul, a, p), ZERO) - b
 
     def flipped(self) -> "HalfSpace":
-        return HalfSpace._from_ints(tuple(-x for x in self.coeffs), -self.rhs, self._scale)
+        a, b = self
+        return _row(tuple(-x for x in a), -b)
 
     def translated(self, t: Iterable) -> "HalfSpace":
         (tn,), tden = _homogenize([as_vec(t)])
+        if len(tn) != len(self[0]):
+            raise _length_error("translation", tn, len(self[0]))
         return self._shifted(tn, tden)
 
     def _shifted(self, tn: IVec, tden: int) -> "HalfSpace":
-        """Translate by tn / tden: scale * (coeffs . x) <= scale * (rhs + coeffs . t)."""
-        a = tuple(x * tden for x in self.coeffs)
-        b = self.rhs * tden + _dot(self.coeffs, tn)
-        g = math.gcd(b, *a)
-        scale = self._scale if g == tden else self._scale * g / tden
-        return HalfSpace._from_ints(tuple(x // g for x in a), b // g, scale)
-
-    def canonical(self) -> "HalfSpace":
-        """Positive rescaling to coprime integer coefficients.
-
-        Only positive scalings preserve the inequality, so the sign is kept.
-        """
-        return self if self._scale == 1 else HalfSpace._from_ints(self.coeffs, self.rhs)
+        """Translate by tn / tden: ``tden a . x <= tden b + a . tn``, made primitive."""
+        a, b = self
+        return _row(*_primitive([x * tden for x in a], b * tden + _dot(a, tn)))
 
 
-def halfspace(normal: Iterable, offset) -> HalfSpace:
-    n = as_vec(normal)
-    if all(x == 0 for x in n):
-        raise DegenerateInput("halfspace normal must be nonzero")
-    return HalfSpace(n, offset)
+def _row(coeffs: IVec, rhs: int) -> HalfSpace:
+    """The halfspace ``coeffs . x <= rhs`` of a row the caller knows is
+    primitive, with a nonzero normal."""
+    return tuple.__new__(HalfSpace, (coeffs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +385,7 @@ class Polytope:
     """
 
     __slots__ = ("dim", "numerators", "denominator", "_vertices", "_rank", "_description",
-                 "_masks", "_int_ineqs", "_volume", "_box", "_count_plan")
+                 "_masks", "_volume", "_box", "_count_plan")
 
     def __init__(self, dim: int, points: Iterable[Iterable], *, den: Optional[int] = None):
         """With `den`, `points` are integer numerator vectors over that
@@ -414,7 +398,7 @@ class Polytope:
             verts = None
         for p in nums:
             if len(p) != dim:
-                raise DegenerateInput(f"point of length {len(p)} in ambient dimension {dim}")
+                raise _length_error("point", p, dim)
         # no point or one: rank -1 or 0, and no inequality
         rank, ineqs, masks = len(nums) - 1, (), [0] * len(nums)
         if len(nums) > 1:
@@ -454,14 +438,13 @@ class Polytope:
         self.numerators: tuple[IVec, ...] = tuple(nums)
         self.denominator: int = den
         self._rank, self._description, self._masks = rank, description, masks
-        self._vertices = self._int_ineqs = None
-        self._volume = self._box = self._count_plan = None
+        self._vertices = self._volume = self._box = self._count_plan = None
 
     def _image(self, nums: list[IVec], den: int, move, reverse: bool = False) -> "Polytope":
         """This body under a translation or positive dilation, or under
         x -> -x with `reverse` (which reverses the lexicographic vertex
         order): vertex k goes to nums[k] over `den` and each inequality h
-        to the canonical halfspace ``move(h)``; equalities are read off the
+        to the primitive row ``move(h)``; equalities are read off the
         new points."""
         if self.is_empty:
             return self
@@ -538,22 +521,12 @@ class Polytope:
             raise DegenerateInput("empty polytope has no linear description")
         return self._description
 
-    def integer_description(self):
-        """linear_description with coprime integer coefficients, as plain ints.
-
-        Returns (equalities, inequalities), each a list of (coeffs, rhs).
-        """
-        if self._int_ineqs is None:
-            eqs, ineqs = self.linear_description()
-            self._int_ineqs = ([(h.coeffs, h.rhs) for h in eqs], [(h.coeffs, h.rhs) for h in ineqs])
-        return self._int_ineqs
-
     # -- membership ---------------------------------------------------------
 
     def contains(self, x: Iterable) -> bool:
         p = as_vec(x)
         if len(p) != self.dim:
-            raise DegenerateInput(f"point of length {len(p)} in ambient dimension {self.dim}")
+            raise _length_error("point", p, self.dim)
         if self.is_empty:
             return False
         eqs, ineqs = self.linear_description()
@@ -589,14 +562,16 @@ class Polytope:
 
     def translated(self, t: Iterable) -> "Polytope":
         (tn,), tden = _homogenize([as_vec(t)])
+        if len(tn) != self.dim:
+            raise _length_error("translation", tn, self.dim)
         den = math.lcm(self.denominator, tden)
         f, shift = den // self.denominator, tuple(den // tden * x for x in tn)
         return self._image([tuple(f * x + y for x, y in zip(v, shift)) for v in self.numerators],
-                           den, lambda h: h._shifted(tn, tden).canonical())
+                           den, lambda h: h._shifted(tn, tden))
 
     def negated(self) -> "Polytope":
         return self._image([tuple(-x for x in v) for v in self.numerators], self.denominator,
-                           lambda h: HalfSpace._from_ints(tuple(-x for x in h.coeffs), h.rhs),
+                           lambda h: _row(tuple(-x for x in h[0]), h[1]),
                            reverse=True)
 
     def volume(self) -> Fraction:
@@ -695,10 +670,10 @@ def vertices_from_facets(halfspaces: Sequence[HalfSpace], dim: int) -> Polytope:
     unbounded.  The inequalities kept are halfspaces of the system in its
     order; a full-dimensional result keeps as facets those cutting out its
     facets, first comers first."""
-    if any(len(h.coeffs) != dim for h in halfspaces):
-        raise DegenerateInput(f"halfspace of the wrong length in ambient dimension {dim}")
-    sizes = sorted((math.isqrt(_dot(h.coeffs, h.coeffs) + h.rhs * h.rhs) + 1 for h in halfspaces),
-                   reverse=True)
+    for a, _ in halfspaces:
+        if len(a) != dim:
+            raise _length_error("halfspace", a, dim)
+    sizes = sorted((math.isqrt(_dot(a, a) + b * b) + 1 for a, b in halfspaces), reverse=True)
     big = 1 + math.prod(sizes[:dim])
     out = dilate(unit_cube(dim), 2 * big).translated((-big,) * dim)
     for h in halfspaces:
@@ -718,8 +693,9 @@ def vertices_from_facets(halfspaces: Sequence[HalfSpace], dim: int) -> Polytope:
 
 def sides(p: Polytope, h: HalfSpace) -> list[int]:
     """h at each vertex of p in integers, ``coeffs . num - rhs * denominator``:
-    h.value(v) times the positive factor denominator / scale."""
-    a, bd = h.coeffs, h.rhs * p.denominator
+    h.value(v) times the positive factor denominator."""
+    a, b = h
+    bd = b * p.denominator
     return [sum(map(mul, a, v)) - bd for v in p.numerators]
 
 
@@ -779,7 +755,7 @@ def _piece(p: Polytope, h: HalfSpace, vals: list[int], new) -> Polytope:
     pts += [(v, q, moved(m) | hbit) for v, q, m in new]
     nums, den = _common_den([(v, q) for v, q, _ in pts])
     order = sorted(range(len(nums)), key=nums.__getitem__)
-    cut = tuple(q for b, q in enumerate(ineqs) if alive >> b & 1) + (h.canonical(),)
+    cut = tuple(q for b, q in enumerate(ineqs) if alive >> b & 1) + (h,)
     return Polytope._made(p.dim, [nums[k] for k in order], den, p._rank, (eqs, cut),
                           [pts[k][2] for k in order])
 
@@ -802,6 +778,8 @@ def _face(p: Polytope, keep: list[int]) -> Polytope:
 
 def clip(p: Polytope, h: HalfSpace) -> Polytope:
     """p intersected with the closed halfspace h; may be empty or flat."""
+    if len(h[0]) != p.dim:
+        raise _length_error("halfspace", h[0], p.dim)
     vals = sides(p, h)
     if max(vals, default=0) <= 0:
         return p
@@ -815,6 +793,8 @@ def clip(p: Polytope, h: HalfSpace) -> Polytope:
 def clip_both(p: Polytope, h: HalfSpace) -> tuple[Polytope, Polytope]:
     """(p cut to h's <= side, p cut to the >= side), sharing the boundary
     vertex computation; intended for cell splitting."""
+    if len(h[0]) != p.dim:
+        raise _length_error("halfspace", h[0], p.dim)
     vals = sides(p, h)
     if max(vals, default=0) <= 0:
         return p, _face(p, [i for i, val in enumerate(vals) if val == 0])
@@ -877,16 +857,16 @@ def affine_image(p: Polytope, m: Mat, t: Iterable) -> Polytope:
 
 
 def dilate(p: Polytope, n: int) -> Polytope:
-    if n <= 0:
-        raise DegenerateInput("dilation factor must be positive")
+    if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
+        raise DegenerateInput(f"dilation factor must be a positive integer, got {n!r}")
     return p._image([tuple(n * x for x in v) for v in p.numerators], p.denominator,
-                    lambda h: HalfSpace._from_ints(*_primitive(h.coeffs, n * h.rhs)))
+                    lambda h: _row(*_primitive(h[0], n * h[1])))
 
 
 def unit_cube(d: int) -> Polytope:
     nums = list(itertools.product((0, 1), repeat=d))
     # -x_i <= 0 and x_i <= 1 in turn for each i, so bit 2i + x_i is tight at x
-    facets = tuple(HalfSpace._from_ints(tuple(s if j == i else 0 for j in range(d)), max(s, 0))
+    facets = tuple(_row(tuple(s if j == i else 0 for j in range(d)), max(s, 0))
                    for i in range(d) for s in (-1, 1))
     masks = [sum(1 << (2 * i + x) for i, x in enumerate(v)) for v in nums]
     return Polytope._made(d, nums, 1, d, ((), facets), masks)

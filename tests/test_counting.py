@@ -33,13 +33,12 @@ from polyshift.counting import (
     ZonotopeSpec,
     count_at,
     generic_draws,
-    generic_count,
     zonotope_constant,
     zonotope_polytope,
     zonotope_spec_from_json,
     zonotope_spec_to_json,
 )
-from polyshift.errors import DegenerateInput, NotConstant
+from polyshift.errors import DegenerateInput
 from polyshift.geometry import Polytope, dilate, unit_cube
 
 F = Fraction
@@ -712,8 +711,10 @@ def test_count_matches_brute_force_non_lattice_body():
 # generic counts, parallelepipeds, zonotopes
 
 
-def test_generic_count_cube():
-    assert generic_count(unit_cube(3), seed=5) == 1
+def generic_counts(body, seed, n=8):
+    """The distinct counts of `body` at the first n generic stream draws."""
+    return {c for _, (counts,), _ in generic_draws(ShiftStream(body.dim, seed), [body], n)
+            for c in counts}
 
 
 def test_generic_count_matches_parallelepiped_index():
@@ -730,7 +731,7 @@ def test_generic_count_matches_parallelepiped_index():
             counts.add(res.count)
             drawn += 1
     assert counts == {2}
-    assert generic_count(para, seed=21) == 2
+    assert generic_counts(para, seed=21) == {2}
 
 
 def test_parallelepiped_index_standard_basis():
@@ -741,17 +742,6 @@ def test_parallelepiped_index_standard_basis():
 def test_parallelepiped_index_degenerate():
     with pytest.raises(DegenerateInput):
         zonotope_constant(ZonotopeSpec(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]))
-
-
-def test_generic_count_detects_nonconstant():
-    with pytest.raises(NotConstant):
-        generic_count(standard_simplex(2), seed=3, trials=32)
-
-
-def test_generic_count_rejects_no_trials():
-    for trials in (0, -1):
-        with pytest.raises(DegenerateInput, match="trials"):
-            generic_count(unit_cube(2), trials=trials)
 
 
 def test_empty_body_rejects_a_wrong_length_shift():
@@ -932,7 +922,7 @@ def test_stream_counts_give_count_at_results_in_draw_order(monkeypatch):
 def test_zonotope_constant_hexagon():
     spec = hexagon_zonotope()
     assert zonotope_constant(spec) == 3
-    assert generic_count(zonotope_polytope(spec), seed=2) == 3
+    assert generic_counts(zonotope_polytope(spec), seed=2) == {3}
     assert zonotope_polytope(spec).volume() == 3
 
 

@@ -65,7 +65,7 @@ def riemann_variance(p, resolution=512):
     """
     d = p.dim
     den = 2 * resolution
-    eqs, ineqs = p.integer_description()
+    eqs, ineqs = p.linear_description()
     assert not eqs
     lo, hi = p.bounding_box()
     axes = [np.arange(1, den, 2, dtype=np.int64) for _ in range(d)]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -27,7 +28,6 @@ from polyshift.geometry import (
     clip_both,
     determinant,
     dilate,
-    halfspace,
     intersect,
     minkowski_sum,
     polytope_from_json,
@@ -99,32 +99,24 @@ def test_determinant_is_multiplicative(a, b):
 # facet / vertex enumeration
 
 
-def key(h):
-    """A halfspace as its coprime integer row, whatever its scale."""
-    return (h.coeffs, h.rhs)
-
-
 def test_unit_square_facets():
     square = Polytope(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
-    keys = {key(h) for h in square.facets()}
-    expected = {
-        key(halfspace((-1, 0), 0)),
-        key(halfspace((0, -1), 0)),
-        key(halfspace((1, 0), 1)),
-        key(halfspace((0, 1), 1)),
+    assert set(square.facets()) == {
+        HalfSpace((-1, 0), 0),
+        HalfSpace((0, -1), 0),
+        HalfSpace((1, 0), 1),
+        HalfSpace((0, 1), 1),
     }
-    assert keys == expected
 
 
 def test_simplex3_facets():
     facets = standard_simplex(3).facets()
     assert len(facets) == 4
-    keys = {key(h) for h in facets}
-    assert key(halfspace((1, 1, 1), 1)) in keys
+    assert HalfSpace((1, 1, 1), 1) in facets
     for i in range(3):
         normal = [0, 0, 0]
         normal[i] = -1
-        assert key(halfspace(normal, 0)) in keys
+        assert HalfSpace(normal, 0) in facets
 
 
 def test_reeve_facets_tight_at_three_vertices():
@@ -147,8 +139,8 @@ def test_box_vertices_from_facets():
         for i in range(d):
             e = [0] * d
             e[i] = 1
-            hss.append(halfspace(e, 2))
-            hss.append(halfspace([-x for x in e], 1))
+            hss.append(HalfSpace(e, 2))
+            hss.append(HalfSpace([-x for x in e], 1))
         p = vertices_from_facets(hss, d)
         assert len(p.vertices) == 2**d
 
@@ -159,10 +151,10 @@ def test_slab_piece_vertices_from_facets():
     for i in range(3):
         e = [0, 0, 0]
         e[i] = 1
-        hss.append(halfspace(e, 1))
-        hss.append(halfspace([-x for x in e], 0))
-    hss.append(halfspace((1, 1, 1), 2))
-    hss.append(halfspace((-1, -1, -1), -1))
+        hss.append(HalfSpace(e, 1))
+        hss.append(HalfSpace([-x for x in e], 0))
+    hss.append(HalfSpace((1, 1, 1), 2))
+    hss.append(HalfSpace((-1, -1, -1), -1))
     p = vertices_from_facets(hss, 3)
     expected = {
         tuple(map(F, v))
@@ -181,26 +173,26 @@ def test_shifted_simplex_intersection_from_facets():
 
 def test_vertices_from_facets_unbounded():
     with pytest.raises(Unbounded):
-        vertices_from_facets([halfspace((1, 0), 0), halfspace((0, 1), 0)], 2)
+        vertices_from_facets([HalfSpace((1, 0), 0), HalfSpace((0, 1), 0)], 2)
 
 
 def test_vertices_from_facets_infeasible():
     with pytest.raises(Infeasible):
         vertices_from_facets(
-            [halfspace((1,), 0), halfspace((-1,), -1)], 1
+            [HalfSpace((1,), 0), HalfSpace((-1,), -1)], 1
         )
 
 
 def test_vertices_from_facets_rejects_rows_of_the_wrong_length():
     with pytest.raises(DegenerateInput):
-        vertices_from_facets([halfspace((1, 0, 0), 1), halfspace((-1, 0), 0)], 2)
+        vertices_from_facets([HalfSpace((1, 0, 0), 1), HalfSpace((-1, 0), 0)], 2)
 
 
 def test_empty_system_with_a_recession_direction_is_infeasible():
     # x <= -1 and -x <= 0 in R^2 is empty, though (0, 1) satisfies both
     # rows' homogeneous parts: the cut is empty before it can touch the box
     with pytest.raises(Infeasible):
-        vertices_from_facets([halfspace((1, 0), -1), halfspace((-1, 0), 0)], 2)
+        vertices_from_facets([HalfSpace((1, 0), -1), HalfSpace((-1, 0), 0)], 2)
 
 
 def test_round_trip_catalog():
@@ -222,20 +214,20 @@ def test_round_trip_catalog():
 
 def test_clip_noop():
     c = unit_cube(3)
-    assert clip(c, halfspace((1, 0, 0), 1)) == c
+    assert clip(c, HalfSpace((1, 0, 0), 1)) == c
 
 
 def test_clip_cube_corner_gives_simplex():
-    assert clip(unit_cube(3), halfspace((1, 1, 1), 1)) == standard_simplex(3)
+    assert clip(unit_cube(3), HalfSpace((1, 1, 1), 1)) == standard_simplex(3)
 
 
 def test_clip_to_empty():
-    assert clip(standard_simplex(2), halfspace((-1, 0), -2)).is_empty
+    assert clip(standard_simplex(2), HalfSpace((-1, 0), -2)).is_empty
 
 
 def test_clip_volume_additivity():
     p = reeve_tetrahedron(2)
-    h = halfspace((1, 2, -1), F(1, 3))
+    h = HalfSpace((1, 2, -1), F(1, 3))
     assert clip(p, h).volume() + clip(p, h.flipped()).volume() == p.volume()
 
 
@@ -250,7 +242,7 @@ def test_clip_additivity_random_plane(a, b, c, off):
     if a == 0 and b == 0 and c == 0:
         return
     p = unit_cube(3)
-    h = halfspace((a, b, c), off)
+    h = HalfSpace((a, b, c), off)
     assert clip(p, h).volume() + clip(p, h.flipped()).volume() == 1
 
 
@@ -291,6 +283,21 @@ def test_membership_rejects_points_of_the_wrong_length(point):
             query(point)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: standard_simplex(3).translated((1, 2)),
+    lambda: standard_simplex(3).translated((1, 2, 3, 4)),
+    lambda: HalfSpace((1, 0), 1).translated((1,)),
+    lambda: HalfSpace((1, 0, 0), 1).value((1, 2)),
+    lambda: clip(standard_simplex(3), HalfSpace((1, 1), 1)),
+    lambda: clip_both(standard_simplex(3), HalfSpace((1, 1, 1, 1), 1)),
+], ids=["translate-short", "translate-long", "halfspace-translate", "halfspace-value", "clip",
+        "clip-both"])
+def test_vectors_of_the_wrong_length_are_rejected(call):
+    # zip would stop at the shorter vector and answer for a body it was not given
+    with pytest.raises(DegenerateInput, match="length"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # volume
 
@@ -321,6 +328,13 @@ def test_volume_dilation_scaling():
         base = p.volume()
         for n in range(1, 6):
             assert dilate(p, n).volume() == F(n) ** p.dim * base
+
+
+@pytest.mark.parametrize("n", [0, -2, 2.5, F(1, 2), F(2), True],
+                         ids=["0", "-2", "2.5", "1/2", "Fraction-2", "True"])
+def test_dilate_takes_positive_integer_factors_only(n):
+    with pytest.raises(DegenerateInput, match="dilation factor"):
+        dilate(standard_simplex(2), n)
 
 
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3, max_size=3))
@@ -473,7 +487,7 @@ def test_clip_both_halves_sum_to_volume(body, normal, offset):
     d, pts = body
     assume(any(normal[:d]))
     p = full_dim_body(d, pts)
-    lo, hi = clip_both(p, halfspace(normal[:d], offset))
+    lo, hi = clip_both(p, HalfSpace(normal[:d], offset))
     assert lo.volume() + hi.volume() == p.volume()
 
 
@@ -483,7 +497,7 @@ def test_new_clip_vertices_lie_on_the_plane(body, normal, offset):
     d, pts = body
     assume(any(normal[:d]))
     p = full_dim_body(d, pts)
-    h = halfspace(normal[:d], offset)
+    h = HalfSpace(normal[:d], offset)
     cut = clip(p, h)
     assert all(h.value(v) <= 0 for v in cut.vertices)
     assert all(h.value(v) == 0 for v in set(cut.vertices) - set(p.vertices))
@@ -539,12 +553,35 @@ def test_covariogram_is_even(body, t):
     assert intersect(p, p.translated(t)).volume() == intersect(p, p.translated(back)).volume()
 
 
-def test_halfspace_equality_is_on_normal_and_offset():
+def test_halfspace_equality_is_set_equality():
     a, b = HalfSpace((1, 1), 1), HalfSpace((2, 2), 2)
-    assert a != b and key(a) == key(b)
-    assert a == HalfSpace((F(1), F(1)), F(1))
-    assert hash(a) == hash(((F(1), F(1)), F(1)))
-    assert a.translated((F(1, 2), 0)) == HalfSpace((1, 1), F(3, 2))
+    assert a == b and hash(a) == hash(b)
+    assert a.normal == b.normal == (1, 1) and b.offset == 1
+    coeffs, rhs = b
+    assert (coeffs, rhs) == (b.coeffs, b.rhs) == ((1, 1), 1)
+    assert a == HalfSpace((F(1, 3), F(1, 3)), F(1, 3))
+    # only positive scalings keep the set, and a shift keeps the row primitive
+    assert a != a.flipped() and a.flipped() == HalfSpace((-2, -2), -2)
+    assert a.translated((F(1, 2), 0)) == HalfSpace((2, 2), 3)
+    assert pickle.loads(pickle.dumps(b)) == a and repr(b) == "HalfSpace((1, 1), 1)"
+
+
+@given(st.lists(st.integers(-4, 4), min_size=2, max_size=3), st.integers(-4, 4),
+       st.fractions(min_value=F(1, 12), max_value=6))
+@settings(max_examples=60, deadline=None)
+def test_halfspace_is_its_primitive_row(a, b, scale):
+    if not any(a):
+        with pytest.raises(DegenerateInput):
+            HalfSpace([scale * x for x in a], scale * b)
+        return
+    h, scaled = HalfSpace(a, b), HalfSpace([scale * x for x in a], scale * b)
+    assert scaled == h and hash(scaled) == hash(h)
+    assert math.gcd(*h.coeffs, h.rhs) == 1
+    p = dilate(unit_cube(len(a)), 3).translated([-1] * len(a))
+    cut = clip(p, h)
+    assert clip(p, scaled) == cut
+    if not cut.is_empty:
+        assert clip(p, scaled).linear_description() == cut.linear_description()
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +661,9 @@ def test_clips_carry_exact_incidence(chain):
             if b is not None and ineqs:
                 a = ineqs[b % len(ineqs)].coeffs
             top = max(dot(a, v) for v in p.vertices)
-            p = clip(p, halfspace([-x for x in a], -top))
+            p = clip(p, HalfSpace([-x for x in a], -top))
         else:
-            h = halfspace(a, b)
+            h = HalfSpace(a, b)
             lo, hi = clip_both(p, h)
             cut = clip(p, h)
             assert cut == lo
@@ -653,7 +690,7 @@ def test_clip_skips_diagonals_of_non_simple_faces():
     # and x0 + x1 <= 1 separates its diagonal corners
     pts = square_times_octahedron()
     p = Polytope(5, pts)
-    cut = clip(p, halfspace((1, 1, 0, 0, 0), 1))
+    cut = clip(p, HalfSpace((1, 1, 0, 0, 0), 1))
     assert set(cut.vertices) == {as_vec(v) for v in pts if v[0] + v[1] <= 1}
     assert cut.volume() == p.volume() / 2 == F(2, 3)
 
@@ -700,7 +737,7 @@ def tiled_bodies(draw):
     p = Polytope(d, pts)
     if draw(st.booleans()):
         normal = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any))
-        p = clip(p, halfspace(normal, draw(st.integers(-1, 1) | rationals)))
+        p = clip(p, HalfSpace(normal, draw(st.integers(-1, 1) | rationals)))
     assume(p.is_full_dim)
     return p, draw(st.integers(0, 2**16))
 
@@ -845,7 +882,7 @@ def test_hull_matches_exhaustive_search(cloud):
         lifted = [0] * d
         for j, c in enumerate(pivots):
             lifted[c] = den * a[j]
-        halfspaces.append(HalfSpace(lifted, b).canonical())
+        halfspaces.append(HalfSpace(lifted, b))
     assert p.linear_description()[1] == tuple(halfspaces)
     assert p._masks == [sum(1 << b for b, m in enumerate(masks) if m >> k & 1)
                         for k in range(len(extreme))]
@@ -1059,7 +1096,7 @@ def halfspace_systems(draw):
 @settings(max_examples=120, deadline=None)
 def test_vertices_from_facets_matches_enumeration(system):
     d, rows = system
-    hss = [halfspace(a, b) for a, b in rows]
+    hss = [HalfSpace(a, b) for a, b in rows]
     expected = cut_oracle(rows, d)
     if expected in (Infeasible, Unbounded):
         with pytest.raises(expected):
@@ -1070,8 +1107,7 @@ def test_vertices_from_facets_matches_enumeration(system):
     assert_incidence(p)
     # the kept inequalities are rows of the system in its order; a
     # full-dimensional body keeps per facet the first row cutting it out
-    canonical = [h.canonical() for h in hss]
-    first = [canonical.index(h) for h in p.linear_description()[1]]
+    first = [hss.index(h) for h in p.linear_description()[1]]
     assert first == sorted(set(first))
     if p.is_full_dim:
         tight = [frozenset(i for i, v in enumerate(p.vertices) if h.value(v) == 0) for h in hss]
