@@ -23,9 +23,7 @@ from .errors import (
     CellBudgetExceeded,
     DegenerateInput,
     GeometryError,
-    Infeasible,
     SingularMatrix,
-    Unbounded,
     UnknownIdentity,
 )
 from .geometry import (
@@ -39,7 +37,6 @@ from .geometry import (
     polytope_from_json,
     polytope_to_json,
     unit_cube,
-    vertices_from_facets,
 )
 
 __version__ = "0.1.0"

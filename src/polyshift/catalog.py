@@ -27,7 +27,6 @@ from .geometry import (
     minkowski_sum,
     segment,
     triangulate,
-    unit_cube,
     zero_vec,
 )
 
@@ -297,8 +296,3 @@ def cross_polytope(d: int) -> Polytope:
         verts.append(tuple(e))
         verts.append(tuple(-x for x in e))
     return Polytope(d, verts)
-
-
-def hexagon_zonotope() -> ZonotopeSpec:
-    """Generators (1,0), (0,1), (1,1): hexagon of area 3."""
-    return ZonotopeSpec(2, (as_vec((1, 0)), as_vec((0, 1)), as_vec((1, 1))))

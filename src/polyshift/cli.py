@@ -70,7 +70,7 @@ def parse_polytope_input(spec: str) -> Union[Polytope, ZonotopeSpec]:
         if name == "file":
             with open(arg, encoding="utf-8") as fh:
                 return polytope_from_json(json.load(fh))
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         raise InputError(f"bad input {spec!r}: {exc}") from exc
     raise InputError(
         f"unknown construction {spec!r}; expected one of {', '.join(CONSTRUCTION_FORMS)}"

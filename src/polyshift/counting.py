@@ -623,7 +623,3 @@ def zonotope_spec_from_json(data: dict) -> ZonotopeSpec:
         if any(c.denominator != 1 for c in row):
             raise DegenerateInput(f"zonotope generators must be integral, got {g!r}")
     return ZonotopeSpec(dim, rows)
-
-
-def zonotope_spec_to_json(spec: ZonotopeSpec) -> dict:
-    return {"dim": spec.dim, "generators": [[int(c) for c in g] for g in spec.generators]}

@@ -38,10 +38,10 @@ from .geometry import (
     Polytope,
     ZERO,
     _row,
+    _sides,
     clip,
     clip_both,
     minkowski_sum,
-    sides,
     unit_cube,
 )
 
@@ -293,7 +293,7 @@ def _overlay(cells: list[tuple[Polytope, int]], facets: list[HalfSpace]
             continue
         part, cut = cell, []
         for h in facets:
-            vals = sides(part, h)
+            vals = _sides(part, h)
             if max(vals) <= 0:
                 continue
             if min(vals) >= 0:
@@ -332,7 +332,7 @@ def exact_distribution(p: Polytope, cell_budget: int = 10**6) -> CountDistributi
         # z - p is cut out by -a . x <= b - a . z over p's facets
         facets = [_row(tuple(-c for c in a), b - sum(map(mul, a, z)))
                   for a, b in ineqs]
-        cells = _overlay(cells, [h for h in facets if max(sides(cube, h)) > 0])
+        cells = _overlay(cells, [h for h in facets if max(_sides(cube, h)) > 0])
         if len(cells) > cell_budget:
             raise CellBudgetExceeded(f"cell decomposition exceeded {cell_budget} cells")
     probs: dict[int, Fraction] = {}

@@ -13,14 +13,6 @@ class SingularMatrix(GeometryError):
     """A matrix required to be invertible has determinant zero."""
 
 
-class Infeasible(GeometryError):
-    """A halfspace system has no solution."""
-
-
-class Unbounded(GeometryError):
-    """A halfspace system admits a recession direction."""
-
-
 class CellBudgetExceeded(GeometryError):
     """Exact distribution cell decomposition grew past the configured cap."""
 

@@ -21,8 +21,7 @@ about its horizon ridge onto the new point, an integer combination of the
 two facet normals that meet there.  A clip finds edges by the double
 description method's adjacency test and hands each piece, and each face
 it keeps, its facets and masks; translates, negation and dilates carry
-them over; and `vertices_from_facets` is a box clipped by each halfspace
-in turn.  Faces are vertex bitsets.  A triangulation is the pulling one
+them over.  Faces are vertex bitsets.  A triangulation is the pulling one
 from the lowest vertex: every face, a polygon too, cones its lowest
 vertex over the triangulations of its facets that miss it, read off the
 incidence, so each simplex lists its vertices in ascending order and
@@ -42,7 +41,7 @@ from fractions import Fraction
 from operator import itemgetter, mul, or_
 from typing import Iterable, Optional, Sequence
 
-from .errors import DegenerateInput, Infeasible, SingularMatrix, Unbounded
+from .errors import DegenerateInput, SingularMatrix
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -532,18 +531,6 @@ class Polytope:
         eqs, ineqs = self.linear_description()
         return all(h.value(p) == 0 for h in eqs) and all(h.value(p) <= 0 for h in ineqs)
 
-    def on_boundary(self, x: Iterable) -> bool:
-        """True when x lies on the topological boundary of the polytope.
-
-        Every point of a lower-dimensional polytope is boundary.
-        """
-        p = as_vec(x)
-        if not self.contains(p):
-            return False
-        if not self.is_full_dim:
-            return True
-        return any(h.value(p) == 0 for h in self.facets())
-
     # -- geometry -----------------------------------------------------------
 
     def integer_box(self) -> tuple[IVec, IVec]:
@@ -657,41 +644,10 @@ def _volume_of(p: Polytope) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# enumeration between representations
-
-
-def vertices_from_facets(halfspaces: Sequence[HalfSpace], dim: int) -> Polytope:
-    """The polytope cut out by a halfspace system: the box [-B, B]^dim
-    clipped by each halfspace in turn (the primal double description
-    method).  B is 1 plus the product of the dim largest values of
-    isqrt(|a|^2 + b^2) + 1 over the rows ``a . x <= b``; by Cramer's rule
-    and Hadamard's bound every vertex, and a point of every minimal face,
-    lies strictly inside that box, so a nonempty cut that touches it is
-    unbounded.  The inequalities kept are halfspaces of the system in its
-    order; a full-dimensional result keeps as facets those cutting out its
-    facets, first comers first."""
-    for a, _ in halfspaces:
-        if len(a) != dim:
-            raise _length_error("halfspace", a, dim)
-    sizes = sorted((math.isqrt(_dot(a, a) + b * b) + 1 for a, b in halfspaces), reverse=True)
-    big = 1 + math.prod(sizes[:dim])
-    out = dilate(unit_cube(dim), 2 * big).translated((-big,) * dim)
-    for h in halfspaces:
-        out = clip(out, h)
-        if out.is_empty:
-            raise Infeasible("halfspace system has no solution")
-    lo, hi = out.integer_box()
-    edge = big * out.denominator
-    if -edge in lo or edge in hi:
-        raise Unbounded("halfspace system admits a recession direction")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # clipping, intersection, Minkowski sums, affine maps
 
 
-def sides(p: Polytope, h: HalfSpace) -> list[int]:
+def _sides(p: Polytope, h: HalfSpace) -> list[int]:
     """h at each vertex of p in integers, ``coeffs . num - rhs * denominator``:
     h.value(v) times the positive factor denominator."""
     a, b = h
@@ -780,7 +736,7 @@ def clip(p: Polytope, h: HalfSpace) -> Polytope:
     """p intersected with the closed halfspace h; may be empty or flat."""
     if len(h[0]) != p.dim:
         raise _length_error("halfspace", h[0], p.dim)
-    vals = sides(p, h)
+    vals = _sides(p, h)
     if max(vals, default=0) <= 0:
         return p
     if min(vals) >= 0:
@@ -795,7 +751,7 @@ def clip_both(p: Polytope, h: HalfSpace) -> tuple[Polytope, Polytope]:
     vertex computation; intended for cell splitting."""
     if len(h[0]) != p.dim:
         raise _length_error("halfspace", h[0], p.dim)
-    vals = sides(p, h)
+    vals = _sides(p, h)
     if max(vals, default=0) <= 0:
         return p, _face(p, [i for i, val in enumerate(vals) if val == 0])
     if min(vals) >= 0:

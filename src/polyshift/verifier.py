@@ -498,14 +498,6 @@ def verify(kind: str, *, instances: Optional[int] = None, shifts: Optional[int] 
 # Reeve tetrahedron audit
 
 
-def reeve_layer_triangle(n: int, k: int, w) -> Polytope:
-    """Cross-section footprint of the height-n tetrahedron at level k for
-    vertical offset w, dropped to the plane: the right triangle with legs
-    from (k-w)/n to 1."""
-    c = (Fraction(k) - Fraction(w)) / n
-    return Polytope(2, [(c, 1), (1, c), (c, c)])
-
-
 def reeve_layer_mean(n: int, k: int) -> Fraction:
     """Expected value of the level-k indicator: the integral over the
     vertical offset of the footprint area (n-k+w)^2 / (2 n^2)."""
@@ -583,6 +575,9 @@ def reeve_audit(n: int, max_distribution_n: int = 4) -> ReeveAudit:
     """
     if n < 1:
         raise DegenerateInput(f"reeve-audit needs n >= 1, got {n}")
+    if max_distribution_n < 0:
+        raise DegenerateInput(
+            f"reeve-audit needs max_distribution_n >= 0, got {max_distribution_n}")
     closed = Fraction(n**3 + 12 * n - 3, 72 * n)
     means = {k: reeve_layer_mean(n, k) for k in range(1, n + 1)}
     pairs = {

@@ -1,6 +1,30 @@
 """Shared test helpers."""
 
+from fractions import Fraction
+
 import pytest
+
+from polyshift.counting import ZonotopeSpec
+from polyshift.geometry import Polytope
+
+# generators (1, 0), (0, 1), (1, 1): a hexagon of area 3
+HEXAGON = ZonotopeSpec(2, ((1, 0), (0, 1), (1, 1)))
+
+
+def on_boundary(p, x):
+    """Whether x lies on the topological boundary of the polytope p.  Every
+    point of a lower-dimensional polytope is boundary."""
+    if not p.contains(x):
+        return False
+    return not p.is_full_dim or any(h.value(x) == 0 for h in p.facets())
+
+
+def reeve_layer_triangle(n, k, w):
+    """Cross-section footprint of the height-n tetrahedron at level k for
+    vertical offset w, dropped to the plane: the right triangle with legs
+    from (k-w)/n to 1."""
+    c = (Fraction(k) - Fraction(w)) / n
+    return Polytope(2, [(c, 1), (1, c), (c, c)])
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ from fractions import Fraction
 from polyshift.catalog import (
     central_slab,
     cross_polytope,
-    hexagon_zonotope,
     random_lattice_polytope,
     random_lattice_simplex,
     random_zonotope,
@@ -26,6 +25,8 @@ from polyshift.distributions import (
 )
 from polyshift.geometry import dilate, unit_cube
 from polyshift.verifier import EXPECTED_FAILURE, PASS, reeve_audit, verify
+
+from conftest import HEXAGON
 
 F = Fraction
 
@@ -44,7 +45,7 @@ def _criterion_1_2_instances():
         ("simplex:3", standard_simplex(3)),
         ("cube:3", unit_cube(3)),
         ("central-slab:3", central_slab(3)),
-        ("hexagon", zonotope_polytope(hexagon_zonotope())),
+        ("hexagon", zonotope_polytope(HEXAGON)),
     ]
     for n in range(1, 5):
         bodies.append((f"reeve:{n}", reeve_tetrahedron(n)))

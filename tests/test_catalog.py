@@ -10,7 +10,6 @@ from polyshift.catalog import (
     centrally_symmetric_polytope,
     cross_polytope,
     embed_with_zero_last,
-    hexagon_zonotope,
     piece_multiplicity,
     prism_over_embedded,
     random_lattice_polytope,
@@ -342,9 +341,3 @@ def test_cross_polytope():
     assert len(q.vertices) == 6
     assert q.volume() == F(4, 3)
     assert cross_polytope(4).volume() == F(2, 3)
-
-
-def test_hexagon_zonotope_spec():
-    spec = hexagon_zonotope()
-    assert spec.dim == 2
-    assert len(spec.generators) == 3

@@ -357,6 +357,12 @@ def test_output_to_file(tmp_path, capsys):
         # verify: a tag that checks one image or one instance takes no count of them
         (["verify", "--identity", "negation-invariance", "--instances", "1"], None),
         (["verify", "--identity", "corollary-4d-symmetric", "--instances", "1"], None),
+        # a negative bound on the audit's exact law would be taken as 0
+        (["reeve-audit", "--n", "2", "--max-distribution-n", "-5"], None),
+        # a construction size too large for an index
+        (["volume", "--input", "simplex:99999999999999999999"], None),
+        (["volume", "--input", "central-slab:99999999999999999999"], None),
+        (["volume", "--input", "slab:99999999999999999999:1"], None),
     ],
 )
 def test_bad_input_exits_two_with_error_payload(argv, body, tmp_path, capsys):

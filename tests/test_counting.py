@@ -17,7 +17,6 @@ from polyshift.catalog import (
     centrally_symmetric_polytope,
     cross_polytope,
     embed_with_zero_last,
-    hexagon_zonotope,
     prism_over_embedded,
     random_lattice_polytope,
     random_lattice_simplex,
@@ -36,10 +35,11 @@ from polyshift.counting import (
     zonotope_constant,
     zonotope_polytope,
     zonotope_spec_from_json,
-    zonotope_spec_to_json,
 )
 from polyshift.errors import DegenerateInput
 from polyshift.geometry import Polytope, dilate, unit_cube
+
+from conftest import HEXAGON, on_boundary
 
 F = Fraction
 
@@ -62,7 +62,7 @@ def brute_count(p, coords):
     hits = tuple(
         z
         for z in pts
-        if p.on_boundary(tuple(F(c) - s for c, s in zip(z, coords)))
+        if on_boundary(p, tuple(F(c) - s for c, s in zip(z, coords)))
     )
     return CountResult(len(pts), hits)
 
@@ -436,7 +436,7 @@ CATALOG_BODIES = (
     + [embed_with_zero_last(standard_simplex(2)), prism_over_embedded(standard_simplex(2)),
        random_lattice_polytope(3, 6, 3, seed=300), random_lattice_simplex(3, 4, seed=2),
        centrally_symmetric_polytope(3, 4, 3, seed=1), cross_polytope(4),
-       zonotope_polytope(hexagon_zonotope())]
+       zonotope_polytope(HEXAGON)]
     + list(FLAT_BODIES)
     + [Polytope(3, [tuple(map(F, v)) for v in RATIONAL_3D["vertices"]])]
 )
@@ -920,7 +920,7 @@ def test_stream_counts_give_count_at_results_in_draw_order(monkeypatch):
 
 
 def test_zonotope_constant_hexagon():
-    spec = hexagon_zonotope()
+    spec = HEXAGON
     assert zonotope_constant(spec) == 3
     assert generic_counts(zonotope_polytope(spec), seed=2) == {3}
     assert zonotope_polytope(spec).volume() == 3
@@ -945,7 +945,7 @@ def test_zonotope_degenerate_span():
 
 
 def test_zonotope_constancy_over_shifts():
-    spec = hexagon_zonotope()
+    spec = HEXAGON
     poly = zonotope_polytope(spec)
     stream = ShiftStream(2, seed=17)
     done = 0
@@ -957,8 +957,8 @@ def test_zonotope_constancy_over_shifts():
 
 
 def test_zonotope_json_round_trip():
-    spec = hexagon_zonotope()
-    assert zonotope_spec_from_json(zonotope_spec_to_json(spec)) == spec
+    data = {"dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]}
+    assert zonotope_spec_from_json(data) == HEXAGON
 
 
 def test_zonotope_spec_rejects_non_integer():

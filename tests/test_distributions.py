@@ -20,7 +20,6 @@ from polyshift.catalog import (
     central_slab,
     centrally_symmetric_polytope,
     cross_polytope,
-    hexagon_zonotope,
     prism_over_embedded,
     random_lattice_polytope,
     reeve_tetrahedron,
@@ -44,15 +43,17 @@ from polyshift.errors import (
 from polyshift.geometry import (
     HalfSpace,
     Polytope,
+    _sides,
     affine_image,
     clip,
     clip_both,
     dilate,
     intersect,
     minkowski_sum,
-    sides,
     unit_cube,
 )
+
+from conftest import HEXAGON, on_boundary
 
 F = Fraction
 
@@ -197,8 +198,8 @@ def box_covariance(p, q):
     whole translate q + t, and a cap that turns flat adds nothing."""
     # a facet a . x <= b of p rules t out when a . t > floor(b - min_q a . w);
     # a facet of q does when a . t < ceil(min_p a . v - b)
-    p_filters = [(h.coeffs, -min(sides(q, h)) // q.denominator) for h in p.facets()]
-    q_filters = [(h.coeffs, -(-min(sides(p, h)) // p.denominator)) for h in q.facets()]
+    p_filters = [(h.coeffs, -min(_sides(q, h)) // q.denominator) for h in p.facets()]
+    q_filters = [(h.coeffs, -(-min(_sides(p, h)) // p.denominator)) for h in q.facets()]
     second = F(0)
     for t in translate_box(p, q):
         if any(sum(x * y for x, y in zip(a, t)) > c for a, c in p_filters):
@@ -384,7 +385,7 @@ def test_full_caps_are_the_interior_of_the_difference_body(p, q):
     diff = minkowski_sum(p, q.negated())
     full = []
     for t in translate_box(p, q):
-        inside = diff.contains(t) and not diff.on_boundary(t)
+        inside = diff.contains(t) and not on_boundary(diff, t)
         assert intersect(p, q.translated(t)).is_full_dim == inside, t
         if inside:
             full.append(t)
@@ -427,7 +428,7 @@ def cutting_planes(parts, cube):
         for z in itertools.product(*zranges):
             for hs in negated:
                 flipped = hs.translated(z)
-                vals = sides(cube, flipped)
+                vals = _sides(cube, flipped)
                 if min(vals) < 0 < max(vals):
                     key = (flipped.coeffs, flipped.rhs)
                     if next(x for x in flipped.coeffs if x != 0) < 0:
@@ -447,7 +448,7 @@ def split_cells(cube, planes):
         cell, idx = stack.pop()
         while idx < len(planes):
             h = planes[idx]
-            vals = sides(cell, h)
+            vals = _sides(cell, h)
             if min(vals) < 0 < max(vals):
                 below, above = clip_both(cell, h)
                 stack.append((above, idx + 1))
@@ -537,7 +538,7 @@ def test_distribution_cube_is_constant():
 
 
 def test_distribution_hexagon_constant():
-    dist = exact_distribution(zonotope_polytope(hexagon_zonotope()))
+    dist = exact_distribution(zonotope_polytope(HEXAGON))
     assert dist.probability_map() == {3: F(1)}
 
 

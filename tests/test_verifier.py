@@ -16,11 +16,12 @@ from polyshift.verifier import (
     _TAGS,
     reeve_audit,
     reeve_layer_mean,
-    reeve_layer_triangle,
     quick_sizes,
     reeve_pair_expectation,
     verify,
 )
+
+from conftest import HEXAGON, reeve_layer_triangle
 
 F = Fraction
 
@@ -133,6 +134,12 @@ def test_audit_json_shape():
     assert data["oraclesAgree"] is True
     assert data["matchesClosedForm"] is False
     assert data["pairTable"]["1,2"] == "0"
+
+
+def test_audit_rejects_a_negative_distribution_bound():
+    # a negative bound would silently skip the exact-law variance, as 0 does
+    with pytest.raises(DegenerateInput, match="max_distribution_n >= 0"):
+        reeve_audit(2, max_distribution_n=-5)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +331,7 @@ def test_faulty_decomposition_witnesses_are_pinned(tag, monkeypatch):
 
 
 def test_verify_with_explicit_zonotope_instance():
-    from polyshift.catalog import hexagon_zonotope
-
-    report = verify("zonotope-constancy", shifts=50, body=hexagon_zonotope())
+    report = verify("zonotope-constancy", shifts=50, body=HEXAGON)
     assert report.status == PASS
     assert report.instances == 1
     assert "constant 3" in report.notes[0]
