@@ -122,13 +122,8 @@ class ScalingDecomposition:
     piece counts sum to a shift-independent constant equal to d! * vol(base).
     """
 
-    dim: int
     pieces: list[tuple[Polytope, ...]]
-    transforms: list[tuple[tuple[IVec, ...], IVec]]
     constant_sum: int
-
-    def multiplicity(self, k: int, n: int) -> int:
-        return piece_multiplicity(k, n, self.dim)
 
 
 def _simplex_transform(simplex_verts) -> tuple[tuple[IVec, ...], IVec]:
@@ -139,33 +134,23 @@ def _simplex_transform(simplex_verts) -> tuple[tuple[IVec, ...], IVec]:
     return tuple(zip(*(tuple(x - y for x, y in zip(v, v0)) for v in rest))), v0
 
 
-def scaling_decomposition(base: Polytope, kind: str = "polyhedron") -> ScalingDecomposition:
+def scaling_decomposition(base: Polytope) -> ScalingDecomposition:
     """Build the slab-piece decomposition of an integer polytope.
 
-    kind="simplex" requires base to be a simplex; kind="polyhedron"
-    triangulates first (fan from the lexicographically smallest vertex).
-    Pieces inherit the normalization of the cube slabs, so piece k and the
-    negation of piece d+1-k differ by an integer translation, simplex by
-    simplex.
+    The base is triangulated first (fan from the lexicographically smallest
+    vertex; a simplex is its own triangulation).  Pieces inherit the
+    normalization of the cube slabs, so piece k and the negation of piece
+    d+1-k differ by an integer translation, simplex by simplex.
     """
     if not base.is_full_dim:
         raise DegenerateInput("decomposition base must be full-dimensional")
     if not base.is_lattice:
         raise DegenerateInput("decomposition base must be an integer polytope")
-    d = base.dim
-    if kind == "simplex":
-        if len(base.vertices) != d + 1:
-            raise DegenerateInput("kind='simplex' requires a simplex base")
-        simplices = [base.vertices]
-    elif kind == "polyhedron":
-        simplices = triangulate(base)
-    else:
-        raise DegenerateInput(f"unknown decomposition kind: {kind!r}")
-    slabs = slab_pieces(d)
-    transforms = [_simplex_transform(s) for s in simplices]
-    pieces = [tuple(affine_image(slab, m, t) for m, t in transforms) for slab in slabs]
+    transforms = [_simplex_transform(s) for s in triangulate(base)]
+    pieces = [tuple(affine_image(slab, m, t) for m, t in transforms)
+              for slab in slab_pieces(base.dim)]
     constant = sum(abs(int(determinant(m))) for m, _ in transforms)
-    return ScalingDecomposition(d, pieces, transforms, constant)
+    return ScalingDecomposition(pieces, constant)
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +168,16 @@ class UnimodularMatrix:
             raise DegenerateInput("matrix is not unimodular")
 
 
-def random_unimodular(
-    d: int,
-    seed: int = 0,
-    steps: int = 12,
-    max_entry: int = 10**6,
-) -> UnimodularMatrix:
-    """Product of random elementary row additions E_ij(+-1).
+_UNIMODULAR_STEPS = 6  # elementary row additions per random unimodular matrix
+_UNIMODULAR_MAX_ENTRY = 3  # largest |entry| a row addition may leave
 
-    Steps whose result would push an entry past max_entry are rejected and
-    redrawn, keeping subsequent counting boxes small.
+
+def random_unimodular(d: int, seed: int = 0) -> UnimodularMatrix:
+    """Product of ``_UNIMODULAR_STEPS`` random elementary row additions
+    E_ij(+-1).
+
+    Steps whose result would push an entry past ``_UNIMODULAR_MAX_ENTRY``
+    are rejected and redrawn, keeping subsequent counting boxes small.
     """
     if d < 2:
         raise DegenerateInput("unimodular sampling needs dimension >= 2")
@@ -200,9 +185,9 @@ def random_unimodular(
     rows = [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
     done = 0
     guard = 0
-    while done < steps:
+    while done < _UNIMODULAR_STEPS:
         guard += 1
-        if guard > 100 * (steps + 1):
+        if guard > 100 * (_UNIMODULAR_STEPS + 1):
             break
         i = rng.randrange(d)
         j = rng.randrange(d)
@@ -210,7 +195,7 @@ def random_unimodular(
             continue
         sign = 1 if rng.random() < 0.5 else -1
         new_row = [a + sign * b for a, b in zip(rows[i], rows[j])]
-        if max(abs(x) for x in new_row) > max_entry:
+        if max(abs(x) for x in new_row) > _UNIMODULAR_MAX_ENTRY:
             continue
         rows[i] = new_row
         done += 1

@@ -169,12 +169,17 @@ def _run_moments(args) -> int:
 
 
 def _run_distribution(args) -> int:
+    # a size of the other method would be silently ignored
+    if args.method == "exact" and args.samples is not None:
+        raise InputError("--method exact takes no --samples")
+    if args.method == "mc" and args.cell_budget is not None:
+        raise InputError("--method mc takes no --cell-budget")
     body = parse_polytope_input(args.input)
     poly = _as_polytope(body)
     if args.method == "exact":
-        dist = exact_distribution(poly, cell_budget=args.cell_budget)
+        dist = exact_distribution(poly, 10**6 if args.cell_budget is None else args.cell_budget)
     else:
-        dist = mc_distribution(poly, args.samples, args.seed)
+        dist = mc_distribution(poly, 100000 if args.samples is None else args.samples, args.seed)
     if args.format == "csv":
         _emit(_distribution_csv(dist), args.out)
     else:
@@ -265,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distribution", help="exact or Monte Carlo count law")
     common(p)
     p.add_argument("--method", choices=("exact", "mc"), default="exact")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--cell-budget", type=int, default=10**6, dest="cell_budget")
+    p.add_argument("--samples", type=int, default=None, help="mc only; default 100000")
+    p.add_argument("--cell-budget", type=int, default=None, dest="cell_budget",
+                   help="exact only; default 10**6")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_run_distribution)
 

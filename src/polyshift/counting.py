@@ -89,6 +89,7 @@ _DYADIC_DEN = 1 << DYADIC_BITS
 _DYADIC_MASK = _DYADIC_DEN - 1
 _MEMO_CAP = 4096  # cells memoized per body; later cells are counted but not stored
 _BLOCK = 256  # stream draws counted together by generic_draws
+_TRIES = 64  # rejected draws in a row after which generic_draws gives up
 _RIM_CAP = 1 << 22  # bits of masks a body's rim table may hold
 # translate tables for rim masks: _AT_MOST[v] writes byte x as the digit
 # "1" if x <= v, else "0"; _DIGITS writes the bytes 0 and 1 as digits
@@ -521,7 +522,7 @@ def _cell_counts(p: Polytope, block: _Block) -> list:
     return counts
 
 
-def generic_draws(stream: ShiftStream, bodies: Sequence[Polytope], n: int, tries: int = 64
+def generic_draws(stream: ShiftStream, bodies: Sequence[Polytope], n: int
                   ) -> Iterator[tuple[list[IVec], list[list[int]], list[int]]]:
     """The first n draws from `stream` generic for every body, in blocks of
     at most ``_BLOCK``: each block is (the draws' numerators over
@@ -530,7 +531,7 @@ def generic_draws(stream: ShiftStream, bodies: Sequence[Polytope], n: int, tries
     a block, and a draw where some body has a boundary hit is dropped; the
     stream is read no further than the n-th generic draw.  Boundary hits at
     dyadic shifts signal a degenerate instance rather than bad luck, so
-    after `tries` rejected draws in a row this yields the draws taken so far
+    after ``_TRIES`` rejected draws in a row this yields the draws taken so far
     and raises DegenerateInput."""
     run = 0  # draws rejected since the last one taken
     while n > 0:
@@ -552,14 +553,14 @@ def generic_draws(stream: ShiftStream, bodies: Sequence[Polytope], n: int, tries
                 run = 0
                 continue
             run += 1
-            if run >= tries:
+            if run >= _TRIES:
                 break
         if taken:
             yield [nums[j] for j in taken], [[c[j] for j in taken] for c in counts], redraws
             n -= len(taken)
-        if run >= tries:
+        if run >= _TRIES:
             raise DegenerateInput(
-                f"no shift generic for every body in {tries} draws; degenerate instance")
+                f"no shift generic for every body in {_TRIES} draws; degenerate instance")
 
 
 def stream_counts(stream: ShiftStream, p: Polytope, n: int) -> Iterator[tuple[Vec, CountResult]]:
@@ -593,7 +594,8 @@ class ZonotopeSpec:
             if len(g) != self.dim:
                 raise DegenerateInput("generator length does not match dim")
             if any(c.denominator != 1 for c in g):
-                raise DegenerateInput("zonotope generators must be integral")
+                raise DegenerateInput("zonotope generators must be integral, "
+                                      f"got ({', '.join(map(str, g))})")
 
 
 def zonotope_constant(spec: ZonotopeSpec) -> int:
@@ -618,8 +620,4 @@ def zonotope_polytope(spec: ZonotopeSpec) -> Polytope:
 
 def zonotope_spec_from_json(data: dict) -> ZonotopeSpec:
     dim, raw = parse_json_rows(data, "generators", "zonotope")
-    rows = tuple(tuple(parse_rational(x) for x in g) for g in raw)
-    for g, row in zip(raw, rows):
-        if any(c.denominator != 1 for c in row):
-            raise DegenerateInput(f"zonotope generators must be integral, got {g!r}")
-    return ZonotopeSpec(dim, rows)
+    return ZonotopeSpec(dim, tuple(tuple(parse_rational(x) for x in g) for g in raw))

@@ -58,39 +58,34 @@ class MomentReport:
 
 @dataclass
 class CountDistribution:
-    """Law of the count, exact (rational atoms) or empirical (frequencies)."""
+    """Law of the count as rational atoms: exact, or empirical over
+    `samples` draws, when each atom is a multiple of 1/samples."""
 
-    kind: str  # "exact" | "empirical"
-    probs: Optional[dict[int, Fraction]] = None
-    freqs: Optional[dict[int, int]] = None
+    probs: dict[int, Fraction]
     samples: Optional[int] = None
     redraws: int = 0
 
     def __post_init__(self):
-        if self.kind == "exact":
-            if self.probs is None:
-                raise DegenerateInput("exact distribution needs probabilities")
-            total = sum(self.probs.values(), ZERO)
-            if total != 1:
-                raise DegenerateInput(f"probabilities sum to {total}, not 1")
-            if any(p < 0 for p in self.probs.values()):
-                raise DegenerateInput("negative probability")
-        elif self.kind == "empirical":
-            if self.freqs is None or self.samples is None:
-                raise DegenerateInput("empirical distribution needs frequencies")
-            if sum(self.freqs.values()) != self.samples:
-                raise DegenerateInput("frequencies must sum to the sample count")
-        else:
-            raise DegenerateInput(f"unknown distribution kind: {self.kind!r}")
+        total = sum(self.probs.values(), ZERO)
+        if total != 1:
+            raise DegenerateInput(f"probabilities sum to {total}, not 1")
+        if any(p < 0 for p in self.probs.values()):
+            raise DegenerateInput("negative probability")
+        if self.samples is not None:
+            if self.samples < 1:
+                raise DegenerateInput(f"an empirical law needs samples >= 1, got {self.samples}")
+            if any((p * self.samples).denominator != 1 for p in self.probs.values()):
+                raise DegenerateInput(f"an atom is not a multiple of 1/{self.samples}")
+
+    @property
+    def kind(self) -> str:
+        return "exact" if self.samples is None else "empirical"
 
     def support(self) -> tuple[int, ...]:
-        src = self.probs if self.kind == "exact" else self.freqs
-        return tuple(sorted(m for m, w in src.items() if w))
+        return tuple(sorted(m for m, p in self.probs.items() if p))
 
     def probability(self, m: int) -> Fraction:
-        if self.kind == "exact":
-            return self.probs.get(m, ZERO)
-        return Fraction(self.freqs.get(m, 0), self.samples)
+        return self.probs.get(m, ZERO)
 
     def probability_map(self) -> dict[int, Fraction]:
         return {m: self.probability(m) for m in self.support()}
@@ -341,7 +336,7 @@ def exact_distribution(p: Polytope, cell_budget: int = 10**6) -> CountDistributi
     total = sum(probs.values(), ZERO)
     if total != 1:
         raise InvariantViolation(f"cell volumes sum to {total}, not 1")
-    return CountDistribution(kind="exact", probs=dict(sorted(probs.items())))
+    return CountDistribution(dict(sorted(probs.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +356,5 @@ def mc_distribution(body: Polytope, samples: int, seed: int = 0) -> CountDistrib
     for _, (counts,), rejected in generic_draws(ShiftStream(body.dim, seed), [body], samples):
         freqs.update(counts)
         redraws += sum(rejected)
-    return CountDistribution(
-        kind="empirical",
-        freqs=dict(sorted(freqs.items())),
-        samples=samples,
-        redraws=redraws,
-    )
+    return CountDistribution({m: Fraction(f, samples) for m, f in sorted(freqs.items())},
+                             samples, redraws)

@@ -144,8 +144,7 @@ def _sl_images(label: str, body: Polytope, count: int, seed: int):
     d = body.dim
     return [
         (f"{label} A#{i}", affine_image(
-            body, catalog.random_unimodular(d, seed + 1000 * d + i, steps=6, max_entry=3).matrix,
-            zero_vec(d)))
+            body, catalog.random_unimodular(d, seed + 1000 * d + i).matrix, zero_vec(d)))
         for i in range(count)
     ]
 
@@ -206,7 +205,7 @@ def _check_scaling(kind: str, instances: int, shifts: int, n_max: int, seed: int
     cases = _scaling_instances(kind, instances, seed)
     for idx, (label, base) in enumerate(cases):
         d = base.dim
-        dec = catalog.scaling_decomposition(base, kind)
+        dec = catalog.scaling_decomposition(base)
         # bodies: the parts of the pieces P_1..P_d, piece by piece, then
         # n * base for n = 1..n_max; a piece counts the sum of its parts
         piece_of = [k for k, piece in enumerate(dec.pieces) for _ in piece]
@@ -215,7 +214,7 @@ def _check_scaling(kind: str, instances: int, shifts: int, n_max: int, seed: int
         relations = [(" piece-sum", [(1, j) for j in range(m)], [], dec.constant_sum)]
         relations += [
             (f" n={n}", [(1, m + n - 1)],
-             [(dec.multiplicity(k + 1, n), j) for j, k in enumerate(piece_of)], 0)
+             [(catalog.piece_multiplicity(k + 1, n, d), j) for j, k in enumerate(piece_of)], 0)
             for n in range(1, n_max + 1)
         ]
         bodies += [dilate(base, n) for n in range(1, n_max + 1)]

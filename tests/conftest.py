@@ -37,11 +37,11 @@ def mc_pvalue():
 
     def pvalue(exact, emp):
         support = exact.support()
-        outside = set(emp.freqs) - set(support)
+        outside = set(emp.support()) - set(support)
         assert not outside, f"sampled counts outside the exact support: {sorted(outside)}"
         expected = [float(emp.samples * exact.probability(m)) for m in support]
         assert min(expected) >= 5, f"expected bin count {min(expected)} below 5"
-        observed = [emp.freqs.get(m, 0) for m in support]
+        observed = [int(emp.probability(m) * emp.samples) for m in support]
         return chisquare(observed, expected).pvalue
 
     return pvalue

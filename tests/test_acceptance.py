@@ -10,6 +10,7 @@ from fractions import Fraction
 from polyshift.catalog import (
     central_slab,
     cross_polytope,
+    piece_multiplicity,
     random_lattice_polytope,
     random_lattice_simplex,
     random_zonotope,
@@ -117,15 +118,11 @@ def test_criterion_05_scaling_identities():
     for d in (2, 3):
         instances = []
         for i in range(5):
-            instances.append(
-                ("simplex", random_lattice_simplex(d, 3, seed=1000 * d + i))
-            )
+            instances.append(random_lattice_simplex(d, 3, seed=1000 * d + i))
         for i in range(3):
-            instances.append(
-                ("polyhedron", random_lattice_polytope(d, d + 3, 3, seed=3000 * d + i))
-            )
-        for idx, (kind, base) in enumerate(instances):
-            dec = scaling_decomposition(base, kind)
+            instances.append(random_lattice_polytope(d, d + 3, 3, seed=3000 * d + i))
+        for idx, base in enumerate(instances):
+            dec = scaling_decomposition(base)
             constant = dec.constant_sum
             if constant != math.factorial(d) * base.volume():
                 bad.append(f"d={d}#{idx}: constant {constant}")
@@ -146,7 +143,7 @@ def test_criterion_05_scaling_identities():
                     break
                 for n in range(1, 6):
                     rhs = sum(
-                        dec.multiplicity(k, n) * counts[k - 1]
+                        piece_multiplicity(k, n, d) * counts[k - 1]
                         for k in range(1, d + 1)
                     )
                     if dil_res[n - 1].count != rhs:
@@ -284,8 +281,8 @@ def test_criterion_11_monte_carlo_soundness(mc_pvalue):
         p_value = mc_pvalue(exact, emp)
         if p_value <= 0.001:
             bad.append(f"{label}: p-value {p_value}")
-        if mc_distribution(body, samples=2000, seed=11).freqs != (
-            mc_distribution(body, samples=2000, seed=11).freqs
+        if mc_distribution(body, samples=2000, seed=11).probs != (
+            mc_distribution(body, samples=2000, seed=11).probs
         ):
             bad.append(f"{label}: rerun mismatch")
     cmd = [

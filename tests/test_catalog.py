@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from polyshift import catalog
 from polyshift.catalog import (
+    _simplex_transform,
     central_slab,
     centrally_symmetric_polytope,
     cross_polytope,
@@ -25,8 +27,11 @@ from polyshift.counting import ShiftStream, count_at, generic_draws
 from polyshift.errors import DegenerateInput
 from polyshift.geometry import (
     Polytope,
+    affine_image,
     determinant,
     dilate,
+    segment,
+    triangulate,
     unit_cube,
 )
 
@@ -100,7 +105,7 @@ def test_multiplicities_d3_boundary():
 
 
 def test_simplex_decomposition_pieces_are_slabs():
-    dec = scaling_decomposition(standard_simplex(3), "simplex")
+    dec = scaling_decomposition(standard_simplex(3))
     slabs = slab_pieces(3)
     for piece, slab in zip(dec.pieces, slabs):
         assert piece == (slab,)
@@ -109,10 +114,10 @@ def test_simplex_decomposition_pieces_are_slabs():
 
 def test_decomposition_volume_certificate():
     for d, base in ((2, standard_simplex(2)), (3, reeve_tetrahedron(2))):
-        dec = scaling_decomposition(base, "simplex")
+        dec = scaling_decomposition(base)
         for n in range(1, 6):
             total = sum(
-                dec.multiplicity(k, n) * sum(p.volume() for p in dec.pieces[k - 1])
+                piece_multiplicity(k, n, d) * sum(p.volume() for p in dec.pieces[k - 1])
                 for k in range(1, d + 1)
             )
             assert total == F(n) ** d * base.volume()
@@ -120,10 +125,10 @@ def test_decomposition_volume_certificate():
 
 def test_decomposition_volume_certificate_4d():
     base = standard_simplex(4)
-    dec = scaling_decomposition(base, "simplex")
+    dec = scaling_decomposition(base)
     for n in range(1, 6):
         total = sum(
-            dec.multiplicity(k, n) * sum(p.volume() for p in dec.pieces[k - 1])
+            piece_multiplicity(k, n, 4) * sum(p.volume() for p in dec.pieces[k - 1])
             for k in range(1, 5)
         )
         assert total == F(n) ** 4 * base.volume()
@@ -131,10 +136,10 @@ def test_decomposition_volume_certificate_4d():
 
 def test_decomposition_polyhedron_volume_certificate():
     base = random_lattice_polytope(3, 6, 2, seed=5)
-    dec = scaling_decomposition(base, "polyhedron")
+    dec = scaling_decomposition(base)
     for n in range(1, 6):
         total = sum(
-            dec.multiplicity(k, n) * sum(p.volume() for p in dec.pieces[k - 1])
+            piece_multiplicity(k, n, 3) * sum(p.volume() for p in dec.pieces[k - 1])
             for k in range(1, 4)
         )
         assert total == F(n) ** 3 * base.volume()
@@ -142,10 +147,10 @@ def test_decomposition_polyhedron_volume_certificate():
 
 def test_decomposition_negation_pairing_piecewise():
     base = random_lattice_polytope(3, 6, 2, seed=9)
-    dec = scaling_decomposition(base, "polyhedron")
-    d = dec.dim
+    dec = scaling_decomposition(base)
+    d = base.dim
     for k in range(d):
-        for j in range(len(dec.transforms)):
+        for j in range(len(dec.pieces[k])):
             part = dec.pieces[k][j]
             mirror = dec.pieces[d - 1 - k][j].negated()
             # equal up to an integer translation
@@ -158,7 +163,7 @@ def test_decomposition_negation_pairing_piecewise():
 
 def test_decomposition_first_piece_is_base():
     base = random_lattice_polytope(2, 6, 3, seed=4)
-    dec = scaling_decomposition(base, "polyhedron")
+    dec = scaling_decomposition(base)
     assert sum(p.volume() for p in dec.pieces[0]) == base.volume()
     stream = ShiftStream(2, seed=30)
     for _ in range(20):
@@ -168,10 +173,10 @@ def test_decomposition_first_piece_is_base():
 
 def test_decomposition_constant_sum_properties():
     base = reeve_tetrahedron(1)
-    dec = scaling_decomposition(base, "simplex")
+    dec = scaling_decomposition(base)
     assert dec.constant_sum == 1  # 3! * vol = 6 * 1/6
     base2 = random_lattice_polytope(3, 6, 2, seed=31)
-    dec2 = scaling_decomposition(base2, "polyhedron")
+    dec2 = scaling_decomposition(base2)
     assert dec2.constant_sum == 6 * base2.volume()
     # the pieces of each simplex jointly tile an integer parallelepiped:
     # their total generic count is the constant
@@ -189,20 +194,32 @@ def test_transform_columns_index_equals_simplex_count():
 
     for seed in (3, 4, 5):
         simplex = random_lattice_simplex(3, 3, seed=seed)
-        dec = scaling_decomposition(simplex, "simplex")
-        (mat, _t) = dec.transforms[0]
+        dec = scaling_decomposition(simplex)
+        (mat, _t) = _simplex_transform(simplex.vertices)
         cols = list(zip(*mat))
         idx = zonotope_constant(ZonotopeSpec(3, cols))
         assert idx == math.factorial(3) * simplex.volume() == dec.constant_sum
 
 
 def test_decomposition_rejects_bad_input():
-    with pytest.raises(DegenerateInput):
-        scaling_decomposition(standard_simplex(2).translated((F(1, 2), 0)), "simplex")
-    with pytest.raises(DegenerateInput):
-        scaling_decomposition(unit_cube(2), "simplex")
-    with pytest.raises(DegenerateInput):
-        scaling_decomposition(standard_simplex(2), "banana")
+    with pytest.raises(DegenerateInput, match="integer polytope"):
+        scaling_decomposition(standard_simplex(2).translated((F(1, 2), 0)))
+    with pytest.raises(DegenerateInput, match="full-dimensional"):
+        scaling_decomposition(segment((0, 0), (1, 1)))
+
+
+@pytest.mark.parametrize("simplex", [
+    *(standard_simplex(d) for d in (2, 3, 4)),
+    *(random_lattice_simplex(d, 3, seed) for d in (2, 3, 4) for seed in (0, 1, 2)),
+], ids=[*(f"standard-d{d}" for d in (2, 3, 4)),
+        *(f"random-d{d}-seed{seed}" for d in (2, 3, 4) for seed in (0, 1, 2))])
+def test_a_simplex_decomposes_into_the_images_of_the_slabs(simplex):
+    # a simplex is its own triangulation, so its pieces are the slab pieces'
+    # images under the one map of the corner simplex onto it
+    assert [set(s) for s in triangulate(simplex)] == [set(simplex.vertices)]
+    m, t = _simplex_transform(simplex.vertices)
+    assert scaling_decomposition(simplex).pieces == [
+        (affine_image(slab, m, t),) for slab in slab_pieces(simplex.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +297,11 @@ def test_embed_is_flat():
 # random generators
 
 
-def test_random_unimodular_zero_steps_is_identity():
-    u = random_unimodular(3, seed=1, steps=0)
-    assert u.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_random_unimodular_determinant_one(seed):
     u = random_unimodular(3, seed=seed)
     assert determinant(u.matrix) == 1
+    assert max(abs(x) for row in u.matrix for x in row) <= catalog._UNIMODULAR_MAX_ENTRY
 
 
 def test_random_unimodular_deterministic():

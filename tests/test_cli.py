@@ -314,57 +314,66 @@ def test_output_to_file(tmp_path, capsys):
     assert json.loads(path.read_text())["mean"] == "1/2"
 
 
-@pytest.mark.parametrize(
-    "argv, body",
-    [
-        # a fractional zonotope generator is rejected, not truncated by int()
-        (["volume", "--input", "zonotope:{path}"], {"dim": 2, "generators": [[1.5, 0], [0, 1]]}),
-        # a JSON boolean is not a dimension
-        (["volume", "--input", "file:{path}"], {"dim": True, "vertices": [["0"], ["1"]]}),
-        (["volume", "--input", "zonotope:{path}"], {"dim": True, "generators": [[1]]}),
-        (["reeve-audit", "--n", "0"], None),
-        (["count", "--input", "simplex:2", "--shifts", "-3"], None),
-        # verify: an input of the wrong kind, or on a tag that takes none
-        (["verify", "--identity", "zonotope-constancy", "--input", "simplex:2"], None),
-        (["verify", "--identity", "centrally-symmetric-2d-constancy", "--input", "simplex:2"],
-         None),
-        (["verify", "--identity", "centrally-symmetric-2d-constancy", "--input", "zonotope:{path}"],
-         {"dim": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
-        (["verify", "--identity", "minkowski-2d", "--input", "simplex:2"], None),
-        (["verify", "--identity", "scaling-simplex", "--input", "zonotope:{path}"],
-         {"dim": 2, "generators": [[1, 0], [0, 1]]}),
-        # verify: negative sizes would report a vacuous pass
-        (["verify", "--identity", "minkowski-2d", "--instances", "-1"], None),
-        (["verify", "--identity", "minkowski-2d", "--shifts", "-2"], None),
-        (["verify", "--identity", "scaling-simplex", "--n", "-1"], None),
-        # a Minkowski counterexample compares the deltas at two shifts
-        (["verify", "--identity", "counterexample-minkowski", "--shifts", "0"], None),
-        (["verify", "--identity", "counterexample-minkowski", "--shifts", "1"], None),
-        # verify: sizes that would check nothing; corollary-3d's relations
-        # start at n = 2
-        (["verify", "--identity", "scaling-simplex", "--shifts", "0"], None),
-        (["verify", "--identity", "scaling-simplex", "--instances", "0"], None),
-        (["verify", "--identity", "corollary-3d", "--n", "1"], None),
-        # a cell budget below one is an input error, not an exceeded budget
-        (["distribution", "--method", "exact", "--cell-budget", "0", "--input", "reeve:2"], None),
-        (["distribution", "--method", "exact", "--cell-budget", "-5", "--input", "reeve:2"],
-         None),
-        # an --out path that cannot be written: a missing directory, or a directory
-        (["volume", "--input", "simplex:2", "--out", "{dir}/missing/x.json"], None),
-        (["volume", "--input", "simplex:2", "--out", "{dir}"], None),
-        (["distribution", "--format", "csv", "--input", "simplex:2", "--out",
-          "{dir}/missing/x.csv"], None),
-        # verify: a tag that checks one image or one instance takes no count of them
-        (["verify", "--identity", "negation-invariance", "--instances", "1"], None),
-        (["verify", "--identity", "corollary-4d-symmetric", "--instances", "1"], None),
-        # a negative bound on the audit's exact law would be taken as 0
-        (["reeve-audit", "--n", "2", "--max-distribution-n", "-5"], None),
-        # a construction size too large for an index
-        (["volume", "--input", "simplex:99999999999999999999"], None),
-        (["volume", "--input", "central-slab:99999999999999999999"], None),
-        (["volume", "--input", "slab:99999999999999999999:1"], None),
-    ],
-)
+# each case's id is written out, so a case added anywhere leaves the other
+# ids alone; the older cases keep the positional ids pytest first gave them
+BAD_INPUT = {
+    # a fractional zonotope generator is rejected, not truncated by int()
+    "argv0-body0": (["volume", "--input", "zonotope:{path}"],
+                    {"dim": 2, "generators": [[1.5, 0], [0, 1]]}),
+    # a JSON boolean is not a dimension
+    "argv1-body1": (["volume", "--input", "file:{path}"], {"dim": True, "vertices": [["0"], ["1"]]}),
+    "argv2-body2": (["volume", "--input", "zonotope:{path}"], {"dim": True, "generators": [[1]]}),
+    "argv3-None": (["reeve-audit", "--n", "0"], None),
+    "argv4-None": (["count", "--input", "simplex:2", "--shifts", "-3"], None),
+    # verify: an input of the wrong kind, or on a tag that takes none
+    "argv5-None": (["verify", "--identity", "zonotope-constancy", "--input", "simplex:2"], None),
+    "argv6-None": (["verify", "--identity", "centrally-symmetric-2d-constancy", "--input",
+                    "simplex:2"], None),
+    "argv7-body7": (["verify", "--identity", "centrally-symmetric-2d-constancy", "--input",
+                     "zonotope:{path}"], {"dim": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+    "argv8-None": (["verify", "--identity", "minkowski-2d", "--input", "simplex:2"], None),
+    "argv9-body9": (["verify", "--identity", "scaling-simplex", "--input", "zonotope:{path}"],
+                    {"dim": 2, "generators": [[1, 0], [0, 1]]}),
+    # verify: negative sizes would report a vacuous pass
+    "argv10-None": (["verify", "--identity", "minkowski-2d", "--instances", "-1"], None),
+    "argv11-None": (["verify", "--identity", "minkowski-2d", "--shifts", "-2"], None),
+    "argv12-None": (["verify", "--identity", "scaling-simplex", "--n", "-1"], None),
+    # a Minkowski counterexample compares the deltas at two shifts
+    "argv13-None": (["verify", "--identity", "counterexample-minkowski", "--shifts", "0"], None),
+    "argv14-None": (["verify", "--identity", "counterexample-minkowski", "--shifts", "1"], None),
+    # verify: sizes that would check nothing; corollary-3d's relations
+    # start at n = 2
+    "argv15-None": (["verify", "--identity", "scaling-simplex", "--shifts", "0"], None),
+    "argv16-None": (["verify", "--identity", "scaling-simplex", "--instances", "0"], None),
+    "argv17-None": (["verify", "--identity", "corollary-3d", "--n", "1"], None),
+    # a cell budget below one is an input error, not an exceeded budget
+    "argv18-None": (["distribution", "--method", "exact", "--cell-budget", "0", "--input",
+                     "reeve:2"], None),
+    "argv19-None": (["distribution", "--method", "exact", "--cell-budget", "-5", "--input",
+                     "reeve:2"], None),
+    # an --out path that cannot be written: a missing directory, or a directory
+    "argv20-None": (["volume", "--input", "simplex:2", "--out", "{dir}/missing/x.json"], None),
+    "argv21-None": (["volume", "--input", "simplex:2", "--out", "{dir}"], None),
+    "argv22-None": (["distribution", "--format", "csv", "--input", "simplex:2", "--out",
+                     "{dir}/missing/x.csv"], None),
+    # verify: a tag that checks one image or one instance takes no count of them
+    "argv23-None": (["verify", "--identity", "negation-invariance", "--instances", "1"], None),
+    "argv24-None": (["verify", "--identity", "corollary-4d-symmetric", "--instances", "1"], None),
+    # a negative bound on the audit's exact law would be taken as 0
+    "argv25-None": (["reeve-audit", "--n", "2", "--max-distribution-n", "-5"], None),
+    # a construction size too large for an index
+    "argv26-None": (["volume", "--input", "simplex:99999999999999999999"], None),
+    "argv27-None": (["volume", "--input", "central-slab:99999999999999999999"], None),
+    "argv28-None": (["volume", "--input", "slab:99999999999999999999:1"], None),
+    # distribution: a size of the other method would be silently ignored
+    "exact-takes-no-samples": (["distribution", "--method", "exact", "--samples", "5", "--input",
+                                "reeve:2"], None),
+    "mc-takes-no-cell-budget": (["distribution", "--method", "mc", "--cell-budget", "0", "--input",
+                                 "reeve:2"], None),
+}
+
+
+@pytest.mark.parametrize("argv, body", BAD_INPUT.values(), ids=list(BAD_INPUT))
 def test_bad_input_exits_two_with_error_payload(argv, body, tmp_path, capsys):
     path = tmp_path / "body.json"
     if body is not None:
@@ -506,7 +515,7 @@ def test_malformed_body_json_exits_zero_or_two(kind, body, command):
     # the exact moments would otherwise run with it
     ["verify", "--identity", "symmetric-distribution-2d", "--seed", "-3"],
     ["moments", "--input", "reeve:2", "--seed", "-4"],
-])
+], ids=["argv0", "argv1", "argv2", "argv3"])  # written out, as BAD_INPUT's are
 def test_negative_seed_exits_two_with_error_payload(argv, capsys):
     # random.seed takes |seed|, so a negative seed would replay another stream
     code, out = run_cli(argv, capsys)

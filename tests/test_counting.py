@@ -754,27 +754,29 @@ def test_empty_body_rejects_a_wrong_length_shift():
         next(generic_draws(ShiftStream(2, 0), [empty], 1))
 
 
-def test_generic_draws_redraw_on_boundary_hits_then_give_up():
+def test_generic_draws_redraw_on_boundary_hits_then_give_up(monkeypatch):
     cube, corner, inside = unit_cube(2), (0, 0), (F(1, 2), F(1, 4))
     # the corner shift has boundary hits on both bodies, the inside one is taken
     stream = ScriptedStream([corner, corner, inside])
     assert next(generic_draws(stream, [cube, dilate(cube, 2)], 1)) == ([(2**63, 2**62)], [[1], [4]], [2])
     assert stream.drawn == 3
+    monkeypatch.setattr(counting, "_TRIES", 5)
     stream = ScriptedStream([corner] * 5)
     with pytest.raises(DegenerateInput, match="no shift generic for every body in 5 draws"):
-        next(generic_draws(stream, [cube], 1, tries=5))
+        next(generic_draws(stream, [cube], 1))
     assert stream.drawn == 5
-    # tries bounds the rejections in a row, across blocks: a generic draw
+    # _TRIES bounds the rejections in a row, across blocks: a generic draw
     # starts the count again
+    monkeypatch.setattr(counting, "_TRIES", 3)
     stream = ScriptedStream([corner, corner, inside] * 2 + [corner] * 3)
-    draws = generic_draws(stream, [cube], 3, tries=3)
+    draws = generic_draws(stream, [cube], 3)
     assert [r for _, _, redraws in itertools.islice(draws, 2) for r in redraws] == [2, 2]
     with pytest.raises(DegenerateInput, match="in 3 draws"):
         next(draws)
     assert stream.drawn == 9
     # the draws taken before the limit in the same block come first
     stream = ScriptedStream([inside] + [corner] * 3)
-    draws = generic_draws(stream, [cube], 4, tries=3)
+    draws = generic_draws(stream, [cube], 4)
     assert next(draws) == ([(2**63, 2**62)], [[1]], [0])
     with pytest.raises(DegenerateInput, match="in 3 draws"):
         next(draws)
@@ -962,8 +964,11 @@ def test_zonotope_json_round_trip():
 
 
 def test_zonotope_spec_rejects_non_integer():
-    with pytest.raises(DegenerateInput):
+    # one check serves the constructor and the JSON reader, and names the generator
+    with pytest.raises(DegenerateInput, match=r"integral, got \(1/2, 0\)"):
         ZonotopeSpec(2, ((F(1, 2), F(0)),))
+    with pytest.raises(DegenerateInput, match=r"integral, got \(1, 3/2\)"):
+        zonotope_spec_from_json({"dim": 2, "generators": [[1, 0], [1, "3/2"]]})
 
 
 def test_shift_stream_pins_the_dyadic_mt19937_stream():

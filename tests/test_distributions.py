@@ -676,17 +676,22 @@ def test_mc_cube_all_ones():
 def test_mc_deterministic_per_seed():
     a = mc_distribution(standard_simplex(2), samples=2000, seed=9)
     b = mc_distribution(standard_simplex(2), samples=2000, seed=9)
-    assert a.freqs == b.freqs
+    assert a.probs == b.probs
     c = mc_distribution(standard_simplex(2), samples=2000, seed=10)
-    assert a.freqs != c.freqs
+    assert a.probs != c.probs
+
+
+def tallies(dist):
+    """The draws at each count of an empirical law."""
+    return {m: p * dist.samples for m, p in dist.probs.items()}
 
 
 def test_mc_laws_are_pinned():
     # golden tallies: the stream's shifts and the counts there must not move
     reeve = mc_distribution(reeve_tetrahedron(3), samples=2000, seed=1)
-    assert (reeve.freqs, reeve.redraws) == ({0: 1029, 1: 933, 2: 38}, 0)
+    assert (tallies(reeve), reeve.redraws) == ({0: 1029, 1: 933, 2: 38}, 0)
     cross = mc_distribution(dilate(cross_polytope(4), 2), samples=300, seed=4)
-    assert cross.freqs == {8: 157, 12: 104, 16: 39}
+    assert tallies(cross) == {8: 157, 12: 104, 16: 39}
 
 
 def test_mc_simplex2_frequency_window():
@@ -748,8 +753,27 @@ def test_compare_random_polygon_exact_vs_mc(mc_pvalue):
 
 def test_distribution_validation():
     with pytest.raises(DegenerateInput):
-        CountDistribution(kind="exact", probs={0: F(1, 2)})
+        CountDistribution({0: F(1, 2)})
     with pytest.raises(DegenerateInput):
-        CountDistribution(kind="empirical", freqs={0: 3}, samples=4)
-    with pytest.raises(DegenerateInput):
-        CountDistribution(kind="nonsense")
+        CountDistribution({0: F(3, 4)}, samples=4)
+    assert CountDistribution({0: F(1, 4), 1: F(3, 4)}).kind == "exact"
+    law = CountDistribution(probs={0: F(1, 4), 1: F(3, 4)}, samples=4, redraws=2)
+    assert (law.kind, law.support(), law.probability(1), law.probability(5)) == (
+        "empirical", (0, 1), F(3, 4), 0)
+
+
+def test_an_empirical_law_rejects_a_negative_atom():
+    # five draws at 0 and -2 at 1 sum to the 3 samples, yet P(1) = -2/3
+    with pytest.raises(DegenerateInput, match="negative probability"):
+        CountDistribution(probs={0: F(5, 3), 1: F(-2, 3)}, samples=3)
+
+
+def test_an_empirical_law_rejects_zero_samples():
+    with pytest.raises(DegenerateInput, match="samples >= 1, got 0"):
+        CountDistribution(probs={0: F(1)}, samples=0)
+
+
+def test_an_empirical_law_rejects_an_atom_off_its_grid():
+    # 1/3 of 4 draws is no whole number of draws
+    with pytest.raises(DegenerateInput, match="not a multiple of 1/4"):
+        CountDistribution(probs={0: F(1, 3), 1: F(2, 3)}, samples=4)

@@ -281,13 +281,8 @@ def off_by_one_decompositions(monkeypatch):
     a point, several relations at one draw."""
     from polyshift import catalog
 
-    class OffByOne(catalog.ScalingDecomposition):
-        def multiplicity(self, k, n):
-            return super().multiplicity(k, n) + (k == 1)
-
-    real = catalog.scaling_decomposition
-    monkeypatch.setattr(catalog, "scaling_decomposition", lambda base, kind: OffByOne(
-        **vars(real(base, kind))))
+    real = catalog.piece_multiplicity
+    monkeypatch.setattr(catalog, "piece_multiplicity", lambda k, n, d: real(k, n, d) + (k == 1))
 
 
 def test_relation_witnesses_come_shift_by_shift_up_to_the_cap(monkeypatch):
