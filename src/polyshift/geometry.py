@@ -9,7 +9,8 @@ is its primitive integer row, the pair of coprime ``coeffs`` and ``rhs``,
 so two halfspaces are equal exactly when they are one set.
 Side tests (``coeffs . num - rhs * den``), clip points, null spaces, hulls,
 linear solves and simplex volumes run on plain ints, eliminating through
-one fraction-free Gauss-Jordan routine, `_eliminate`.  Hulls, clips and
+one fraction-free Gauss-Jordan routine, `_eliminate`, except that a 2x2 or
+3x3 determinant is its cofactor expansion.  Hulls, clips and
 triangulations are combinatorial, with no rank test.  Every polytope
 holds its incidence from construction: its rank, its linear description
 and per vertex the bitmask of its tight inequalities.  A point set gets
@@ -22,11 +23,13 @@ two facet normals that meet there.  A clip finds edges by the double
 description method's adjacency test and hands each piece, and each face
 it keeps, its facets and masks; translates, negation and dilates carry
 them over.  Faces are vertex bitsets.  A triangulation is the pulling one
-from the lowest vertex: every face, a polygon too, cones its lowest
-vertex over the triangulations of its facets that miss it, read off the
-incidence, so each simplex lists its vertices in ascending order and
-simplices follow facet order.  `fractions.Fraction` remains only at the
-boundary: the public ``vertices``, ``normal``, ``offset``,
+from the lowest vertex: every face cones its lowest vertex over the
+triangulations of its facets that miss it, read off the incidence (a
+polygon's are the two-point sets its parent's inequalities cut from it),
+so each simplex lists its vertices in ascending order and simplices
+follow facet order.  A volume translates the vertices by the lowest one
+once and sums the simplices' determinants.  `fractions.Fraction` remains
+only at the boundary: the public ``vertices``, ``normal``, ``offset``,
 ``bounding_box``, ``value``, ``volume`` and ``determinant`` results, built
 on demand, and rational inputs.  Polytopes are closed, possibly empty or
 flat (then of volume 0).
@@ -77,7 +80,8 @@ def _length_error(what: str, v: Sequence, dim: int) -> DegenerateInput:
 
 
 def determinant(m: Sequence[Sequence]) -> Fraction:
-    """Exact determinant: each row is cleared to integers, then eliminated."""
+    """Exact determinant: each row is cleared to integers, then `_det`
+    takes the integer determinant."""
     rows = [_homogenize([as_vec(r)]) for r in m]
     if any(len(v) != len(rows) for (v,), _ in rows):
         raise DegenerateInput("determinant requires a square matrix")
@@ -152,7 +156,16 @@ def _eliminate(rows: Sequence[Sequence[int]], ncols: int):
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix: the cofactor expansion for
+    n = 2 and 3, the sizes of polygon and tetrahedron volumes, and sign
+    times the last Bareiss pivot otherwise."""
     n = len(rows)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
     if n == 0:
         return 1
     work, pivots, sign = _eliminate(rows, n)
@@ -493,7 +506,7 @@ class Polytope:
             other.dim, other.denominator, other.numerators)
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.vertices))
+        return hash((self.dim, self.denominator, self.numerators))
 
     def __repr__(self) -> str:
         return f"Polytope(dim={self.dim}, vertices={len(self.numerators)})"
@@ -601,14 +614,20 @@ def _fan(on: Sequence[int], s: int, r: int) -> list[tuple[int, ...]]:
     inequalities that include every facet: the pulling triangulation from
     the face's lowest vertex i0, which is its lexicographically smallest
     since numerators are sorted.  An edge is its two ends; a higher face
-    cones i0 over the fans of its facets that miss i0 (`_facet_sets`; a
-    polygon's facets are its edges), in the order of their first
-    inequality."""
+    cones i0 over the fans of its facets that miss i0, in the order of
+    their first inequality.  A polygon's facets are its edges, and every
+    two-point face of a polygon is an edge, so a polygon takes the
+    two-point sets s & on[b] as they come; a higher face takes its facets
+    from `_facet_sets`."""
     i0 = (s & -s).bit_length() - 1
     if r == 0:
         return [(i0,)]
     if r == 1:
         return [(i0, s.bit_length() - 1)]
+    if r == 2:
+        return [(i0, (t & -t).bit_length() - 1, t.bit_length() - 1)
+                for t in dict.fromkeys(s & v for v in on)
+                if t.bit_count() == 2 and not t >> i0 & 1]
     out: list[tuple[int, ...]] = []
     for t in _facet_sets(on, s):
         if not t >> i0 & 1:
@@ -636,10 +655,9 @@ def _volume_of(p: Polytope) -> Fraction:
     if p.is_empty or not p.is_full_dim:
         return ZERO
     nums, d = p.numerators, p.dim
-    total = 0
-    for s in _simplices(p):
-        v0 = nums[s[0]]
-        total += abs(_det([tuple(x - y for x, y in zip(nums[i], v0)) for i in s[1:]]))
+    v0 = nums[0]  # every simplex of the pulling triangulation has vertex 0
+    diffs = [tuple(x - y for x, y in zip(v, v0)) for v in nums]
+    total = sum(abs(_det([diffs[i] for i in s[1:]])) for s in _simplices(p))
     return Fraction(total, math.factorial(d) * p.denominator**d)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from polyshift.counting import ZonotopeSpec
-from polyshift.geometry import Polytope
+from polyshift.geometry import Polytope, _facet_sets
 
 # generators (1, 0), (0, 1), (1, 1): a hexagon of area 3
 HEXAGON = ZonotopeSpec(2, ((1, 0), (0, 1), (1, 1)))
@@ -17,6 +17,20 @@ def on_boundary(p, x):
     if not p.contains(x):
         return False
     return not p.is_full_dim or any(h.value(x) == 0 for h in p.facets())
+
+
+def pulling_fan(on, s, r):
+    """The pulling triangulation of the rank-r face with vertex bitset `s`
+    by the general face recursion, polygons included: the face's lowest
+    vertex coned over the fans of its facets (`_facet_sets`, in the order
+    of their first inequality in `on`) that miss it."""
+    i0 = (s & -s).bit_length() - 1
+    if r == 0:
+        return [(i0,)]
+    if r == 1:
+        return [(i0, s.bit_length() - 1)]
+    return [(i0,) + f for t in _facet_sets(on, s) if not t >> i0 & 1
+            for f in pulling_fan(on, t, r - 1)]
 
 
 def reeve_layer_triangle(n, k, w):

@@ -37,7 +37,7 @@ from polyshift.geometry import (
     unit_cube,
 )
 
-from conftest import reeve_layer_triangle
+from conftest import pulling_fan, reeve_layer_triangle
 
 F = Fraction
 
@@ -106,6 +106,26 @@ small_mats = st.integers(-4, 4).flatmap(
 def test_determinant_is_multiplicative(a, b):
     prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
     assert determinant(prod) == determinant(a) * determinant(b)
+
+
+def bareiss_det(rows):
+    """sign times the last pivot of `_eliminate`, 0 when it finds fewer than n pivots."""
+    work, pivots, sign = geometry._eliminate(rows, len(rows))
+    return sign * work[-1][-1] if len(pivots) == len(rows) else 0
+
+
+# entries in [-3, 3] make many matrices singular; those near +-2^70 keep
+# every product a long int
+small_entries = st.integers(-3, 3)
+det_entries = small_entries | st.builds(lambda s, x: s * 2**70 + x, st.sampled_from((-1, 1)),
+                                        small_entries)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(det_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=300, deadline=None)
+def test_small_determinants_equal_the_elimination(rows):
+    assert geometry._det(rows) == bareiss_det(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +591,15 @@ def test_halfspace_is_its_primitive_row(a, b, scale):
         assert clip(p, scaled).linear_description() == cut.linear_description()
 
 
+def test_equal_bodies_hash_equal_without_building_their_vertices():
+    p = standard_simplex(3).translated((F(1, 2), 0, 0))
+    q = Polytope(3, [(1, 0, 0), (3, 0, 0), (1, 2, 0), (1, 0, 2)], den=2)
+    r = Polytope(3, [(2, 0, 0), (6, 0, 0), (2, 4, 0), (2, 0, 4)], den=4)
+    assert p == q == r and hash(p) == hash(q) == hash(r)
+    assert len({p, q, r, standard_simplex(3)}) == 2
+    assert p._vertices is q._vertices is r._vertices is None
+
+
 # ---------------------------------------------------------------------------
 # incidence carried through clips
 
@@ -767,6 +796,33 @@ def test_triangulation_tiles_the_body(case):
         if any(min(c) == 0 for c in coords):
             continue
         assert sum(min(c) > 0 for c in coords) == 1
+
+
+@st.composite
+def fanned_bodies(draw):
+    """A full-dimensional hull of lattice points in d = 2 or 3, or a side
+    of a rational body cut by `clip_both`: polygons and polyhedra whose
+    inequalities come in hull order or in a clip's order."""
+    d = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=d + 1,
+                            max_size=d + 7, unique=True))
+        p = Polytope(d, pts)
+    else:
+        p = Polytope(d, draw(rational_points(d, d + 1, d + 5)))
+        normal = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any))
+        p = clip_both(p, HalfSpace(normal, draw(rationals)))[draw(st.integers(0, 1))]
+    assume(p.is_full_dim)
+    return p
+
+
+@example(zonotope_polytope(ZonotopeSpec(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0),
+                                            (0, 0, 1)])))
+@given(fanned_bodies())
+@settings(max_examples=200, deadline=None)
+def test_polygon_fans_follow_the_general_recursion(p):
+    on = geometry._transpose(p._masks, len(p.facets()))
+    assert geometry._simplices(p) == pulling_fan(on, (1 << len(p._masks)) - 1, p.dim)
 
 
 def quadratic_facet_sets(on, s):
