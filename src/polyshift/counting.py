@@ -30,17 +30,22 @@ shift itself.  It is the dominance count ``#{z : a . z - b <= key}``.  The
 scalar counter, `count_at`, walks every shift afresh.
 
 Sampling draws and counts in blocks of at most ``_BLOCK`` stream shifts
-(`_Block`).  One pass over the block per distinct row gives every draw's
-floor on that row and the draws where it is tight, shared by every body
-counted at the block: P, its dilates and translates and the parts of a
-scaling piece share rows, and -P takes P's floors negated, ``floor(-x) =
-~floor(x)`` plus 1 where x is an integer.  (A scaling piece is a tuple of
-parts, each counted as a body of its own; the verifier's relations add up
-their counts.)  Nothing is shared across blocks.  Each distinct cell in
-the block is read from the body's memo or counted once, at its first
-draw, and then memoized, up to ``_MEMO_CAP`` cells per body.  An empty
-body counts 0 at every draw, and so does a flat one, whose equality rows
-miss Z^d unless tight.  A draw where some row is tight is also walked on
+(`_Block`), one `getrandbits` call per block.  A block packs each
+coordinate of its draws into lanes of one big int, so one multiply-add
+per distinct row gives every draw's ``a . m - kmin 2**64`` at once, with
+kmin the row's least key (below): above the low 64 bits of each lane lies
+the draw's offset ``floor(a . m / 2**64) - kmin``, and one carry test over
+all lanes finds the draws whose low bits are all zero, where the row is
+tight.  A row's offsets are shared by every body counted at the block:
+P, -P, its dilates and translates and the parts of a scaling piece share
+rows.  (A scaling piece is a tuple of parts, each counted as a body of
+its own; the verifier's relations add up their counts.)  Nothing is
+shared across blocks, and a draw's numerators are decoded only where a
+walk or a caller reads them.  A cell is named by its offset vector, the
+key less each row's kmin.  Each distinct cell in the block is read from
+the body's memo or counted once, at its first draw, and then memoized,
+up to ``_MEMO_CAP`` cells per body.  An empty body counts 0 at every
+draw, and so does a flat one, whose equality rows miss Z^d unless tight.  A draw where some row is tight is also walked on
 its own, which finds its boundary hits.
 `generic_draws` drops a draw where some body has one; `stream_counts`
 keeps every draw and gets the hits from `count_at`.  Blocks are yielded
@@ -58,9 +63,10 @@ b + floor(a . s) <= b + kmax``.  A point it adds in no ``p + s`` is in no
 cell's count either, since the body rows alone decide that.  The points
 at or below ``kmin`` on every body row, the core, are in every cell; they
 form a subinterval of each fiber, counted in O(1) like a whole fiber.  The
-rest, the rim, get one bit each, and ``mask[i][k]`` holds the rim points
-with ``a_i . z - b_i <= k``.  A cell's count is the core plus the bits
-left in the AND of its rows' masks (dominance counting, Bentley 1980).
+rest, the rim, get one bit each, and ``mask[i][k - kmin_i]``, read at the
+cell's offset, holds the rim points with ``a_i . z - b_i <= k``.  A cell's
+count is the core plus the bits left in the AND of its rows' masks
+(dominance counting, Bentley 1980).
 The table is written column by column: along a fiber a row's entries are
 an arithmetic run clipped at 0, written at once, and each mask is one
 translate of the row's column into binary digits.  A body whose table
@@ -75,9 +81,10 @@ import functools
 import itertools
 import math
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, and_, floordiv, invert, mul, neg, rshift, sub
+from operator import add, floordiv, mul, sub
 from typing import Iterator, Sequence
 
 from .errors import DegenerateInput
@@ -86,7 +93,6 @@ from .geometry import (IVec, Polytope, Vec, _homogenize, as_vec, determinant, mi
 
 DYADIC_BITS = 64
 _DYADIC_DEN = 1 << DYADIC_BITS
-_DYADIC_MASK = _DYADIC_DEN - 1
 _MEMO_CAP = 4096  # cells memoized per body; later cells are counted but not stored
 _BLOCK = 256  # stream draws counted together by generic_draws
 _TRIES = 64  # rejected draws in a row after which generic_draws gives up
@@ -117,12 +123,15 @@ class ShiftStream:
         """The next shift's numerators over ``2**DYADIC_BITS``."""
         return tuple(map(self._rng.getrandbits, self._bits))
 
-    def block(self, k: int) -> list[list[int]]:
-        """The numerators of the next k shifts, column by column: entry i
-        lists coordinate i of each draw.  Consumes the generator exactly as
-        k calls of `numerators` do."""
-        flat = list(map(self._rng.getrandbits, itertools.repeat(DYADIC_BITS, k * self.dim)))
-        return [flat[i::self.dim] for i in range(self.dim)]
+    def block(self, k: int) -> bytes:
+        """The numerators of the next k shifts as little-endian 64-bit
+        words, word ``j * dim + i`` coordinate i of draw j, from one
+        `getrandbits` call.  CPython fills its result 32 bits at a time from
+        the least significant end, as it fills each ``getrandbits(64)``, so
+        this consumes the generator exactly as k calls of `numerators` do
+        and word w equals the w-th ``getrandbits(64)``."""
+        n = k * self.dim * DYADIC_BITS
+        return self._rng.getrandbits(n).to_bytes(n // 8, "little")
 
     def draw(self) -> Vec:
         """The next shift as a rational vector."""
@@ -166,9 +175,9 @@ class _CountPlan:
     column k of the rows after level k.
 
     Only the block sampler, `_cell_counts`, reads or writes the rest.
-    ``memo`` maps the floor vector (key) of the body's rows to the count in
-    that cell, and ``table`` is the body's rim table (`_rim_table`), None
-    until first needed.
+    ``memo`` maps the offset vector (key less kmin) of the body's rows to
+    the count in that cell, and ``table`` is the body's rim table
+    (`_rim_table`), None until first needed.
     """
 
     __slots__ = ("rows", "rhs", "nlev", "cols", "levels", "npos", "nnz", "divs", "eq_rows",
@@ -342,10 +351,11 @@ def _rim_table(plan: _CountPlan) -> tuple | bool:
     One walk with every row at ``b + kmax`` lists every lattice point of
     every ``p + s``.  In each fiber the points with ``a . z - b <= kmin`` on
     every body row, a subinterval, are the core, counted in every cell; the
-    rest are the rim, one bit each.  ``rows`` holds ``(i, kmin_i, masks)``
-    for each body row i that cuts some rim point at its least key,
-    ``masks[k - kmin_i]`` the rim points with ``a_i . z - b_i <= k``, rim
-    point j at digit j of the mask written in binary.  Row i's column
+    rest are the rim, one bit each.  ``rows`` holds ``(i, masks)`` for each
+    body row i that cuts some rim point at its least key, ``masks[k -
+    kmin_i]`` (the offset of key k, as `_Block.offsets` gives it) the rim
+    points with ``a_i . z - b_i <= k``, rim point j at digit j of the mask
+    written in binary.  Row i's column
     holds its entry ``a_i . z - b_i - kmin_i``, clipped at 0, at each rim
     point: bytes where the row spans fewer than 256 keys, else a list."""
     body = plan.rows[plan.nlev:]
@@ -417,7 +427,7 @@ def _rim_table(plan: _CountPlan) -> tuple | bool:
         return False
     full = (1 << len(first)) - 1
     rows = []
-    for i, (k0, w, col) in enumerate(zip(kmin, widths, cols)):
+    for i, (w, col) in enumerate(zip(widths, cols)):
         top = max(col, default=0)
         if top:
             # masks[v]: digit j is 1 where rim point j has entry <= v
@@ -429,54 +439,113 @@ def _rim_table(plan: _CountPlan) -> tuple | bool:
                 masks += [int(bytes(map(v.__ge__, col)).translate(_DIGITS), 2)
                           for v in range(least, top)]
             masks += [full] * (w + 1 - top)
-            rows.append((i, k0, masks))
+            rows.append((i, masks))
     return ncore, full, rows
 
 
 def _table_count(table: tuple, key: IVec) -> int:
-    """The count in cell `key` from a rim table: the core plus the rim
-    points left in the AND of the key's masks."""
+    """The count in cell `key`, a vector of offsets, from a rim table: the
+    core plus the rim points left in the AND of the key's masks."""
     ncore, m, rows = table
-    for i, k0, masks in rows:
-        m &= masks[key[i] - k0]
+    for i, masks in rows:
+        m &= masks[key[i]]
     return ncore + m.bit_count()
 
 
+@functools.cache
+def _lane_masks(width: int) -> tuple[int, int]:
+    """(ONES, LOW) over a full block of `width`-byte lanes: bit 64 of every
+    lane, and the low 64 bits of every lane.  A short block of k lanes
+    takes them shifted right by ``_BLOCK - k`` lanes."""
+    pad = bytes(width - 9)
+    ones = int.from_bytes((bytes(8) + b"\1" + pad) * _BLOCK, "little")
+    low = int.from_bytes((b"\xff" * 8 + b"\0" + pad) * _BLOCK, "little")
+    return ones, low
+
+
 class _Block:
-    """One block of stream draws, column by column (`cols`) and row by row
-    (`nums`), with the floors of each body row met so far: every body
-    counted at the block shares them."""
+    """One block of stream draws, held as the little-endian 64-bit words
+    of `ShiftStream.block` (`raw`, word ``j * dim + i`` coordinate i of
+    draw j), with the offsets of each body row met so far: every body
+    counted at the block shares them.  Indexing or iterating a block
+    decodes draws' numerators, only where they are needed.
 
-    __slots__ = ("cols", "nums", "rows")
+    A row's offsets come from lanes of one big int per coordinate:
+    ``M_i`` holds coordinate i of draw j at bits ``W j`` up, in lanes of W
+    bits (`width` bytes), 64 for the numerator and at least 8 above it.  Over [0, 1)^d a
+    row's key ``floor(a . m / 2**64)`` lies in ``[kmin, kmax]``
+    (`_key_range`), so ``a . m - kmin 2**64`` lies in ``[0, (kmax - kmin + 1)
+    2**64)``: it fits its lane and carries into no other.  One multiply-add
+    ``S = -kmin ONES + sum c_i M_i`` (ONES: bit 64 of every lane) leaves it
+    in every lane at once, its bytes above the low 8 the offset ``key -
+    kmin`` and its low 64 bits zero exactly where the row is tight.  Adding
+    ``LOW`` (the low 64 bits of every lane) to ``S & LOW`` carries into bit
+    64 of each lane whose low bits are not all zero, so ``((S & LOW) + LOW)
+    & ONES == ONES`` says at once that no draw is tight; only where it fails
+    are the lanes looked at one by one.  A row spanning more than 256 keys
+    takes wider lanes, packed once per width and block."""
 
-    def __init__(self, cols: list[list[int]]):
-        self.cols = cols
-        self.nums = list(zip(*cols))
+    __slots__ = ("raw", "dim", "size", "fmt", "lanes", "rows")
+
+    def __init__(self, raw: bytes, dim: int):
+        self.raw, self.dim = raw, dim
+        self.fmt = struct.Struct(f"<{dim}Q")  # one draw's words
+        self.size = len(raw) // self.fmt.size
+        self.lanes: dict = {}
         self.rows: dict = {}
 
-    def floors(self, a: IVec) -> tuple[list[int], list[int]]:
-        """(``floor(a . m / 2**64)`` at each draw, the draws where row a is
-        tight), computed once per block; a row whose negation is known
-        takes ``floor(-x) = ~floor(x)``, plus 1 where x is an integer."""
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, j: int) -> IVec:
+        """The numerators of draw j."""
+        if not 0 <= j < self.size:
+            raise IndexError(j)
+        return self.fmt.unpack_from(self.raw, self.fmt.size * j)
+
+    def __iter__(self) -> Iterator[IVec]:
+        return self.fmt.iter_unpack(self.raw)
+
+    def _packed(self, width: int) -> tuple[list[int], int, int]:
+        """(``M_i`` per coordinate, ONES, LOW) in `width`-byte lanes."""
+        got = self.lanes.get(width)
+        if got is None:
+            raw, step, n = self.raw, self.fmt.size, self.size * width
+            packed = []
+            for i in range(0, step, 8):
+                lanes = bytearray(n)
+                for t in range(8):
+                    lanes[t::width] = raw[i + t::step]
+                packed.append(int.from_bytes(lanes, "little"))
+            shift = 8 * width * (_BLOCK - self.size)
+            ones, low = _lane_masks(width)
+            got = self.lanes[width] = packed, ones >> shift, low >> shift
+        return got
+
+    def offsets(self, a: IVec) -> tuple[Sequence[int], list[int]]:
+        """(``floor(a . m / 2**64) - kmin`` at each draw, the draws where
+        row a is tight), computed once per block."""
         got = self.rows.get(a)
         if got is None:
-            flipped = self.rows.get(tuple(map(neg, a)))
-            if flipped is None:
-                # a . m for every draw: the floor over 2**64 is a shift, and
-                # the row is tight where the low 64 bits are 0
-                terms = [col if c == 1 else map(neg, col) if c == -1 else map(c.__mul__, col)
-                         for c, col in zip(a, self.cols) if c]
-                dots = list(functools.reduce(functools.partial(map, add), terms))
-                tight = []
-                if 0 in map(and_, dots, itertools.repeat(_DYADIC_MASK)):
-                    tight = [j for j, x in enumerate(dots) if not x & _DYADIC_MASK]
-                floors = list(map(rshift, dots, itertools.repeat(DYADIC_BITS)))
-            else:
-                floors, tight = flipped
-                floors = list(map(invert, floors))
-                for j in tight:
-                    floors[j] += 1
-            got = self.rows[a] = floors, tight
+            kmin, kmax = _key_range(a)
+            width = 8 + max(1, -(-(kmax - kmin).bit_length() // 8))
+            packed, ones, low = self._packed(width)
+            S = -kmin * ones
+            for c, M in zip(a, packed):
+                if c:
+                    S += c * M
+            n = self.size * width
+            carry = (S & low) + low
+            tight = []
+            if carry & ones != ones:
+                flags = carry.to_bytes(n, "little")[8::width]
+                tight = [j for j, f in enumerate(flags) if not f]
+            # the offset's bytes, least significant first, one byte of every lane at a time
+            lanes = S.to_bytes(n, "little")
+            offsets = lanes[8::width]
+            for t in range(9, width):
+                offsets = list(map(add, offsets, map((1 << 8 * (t - 8)).__mul__, lanes[t::width])))
+            got = self.rows[a] = offsets, tight
         return got
 
 
@@ -489,17 +558,16 @@ def _cell_counts(p: Polytope, block: _Block) -> list:
     counts 0 everywhere, and so does a flat one where none of its rows is
     tight: an equality with a nonzero remainder misses Z^d.  A draw where a
     row is tight is walked on its own for its boundary hits."""
-    nums = block.nums
-    if len(block.cols) != p.dim:
+    if block.dim != p.dim:
         raise DegenerateInput("shift dimension does not match the polytope")
     plan = _plan(p)
     if plan is None:
-        return [0] * len(nums)
-    floors, tight = zip(*map(block.floors, plan.rows[plan.nlev:]))
+        return [0] * len(block)
+    offsets, tight = zip(*map(block.offsets, plan.rows[plan.nlev:]))
     if plan.eq_rows:
-        counts = [0] * len(nums)
+        counts = [0] * len(block)
     else:
-        keys = list(zip(*floors))
+        keys = list(zip(*offsets))
         # each cell with the index of its first draw, then with its count
         cells = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
         memo = plan.memo
@@ -511,36 +579,44 @@ def _cell_counts(p: Polytope, block: _Block) -> list:
                 if plan.table:
                     count = _table_count(plan.table, key)
                 else:
-                    count = _count_polytope(p, nums[j], _DYADIC_DEN).count
+                    count = _count_polytope(p, block[j], _DYADIC_DEN).count
                 if len(memo) < _MEMO_CAP:
                     memo[key] = count
             cells[key] = count
         counts = list(map(cells.__getitem__, keys))
     for j in set().union(*tight):
-        res = _count_polytope(p, nums[j], _DYADIC_DEN)
+        res = _count_polytope(p, block[j], _DYADIC_DEN)
         counts[j] = None if res.boundary_hits else res.count
     return counts
 
 
+def _require_count(n, what: str) -> None:
+    """Reject a bool or non-int count of draws or samples: `getrandbits`
+    would take True as 1."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DegenerateInput(f"{what} must be an integer, got {n!r}")
+
+
 def generic_draws(stream: ShiftStream, bodies: Sequence[Polytope], n: int
-                  ) -> Iterator[tuple[list[IVec], list[list[int]], list[int]]]:
+                  ) -> Iterator[tuple[Sequence[IVec], list[list[int]], list[int]]]:
     """The first n draws from `stream` generic for every body, in blocks of
     at most ``_BLOCK``: each block is (the draws' numerators over
-    ``2**DYADIC_BITS``, per body the counts at those draws, per draw the
-    draws rejected just before it).  Every body is counted at every draw of
-    a block, and a draw where some body has a boundary hit is dropped; the
-    stream is read no further than the n-th generic draw.  Boundary hits at
-    dyadic shifts signal a degenerate instance rather than bad luck, so
-    after ``_TRIES`` rejected draws in a row this yields the draws taken so far
-    and raises DegenerateInput."""
+    ``2**DYADIC_BITS``, a sequence that decodes each draw when read, per
+    body the counts at those draws, per draw the draws rejected just before
+    it).  Every body is counted at every draw of a block, and a draw where
+    some body has a boundary hit is dropped; the stream is read no further
+    than the n-th generic draw.  Boundary hits at dyadic shifts signal a
+    degenerate instance rather than bad luck, so after ``_TRIES`` rejected
+    draws in a row this yields the draws taken so far and raises
+    DegenerateInput."""
+    _require_count(n, "the number of draws")
     run = 0  # draws rejected since the last one taken
     while n > 0:
         k = min(n, _BLOCK)
-        block = _Block(stream.block(k))
-        nums = block.nums
+        block = _Block(stream.block(k), stream.dim)
         counts = [_cell_counts(b, block) for b in bodies]
         if not any(None in c for c in counts):
-            yield nums, counts, [run] + [0] * (k - 1)
+            yield block, counts, [run] + [0] * (k - 1)
             run = 0
             n -= k
             continue
@@ -556,7 +632,7 @@ def generic_draws(stream: ShiftStream, bodies: Sequence[Polytope], n: int
             if run >= _TRIES:
                 break
         if taken:
-            yield [nums[j] for j in taken], [[c[j] for j in taken] for c in counts], redraws
+            yield [block[j] for j in taken], [[c[j] for j in taken] for c in counts], redraws
             n -= len(taken)
         if run >= _TRIES:
             raise DegenerateInput(
@@ -568,10 +644,11 @@ def stream_counts(stream: ShiftStream, p: Polytope, n: int) -> Iterator[tuple[Ve
     count there.  Each block of at most ``_BLOCK`` draws is counted by cell
     (`_cell_counts`); `count_at` walks only a draw where p has a boundary
     hit, for its closed count and hits."""
+    _require_count(n, "the number of draws")
     while n > 0:
         k = min(n, _BLOCK)
-        block = _Block(stream.block(k))
-        for m, count in zip(block.nums, _cell_counts(p, block)):
+        block = _Block(stream.block(k), stream.dim)
+        for m, count in zip(block, _cell_counts(p, block)):
             s = tuple(Fraction(x, _DYADIC_DEN) for x in m)
             yield s, count_at(p, s) if count is None else CountResult(count)
         n -= k

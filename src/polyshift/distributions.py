@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .counting import ShiftStream, generic_draws
+from .counting import ShiftStream, _require_count, generic_draws
 from .errors import (
     CellBudgetExceeded,
     DegenerateInput,
@@ -72,6 +72,7 @@ class CountDistribution:
         if any(p < 0 for p in self.probs.values()):
             raise DegenerateInput("negative probability")
         if self.samples is not None:
+            _require_count(self.samples, "an empirical law's sample count")
             if self.samples < 1:
                 raise DegenerateInput(f"an empirical law needs samples >= 1, got {self.samples}")
             if any((p * self.samples).denominator != 1 for p in self.probs.values()):
@@ -349,6 +350,7 @@ def mc_distribution(body: Polytope, samples: int, seed: int = 0) -> CountDistrib
     Samples that hit a boundary exactly are redrawn and tallied in
     ``redraws``.
     """
+    _require_count(samples, "the number of samples")
     if samples < 1:
         raise DegenerateInput("need at least one sample")
     freqs: Counter = Counter()

@@ -188,8 +188,10 @@ def _observed(bodies: list, seed: int, shifts: int, terms) -> dict:
     one stream generic for every body, with the draw where it first appears."""
     seen: dict = {}
     for nums, block, _ in generic_draws(ShiftStream(bodies[0].dim, seed), bodies, shifts):
-        for shift, value in zip(nums, _column(terms, block)):
-            seen.setdefault(value, shift)
+        # a draw is decoded only where its value first appears
+        for j, value in enumerate(_column(terms, block)):
+            if value not in seen:
+                seen[value] = nums[j]
     return seen
 
 

@@ -33,6 +33,12 @@ def pulling_fan(on, s, r):
             for f in pulling_fan(on, t, r - 1)]
 
 
+def pack_draws(draws):
+    """Dyadic draws' numerators over 2**64 as `ShiftStream.block` returns
+    them: little-endian 64-bit words, draw by draw."""
+    return b"".join(x.to_bytes(8, "little") for m in draws for x in m)
+
+
 def reeve_layer_triangle(n, k, w):
     """Cross-section footprint of the height-n tetrahedron at level k for
     vertical offset w, dropped to the plane: the right triangle with legs

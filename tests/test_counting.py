@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyshift.catalog import (
@@ -39,7 +39,7 @@ from polyshift.counting import (
 from polyshift.errors import DegenerateInput
 from polyshift.geometry import Polytope, dilate, unit_cube
 
-from conftest import HEXAGON, on_boundary
+from conftest import HEXAGON, on_boundary, pack_draws
 
 F = Fraction
 
@@ -260,11 +260,17 @@ class ScriptedStream:
 
     def __init__(self, shifts):
         self.shifts = [tuple(int(c * 2**64) for c in s) for s in shifts]
+        self.dim = len(self.shifts[0])
         self.drawn = 0
 
     def block(self, k):
         self.drawn += k
-        return [list(c) for c in zip(*[self.shifts.pop(0) for _ in range(k)])]
+        return pack_draws([self.shifts.pop(0) for _ in range(k)])
+
+
+def listed(draws):
+    """`generic_draws`' blocks, each block's draws decoded into a list."""
+    return [(list(nums), counts, redraws) for nums, counts, redraws in draws]
 
 
 def sample(bodies, shifts, n):
@@ -292,10 +298,11 @@ def fresh_copy(p):
     return Polytope(p.dim, p.numerators, den=p.denominator)
 
 
-def body_floors(p, s):
-    """The memo key of shift s on p: floor(a . s) over p's counted rows."""
+def body_offsets(p, s):
+    """The memo key of shift s on p: floor(a . s) - kmin over p's counted rows."""
     plan = p._count_plan
-    return tuple(math.floor(sum(map(operator.mul, a, s))) for a in plan.rows[plan.nlev:])
+    return tuple(math.floor(sum(map(operator.mul, a, s))) - counting._key_range(a)[0]
+                 for a in plan.rows[plan.nlev:])
 
 
 @st.composite
@@ -338,12 +345,12 @@ def test_tight_shift_in_a_cached_cell_reports_its_boundary_hits(monkeypatch):
     p = reeve_tetrahedron(3)
     generic, tight = (F(1, 64), F(1, 2), F(33, 64)), (F(0), F(1, 2), F(1, 2))
     assert sample([p], [generic], 1) == [(1,)]
-    assert body_floors(p, tight) in p._count_plan.memo
+    assert body_offsets(p, tight) in p._count_plan.memo
     # the memo holds the cell's count, but the tight draw is walked for its
     # boundary hit and dropped
     walked = spy_walks(monkeypatch)
     stream = ScriptedStream([tight, generic])
-    assert list(generic_draws(stream, [p], 1)) == [([(2**58, 2**63, 33 * 2**58)], [[1]], [1])]
+    assert listed(generic_draws(stream, [p], 1)) == [([(2**58, 2**63, 33 * 2**58)], [[1]], [1])]
     assert walked == [(0, 2**63, 2**63)]
     assert count_at(p, tight) == CountResult(1, ((1, 1, 2),)) == brute_count(p, tight)
     # translated back by the shift's integer part
@@ -358,8 +365,8 @@ def test_tight_first_draw_of_a_cell_memoizes_its_count(monkeypatch):
     tri = Polytope(2, [(0, 0), (F(1, 2), 0), (0, F(1, 2))])
     tight, later = (F(1, 8), F(3, 8)), (F(1, 4), F(5, 16))
     assert sample([tri], [tight], 1) == [(0,)]
-    assert body_floors(tri, later) == body_floors(tri, tight)
-    assert tri._count_plan.memo == {body_floors(tri, tight): 0}
+    assert body_offsets(tri, later) == body_offsets(tri, tight)
+    assert tri._count_plan.memo == {body_offsets(tri, tight): 0}
     walked = spy_walks(monkeypatch)
     assert sample([tri], [later], 1) == [(0,)]
     assert walked == []
@@ -393,7 +400,7 @@ def test_memo_stops_growing_at_its_cap_and_counts_stay_exact(monkeypatch):
     assert sample([p], shifts, 30) == sample([p], shifts, 30) == expected
     memo = p._count_plan.memo
     assert len(memo) == 3
-    cells = {body_floors(p, s) for s in shifts}
+    cells = {body_offsets(p, s) for s in shifts}
     assert len(cells) > 3
     # a full memo still serves its cells: a block reads only the others off
     # the rim table
@@ -410,9 +417,10 @@ def test_memo_stops_growing_at_its_cap_and_counts_stay_exact(monkeypatch):
 
 
 def stream_keys(plan, draws):
-    """The floor vector of each draw's numerators over 2**64 on the plan's body rows."""
-    return [tuple(sum(map(operator.mul, a, m)) >> 64 for a in plan.rows[plan.nlev:])
-            for m in draws]
+    """The offset vector of each draw's numerators over 2**64 on the plan's
+    body rows: floor(a . m / 2**64) - kmin per row."""
+    return [tuple((sum(map(operator.mul, a, m)) >> 64) - counting._key_range(a)[0]
+                  for a in plan.rows[plan.nlev:]) for m in draws]
 
 
 def hull_plan_rows(p):
@@ -491,9 +499,9 @@ def test_table_counts_equal_the_oracle(parts, seed):
             plan = p._count_plan
             ncore, full, rows = plan.table
             ranges = [counting._key_range(a) for a in plan.rows[plan.nlev:]]
-            assert [len(masks) for _, _, masks in rows] == [
-                ranges[i][1] - k0 + 1 for i, k0, _ in rows]
-            assert all(masks[-1] & full == full for _, _, masks in rows)
+            assert [len(masks) for _, masks in rows] == [
+                ranges[i][1] - ranges[i][0] + 1 for i, _ in rows]
+            assert all(masks[-1] & full == full for _, masks in rows)
     for p, part_counts in zip(parts, counts):
         for s, res in part_counts:
             assert res.count == brute_count(p, s).count
@@ -506,8 +514,9 @@ def test_table_counts_equal_the_oracle(parts, seed):
                                   Polytope(3, [tuple(map(F, v)) for v in RATIONAL_3D["vertices"]])],
                          ids=["reeve5", "cross4-x2", "long-triangle", "rational3"])
 def test_stream_keys_lie_in_the_key_range_and_its_ends_are_reached(body):
+    # a key is an offset: it and the ends are read less each row's kmin
     plan = counting._plan(body)
-    ranges = [counting._key_range(a) for a in plan.rows[plan.nlev:]]
+    ranges = [(0, hi - lo) for lo, hi in map(counting._key_range, plan.rows[plan.nlev:])]
     stream = ShiftStream(body.dim, 8)
     for key in stream_keys(plan, [stream.numerators() for _ in range(300)]):
         assert all(lo <= k <= hi for k, (lo, hi) in zip(key, ranges))
@@ -625,7 +634,7 @@ def reference_rim_table(plan):
     if len(rim) > cap:
         return False
     rows = []
-    for i, (k0, w) in enumerate(zip(kmin, widths)):
+    for i, w in enumerate(widths):
         col = rim[i::len(body)]
         if col and max(col):
             digits = bytearray(b"0" * len(col))
@@ -637,7 +646,7 @@ def reference_rim_table(plan):
                     digits[j] = 49
                 masks.append(int(digits, 2))
             masks += masks[-1:] * (w - v)
-            rows.append((i, k0, masks))
+            rows.append((i, masks))
     return ncore, (1 << len(rim) // len(body)) - 1, rows
 
 
@@ -652,7 +661,7 @@ def test_rim_table_equals_the_point_major_reference(p):
 def test_the_wide_row_takes_the_list_path():
     # its column holds entries past a byte: its masks still change there
     ncore, full, rows = counting._rim_table(counting._plan(fresh_copy(WIDE_ROW)))
-    wide = [masks for _, _, masks in rows if len(masks) > 256]
+    wide = [masks for _, masks in rows if len(masks) > 256]
     assert wide and any(masks[255] != masks[-1] for masks in wide)
 
 
@@ -754,11 +763,21 @@ def test_empty_body_rejects_a_wrong_length_shift():
         next(generic_draws(ShiftStream(2, 0), [empty], 1))
 
 
+@pytest.mark.parametrize("n", [True, 2.0, F(3)], ids=["bool", "float", "fraction"])
+def test_draw_counts_must_be_ints(n):
+    # getrandbits would take True as one draw's bits and reject the others bare
+    p = reeve_tetrahedron(3)
+    with pytest.raises(DegenerateInput, match="must be an integer"):
+        list(generic_draws(ShiftStream(3, 0), [p], n))
+    with pytest.raises(DegenerateInput, match="must be an integer"):
+        list(counting.stream_counts(ShiftStream(3, 0), p, n))
+
+
 def test_generic_draws_redraw_on_boundary_hits_then_give_up(monkeypatch):
     cube, corner, inside = unit_cube(2), (0, 0), (F(1, 2), F(1, 4))
     # the corner shift has boundary hits on both bodies, the inside one is taken
     stream = ScriptedStream([corner, corner, inside])
-    assert next(generic_draws(stream, [cube, dilate(cube, 2)], 1)) == ([(2**63, 2**62)], [[1], [4]], [2])
+    assert listed(generic_draws(stream, [cube, dilate(cube, 2)], 1)) == [([(2**63, 2**62)], [[1], [4]], [2])]
     assert stream.drawn == 3
     monkeypatch.setattr(counting, "_TRIES", 5)
     stream = ScriptedStream([corner] * 5)
@@ -777,7 +796,7 @@ def test_generic_draws_redraw_on_boundary_hits_then_give_up(monkeypatch):
     # the draws taken before the limit in the same block come first
     stream = ScriptedStream([inside] + [corner] * 3)
     draws = generic_draws(stream, [cube], 4)
-    assert next(draws) == ([(2**63, 2**62)], [[1]], [0])
+    assert listed(itertools.islice(draws, 1)) == [([(2**63, 2**62)], [[1]], [0])]
     with pytest.raises(DegenerateInput, match="in 3 draws"):
         next(draws)
     assert stream.drawn == 4
@@ -789,7 +808,7 @@ def test_generic_draws_keep_a_tight_draw_without_boundary_hits():
     tri = Polytope(2, [(0, 0), (F(1, 2), 0), (0, F(1, 2))])
     shifts = [(F(1, 8), F(3, 8)), (0, 0), (F(1, 2), F(1, 4))]
     # the first block of two keeps one draw, so a block of one follows
-    assert list(generic_draws(ScriptedStream(shifts), [tri], 2)) == [
+    assert listed(generic_draws(ScriptedStream(shifts), [tri], 2)) == [
         ([(2**61, 3 * 2**61)], [[count_at(tri, shifts[0]).count]], [0]),
         ([(2**63, 2**62)], [[count_at(tri, shifts[2]).count]], [1]),
     ]
@@ -808,20 +827,21 @@ def test_bodies_sharing_a_block_count_as_each_alone(p):
     stream = ShiftStream(3, 5)
     draws = [stream.numerators() for _ in range(30)] + [
         (0, 0, 0), (2**63, 0, 0), (2**63, 2**63, 5), (1, 2**63, 2**62), (2**63, 2**63, 2**63)]
-    cols = [list(c) for c in zip(*draws)]
-    block = counting._Block(cols)
+    raw = pack_draws(draws)
+    block = counting._Block(raw, 3)
     shared = [counting._cell_counts(body, block) for body in bodies]
     for body, counts in zip(bodies, shared):
-        assert counts == counting._cell_counts(fresh_copy(body), counting._Block(cols))
+        assert counts == counting._cell_counts(fresh_copy(body), counting._Block(raw, 3))
         for m, count in zip(draws, counts):
             res = counting._count_polytope(body, m, 2**64)
             assert count == (None if res.boundary_hits else res.count)
     rows = block.rows
     assert any(tuple(-c for c in a) in rows for a in rows)
-    # each shared row's floors and tight draws, a negated row's too, are the row's own
-    for a, (floors, tight) in rows.items():
+    # each shared row's offsets and tight draws, a negated row's too, are the row's own
+    for a, (offsets, tight) in rows.items():
         dots = [sum(map(operator.mul, a, m)) for m in draws]
-        assert floors == [x >> 64 for x in dots]
+        kmin = counting._key_range(a)[0]
+        assert list(offsets) == [(x >> 64) - kmin for x in dots]
         assert tight == [j for j, x in enumerate(dots) if x % 2**64 == 0]
     tight = set().union(*[t for _, t in rows.values()])
     assert tight <= set(range(30, 35))
@@ -831,11 +851,57 @@ def test_bodies_sharing_a_block_count_as_each_alone(p):
     assert any(shared[3][j] is not None for j in tight)
 
 
-@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("k", [1, 2, 7, 256])
 def test_stream_block_reads_the_generator_as_numerators_does(k):
-    block, reference = ShiftStream(3, 11), ShiftStream(3, 11)
-    for _ in range(2):
-        assert list(zip(*block.block(k))) == [reference.numerators() for _ in range(k)]
+    # one getrandbits call of 64 k d bits: little-endian word w is the w-th
+    # getrandbits(64), and the generator ends where k numerators() leave it
+    for d in range(1, 5):
+        block, reference = ShiftStream(d, 11), ShiftStream(d, 11)
+        for _ in range(2):
+            raw = block.block(k)
+            expected = [reference.numerators() for _ in range(k)]
+            assert len(raw) == 8 * k * d
+            words = [int.from_bytes(raw[w:w + 8], "little") for w in range(0, len(raw), 8)]
+            assert list(zip(*[iter(words)] * d)) == expected
+            drawn = counting._Block(raw, d)
+            assert list(drawn) == [drawn[j] for j in range(k)] == expected
+            assert block._rng.getstate() == reference._rng.getstate()
+
+
+@st.composite
+def lane_cases(draw):
+    """(rows, draws): one to four rows with entries in +-300, so that both
+    9-byte and wider lanes occur, and a block of k draws in d = 1..4, k one
+    of a full block and the short last blocks of 20000 and 600 samples.
+    Lanes 0 and k - 1 may hold a forced corner draw, coordinates 0, 2**63
+    or 2**64 - 1, where rows are tight or reach the ends of their key range."""
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-300, 300)] * d).filter(any), min_size=1, max_size=4))
+    k = draw(st.sampled_from((1, 32, 88, 256)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    draws = [tuple(rng.getrandbits(64) for _ in range(d)) for _ in range(k)]
+    corner = st.tuples(*[st.sampled_from((0, 2**63, 2**64 - 1))] * d)
+    for j in draw(st.sets(st.sampled_from((0, k - 1)))):
+        draws[j] = draw(corner)
+    return rows, draws
+
+
+@given(lane_cases())
+# offsets at the top of a 9-byte lane (255), and past it at m = 0 on a row
+# with no positive entry (256 = -kmin, so a 10-byte lane)
+@example(([(1, 255), (-1, -255), (-128, -128)], [(2**64 - 1, 2**64 - 1), (0, 0)]))
+@settings(max_examples=150, deadline=None)
+def test_lane_offsets_and_tight_draws_equal_divmod(case):
+    rows, draws = case
+    d = len(draws[0])
+    block = counting._Block(pack_draws(draws), d)
+    assert list(block) == draws
+    for a in rows:
+        kmin = counting._key_range(a)[0]
+        floors, rems = zip(*[divmod(sum(map(operator.mul, a, m)), 2**64) for m in draws])
+        offsets, tight = block.offsets(a)
+        assert list(offsets) == [q - kmin for q in floors]
+        assert tight == [j for j, r in enumerate(rems) if r == 0]
 
 
 def _flat_body(d):

@@ -773,6 +773,15 @@ def test_an_empirical_law_rejects_zero_samples():
         CountDistribution(probs={0: F(1)}, samples=0)
 
 
+@pytest.mark.parametrize("n", [True, 2.0, F(3)], ids=["bool", "float", "fraction"])
+def test_sample_counts_must_be_ints(n):
+    # True would pass as one sample, and a float or Fraction as a size
+    with pytest.raises(DegenerateInput, match="must be an integer"):
+        mc_distribution(reeve_tetrahedron(3), n)
+    with pytest.raises(DegenerateInput, match="must be an integer"):
+        CountDistribution(probs={1: F(1)}, samples=n)
+
+
 def test_an_empirical_law_rejects_an_atom_off_its_grid():
     # 1/3 of 4 draws is no whole number of draws
     with pytest.raises(DegenerateInput, match="not a multiple of 1/4"):
