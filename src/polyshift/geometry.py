@@ -22,7 +22,9 @@ about its horizon ridge onto the new point, an integer combination of the
 two facet normals that meet there.  A clip finds edges by the double
 description method's adjacency test and hands each piece, and each face
 it keeps, its facets and masks; translates, negation and dilates carry
-them over.  Faces are vertex bitsets.  A triangulation is the pulling one
+them over, and so do Minkowski sums of full-dimensional bodies in d <= 3
+and affine images of full-dimensional bodies (`incidence`, re-exported
+here).  Faces are vertex bitsets.  A triangulation is the pulling one
 from the lowest vertex: every face cones its lowest vertex over the
 triangulations of its facets that miss it, read off the incidence (a
 polygon's are the two-point sets its parent's inequalities cut from it),
@@ -44,7 +46,7 @@ from fractions import Fraction
 from operator import itemgetter, mul, or_
 from typing import Iterable, Optional, Sequence
 
-from .errors import DegenerateInput, SingularMatrix
+from .errors import DegenerateInput
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -281,9 +283,19 @@ def _hull(points: Sequence[IVec]) -> tuple[list[int], list[tuple[IVec, int]], li
             hull[key] = hull.get(key, 0) | m | bit
     tight = _transpose(list(hull.values()), n)
     extreme = [i for i, t in enumerate(tight) if sum(u & t == t for u in tight) == 1]
-    on = {key: [k for k, i in enumerate(extreme) if m >> i & 1] for key, m in hull.items()}
-    facets = sorted(on, key=on.__getitem__)
-    return extreme, facets, [sum(1 << k for k in on[key]) for key in facets]
+    return _ordered(points, extreme, hull)
+
+
+def _ordered(points, extreme: Iterable[int], facets: dict) -> tuple[list[int], list, list[int]]:
+    """A full-dimensional body's incidence in the point constructor's order:
+    (the bits `extreme` of its vertices sorted by their points
+    ``points[bit]``, the keys of `facets` sorted by their ascending lists of
+    those vertices, and per key the bitmask of its vertices, bit k for the
+    k-th), given per facet key the bitmask of the candidate bits tight on it."""
+    extreme = sorted(extreme, key=points.__getitem__)
+    on = {key: [k for k, i in enumerate(extreme) if m >> i & 1] for key, m in facets.items()}
+    order = sorted(on, key=on.__getitem__)
+    return extreme, order, [sum(1 << k for k in on[key]) for key in order]
 
 
 def _halfspaces(found: Sequence[tuple[IVec, int]], den: int, pivots: Sequence[int],
@@ -391,7 +403,9 @@ class Polytope:
     run in the pivot coordinates of its affine hull, which also drops the
     points that are not extreme.  An operation that knows its result's
     incidence (a clip piece or face, a translate, the negation, a dilate,
-    the unit cube) builds the result through `_made`, with no hull.
+    the unit cube, the sum of two full-dimensional bodies in d <= 3, the
+    affine image of a full-dimensional body) builds the result through
+    `_made`, with no hull; the last two order it as the hull would.
     Instances are immutable after construction; the lazy caches are
     idempotent, so concurrent readers are safe.
     """
@@ -662,7 +676,7 @@ def _volume_of(p: Polytope) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# clipping, intersection, Minkowski sums, affine maps
+# clipping, intersection, dilates
 
 
 def _sides(p: Polytope, h: HalfSpace) -> list[int]:
@@ -804,32 +818,6 @@ def intersect(p: Polytope, q: Polytope) -> Polytope:
     return out
 
 
-def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
-    """Convex hull of pairwise vertex sums, normalized to extreme points."""
-    if p.dim != q.dim:
-        raise DegenerateInput("Minkowski sum requires equal ambient dimensions")
-    if p.is_empty or q.is_empty:
-        return Polytope.empty(p.dim)
-    den = math.lcm(p.denominator, q.denominator)
-    f, g = den // p.denominator, den // q.denominator
-    sums = (tuple(f * x + g * y for x, y in zip(a, b)) for a in p.numerators for b in q.numerators)
-    return Polytope(p.dim, sums, den=den)
-
-
-def affine_image(p: Polytope, m: Mat, t: Iterable) -> Polytope:
-    """Image of p under x -> m x + t; m must be invertible.  With
-    m = rows / mden and t = tn / tden, vertex v / den maps to numerator
-    f * (rows v) + g * tn over lcm(mden * den, tden)."""
-    if determinant(m) == 0:
-        raise SingularMatrix("affine image requires an invertible matrix")
-    rows, mden = _homogenize(as_mat(m))
-    (tn,), tden = _homogenize([as_vec(t)])
-    den = math.lcm(mden * p.denominator, tden)
-    f, g = den // (mden * p.denominator), den // tden
-    return Polytope(p.dim, (tuple(f * _dot(row, v) + g * x for row, x in zip(rows, tn))
-                            for v in p.numerators), den=den)
-
-
 def dilate(p: Polytope, n: int) -> Polytope:
     if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
         raise DegenerateInput(f"dilation factor must be a positive integer, got {n!r}")
@@ -894,3 +882,10 @@ def polytope_from_json(data: dict) -> Polytope:
 
 def polytope_to_json(p: Polytope) -> dict:
     return {"dim": p.dim, "vertices": [[str(c) for c in v] for v in p.vertices]}
+
+
+# Minkowski sums and affine images build on the type above in a module of
+# their own: compiled as part of this one, they raised the peak memory of
+# an import that keeps no bytecode cache by about 0.5 MB.  Every caller
+# imports them from here.
+from .incidence import affine_image, minkowski_sum  # noqa: E402

@@ -425,6 +425,18 @@ def test_affine_rejects_singular():
         affine_image(standard_simplex(2), ((1, 1), (1, 1)), (0, 0))
 
 
+@pytest.mark.parametrize("m, t", [
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0)),
+    (((1, 0), (0, 1, 0)), (0, 0)),
+    (((1, 0), (0, 1)), (0, 0, 0)),
+    (((1, 0), (0, 1)), (0,)),
+], ids=["3x3-matrix", "ragged-matrix", "long-translation", "short-translation"])
+def test_affine_rejects_shapes_other_than_the_body_s(m, t):
+    # zip would silently cut a row or the translation to the body's dimension
+    with pytest.raises(DegenerateInput):
+        affine_image(standard_simplex(2), m, t)
+
+
 def test_bounding_boxes():
     assert standard_simplex(3).bounding_box() == (as_vec((0, 0, 0)), as_vec((1, 1, 1)))
     assert reeve_tetrahedron(5).bounding_box() == (as_vec((0, 0, 0)), as_vec((1, 1, 5)))
@@ -896,6 +908,12 @@ def hull_clouds(draw):
     """Point lists in d = 1..4, lattice or rational, with repeated points,
     many coplanar ones (the boxes are small) and flat sets."""
     d = draw(st.integers(1, 4))
+    return d, draw(cloud_in(d))
+
+
+@st.composite
+def cloud_in(draw, d):
+    """One point list of `hull_clouds` in dimension d."""
     entries = st.integers(-2, 2).map(F) if draw(st.booleans()) else rationals
     pts = draw(st.lists(st.tuples(*[entries] * d), min_size=2, max_size=d + (7 if d < 4 else 5)))
     pts += draw(st.lists(st.sampled_from(pts), max_size=2))
@@ -904,7 +922,7 @@ def hull_clouds(draw):
         pts = [(F(1),) + p[1:] for p in pts]
     elif flat == "sum":
         pts = [p[:-1] + (1 - sum(p[:-1]),) for p in pts]
-    return d, pts
+    return pts
 
 
 @given(hull_clouds())
@@ -955,6 +973,86 @@ def test_similarity_images_carry_the_fresh_incidence(cloud, shift, n, entries):
         assert set(eqs) == set(fresh_eqs) and len(eqs) == len(fresh_eqs)
         assert set(ineqs) == set(fresh_ineqs) and len(ineqs) == len(fresh_ineqs)
         assert tight_halfspaces(q) == tight_halfspaces(fresh)
+    # an affine image, flat or not, is the point constructor's body itself:
+    # its facets in order and its masks, not only the same sets
+    image = affine_image(p, matrix, shift[:d])
+    assert_same_body(image, Polytope(d, image.vertices))
+
+
+def assert_same_body(got, want):
+    """got and want are one body built one way: the same numerators over
+    the same denominator, rank, description in order and vertex masks."""
+    assert (got.numerators, got.denominator, got.rank) == (
+        want.numerators, want.denominator, want.rank)
+    if want.is_empty:
+        return
+    assert got.linear_description() == want.linear_description()
+    assert got._masks == want._masks
+    if want.is_full_dim:
+        assert got.facets() == want.facets()
+
+
+def hull_of_sums(p, q):
+    """p + q as the point constructor builds it from the |p| |q| pairwise
+    vertex sums over the least common denominator."""
+    den = math.lcm(p.denominator, q.denominator)
+    f, g = den // p.denominator, den // q.denominator
+    return Polytope(p.dim, [tuple(f * x + g * y for x, y in zip(a, b))
+                            for a in p.numerators for b in q.numerators], den=den)
+
+
+@st.composite
+def summand_pairs(draw):
+    """Two clouds of `hull_clouds` in one dimension d = 1..3, the second
+    divided by k = 2..5 so that the two denominators mostly differ, and a
+    choice of sum: p + q, p + p, p - p or p + [0, 1]^d."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 5))
+    p = Polytope(d, draw(cloud_in(d)))
+    q = Polytope(d, [tuple(x / k for x in v) for v in draw(cloud_in(d))])
+    kind = draw(st.sampled_from(("pq", "pq", "pp", "p-p", "cube")))
+    return p, {"pq": q, "pp": p, "p-p": p.negated(), "cube": unit_cube(d)}[kind]
+
+
+@given(summand_pairs())
+@settings(max_examples=200, deadline=None)
+def test_sums_equal_the_hull_of_the_pairwise_sums(pair):
+    # full-dimensional summands in d <= 3 take the sum's facets from their
+    # own (and, in 3-D, from the planes of an edge of each); flat ones
+    # take the hull of the pairwise sums
+    p, q = pair
+    assert_same_body(minkowski_sum(p, q), hull_of_sums(p, q))
+
+
+def rational_tetrahedron():
+    return Polytope(3, [(F(-4, 3), -2, F(1, 3)), (F(-1, 3), F(-1, 3), 0), (F(1, 3), F(2, 3), 2),
+                        (F(2, 3), F(-2, 3), -1), (F(5, 3), 2, F(2, 3))])
+
+
+@pytest.mark.parametrize("p, q", [
+    (rational_tetrahedron(), rational_tetrahedron()),
+    (rational_tetrahedron(), rational_tetrahedron().negated()),
+    (rational_tetrahedron(), unit_cube(3)),
+    (reeve_tetrahedron(3), reeve_tetrahedron(3).negated()),
+    (standard_simplex(2), unit_cube(2)),
+    (unit_cube(3), unit_cube(3)),
+    (unit_cube(2), dilate(unit_cube(2), 3).translated((F(1, 2), 0))),
+    (cross_polytope(3), dilate(cross_polytope(3), 2)),
+    (cross_polytope(3), unit_cube(3)),
+    (segment((0,), (F(1, 3),)), segment((F(-1, 2),), (2,))),
+    (cross_polytope(4), unit_cube(4)),
+    (standard_simplex(4), standard_simplex(4).negated()),
+    (Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)]), unit_cube(3)),
+    (segment((0, 0), (1, 1)), hexagon()),
+], ids=["P+P", "P-P", "P+cube", "reeve-P-P", "triangle+square", "cube+cube",
+        "square+shifted-square", "cross+2cross", "cross+cube", "segments", "4d-cross+cube",
+        "4d-simplex-difference", "flat-triangle+cube", "segment+hexagon"])
+def test_pinned_sums_equal_the_hull_of_the_pairwise_sums(p, q):
+    # bodies with shared facet normals and parallel edges (P + P, cubes,
+    # the cross-polytope and its dilate), both orders of each pair; 4-D and
+    # flat summands take the point constructor itself
+    assert_same_body(minkowski_sum(p, q), hull_of_sums(p, q))
+    assert_same_body(minkowski_sum(q, p), hull_of_sums(q, p))
 
 
 def test_points_on_facets_leave_the_facet_order_alone():
